@@ -15,12 +15,15 @@ All cut families are built from these cached affine forms:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .mdp import ActionBox, MdpSpec
 from .neural import ReluNet, split_neurons
+
+_CHUNK = 20_000  # actions per block in recourse_values, bounding peak memory
 
 
 @dataclass(frozen=True)
@@ -44,8 +47,7 @@ class RecourseContext:
     """Cached affine preactivation forms for one (state, noise batch) pair.
 
     ``gamma1[s, j]`` is the action-coefficient vector of neuron ``j`` under
-    scenario ``s`` and ``gamma2[s, j]`` the constant part.  Construction
-    spot-checks the cache against direct re-evaluation.
+    scenario ``s`` and ``gamma2[s, j]`` the constant part.
     """
 
     def __init__(self, net: ReluNet, spec: MdpSpec, x: np.ndarray,
@@ -77,23 +79,6 @@ class RecourseContext:
 
         self.positive_neurons, self.rest_neurons = split_neurons(net)
 
-        self._verify_cache()
-
-    def _verify_cache(self):
-        rng = np.random.default_rng(0)
-        s2, J = self.gamma2.shape
-        for _ in range(min(3, s2 * J)):
-            s = int(rng.integers(s2))
-            j = int(rng.integers(J))
-            direct1 = self.net.input_weights[j] @ self.linears[s]
-            direct2 = float(
-                self.net.input_weights[j] @ self.offsets[s] + self.net.input_biases[j]
-            )
-            if not np.allclose(self.gamma1[s, j], direct1, rtol=1e-10, atol=1e-10):
-                raise ValueError("cached affine coefficients disagree with re-evaluation")
-            if not np.isclose(self.gamma2[s, j], direct2, rtol=1e-10, atol=1e-10):
-                raise ValueError("cached affine constants disagree with re-evaluation")
-
     @property
     def s2(self) -> int:
         return len(self.noises)
@@ -110,34 +95,16 @@ def recourse_value(ctx: RecourseContext, a: np.ndarray) -> float:
     return float(np.mean(np.maximum(pre, 0.0) @ ctx.net.output_weights))
 
 
-def recourse_values(ctx: RecourseContext, actions: np.ndarray,
-                    chunk: int = 20_000) -> np.ndarray:
+def recourse_values(ctx: RecourseContext, actions: np.ndarray) -> np.ndarray:
     """Vectorized :func:`recourse_value` over rows of ``actions``."""
     actions = np.asarray(actions, dtype=float)
     out = np.empty(actions.shape[0])
     w = ctx.net.output_weights
-    for start in range(0, actions.shape[0], chunk):
-        block = actions[start:start + chunk]
+    for start in range(0, actions.shape[0], _CHUNK):
+        block = actions[start:start + _CHUNK]
         pre = np.einsum("sjk,ak->sja", ctx.gamma1, block) + ctx.gamma2[:, :, None]
-        out[start:start + chunk] = np.einsum("sja,j->a", np.maximum(pre, 0.0), w) / ctx.s2
+        out[start:start + _CHUNK] = np.einsum("sja,j->a", np.maximum(pre, 0.0), w) / ctx.s2
     return out
-
-
-def _partial_recourse(ctx: RecourseContext, a: np.ndarray, neurons: list[int]) -> float:
-    if not neurons:
-        return 0.0
-    pre = ctx.preactivations(np.asarray(a, dtype=float))[:, neurons]
-    return float(np.mean(np.maximum(pre, 0.0) @ ctx.net.output_weights[neurons]))
-
-
-def negative_part_value(ctx: RecourseContext, a: np.ndarray) -> float:
-    """Recourse contribution of the non-positive-weight neurons."""
-    return _partial_recourse(ctx, a, ctx.rest_neurons)
-
-
-def positive_part_value(ctx: RecourseContext, a: np.ndarray) -> float:
-    """Recourse contribution of the positive-weight neurons."""
-    return _partial_recourse(ctx, a, ctx.positive_neurons)
 
 
 def gradient_cut(ctx: RecourseContext, anchor: np.ndarray) -> LinearCut:
@@ -207,9 +174,11 @@ def combined_cut(ctx: RecourseContext, anchor: np.ndarray) -> LinearCut:
 class BinaryEncoding:
     """Binary expansion ``a_n = sum_l 2^l alpha_{n,l}`` of the action box.
 
+    The one owner of the bit layout: MILPs over the bits take their
+    coefficients from ``expand`` and their box rows from ``bound_rows``.
     ``bit_counts[n]`` is the number of bits for dimension ``n``; the bit
     range can represent values above the box bound, so consumers must add
-    the explicit rows ``sum_l 2^l alpha_{n,l} <= upper_bounds[n]``.
+    the rows ``bound_rows`` gives.
     """
 
     box: ActionBox
@@ -224,27 +193,35 @@ class BinaryEncoding:
         return [(n, l) for n in range(self.box.dims)
                 for l in range(self.bit_counts[n])]
 
+    @cached_property
+    def _layout(self) -> tuple[np.ndarray, np.ndarray]:
+        """Dimension and bit level of every bit, in variable order."""
+        positions = self.bit_positions()
+        return (np.asarray([n for n, _ in positions], dtype=np.int64),
+                np.asarray([l for _, l in positions], dtype=np.int64))
+
     def encode(self, a: np.ndarray) -> np.ndarray:
-        a = self.box.check(a)
-        bits = []
-        for n in range(self.box.dims):
-            for l in range(self.bit_counts[n]):
-                bits.append((int(a[n]) >> l) & 1)
-        return np.asarray(bits, dtype=np.int64)
+        dims, levels = self._layout
+        return (self.box.check(a)[dims] >> levels) & 1
 
     def decode(self, bits: np.ndarray) -> np.ndarray:
-        bits = np.asarray(bits)
+        dims, levels = self._layout
         a = np.zeros(self.box.dims, dtype=np.int64)
-        k = 0
-        for n in range(self.box.dims):
-            for l in range(self.bit_counts[n]):
-                a[n] += (1 << l) * int(round(float(bits[k])))
-                k += 1
+        np.add.at(a, dims, np.round(np.asarray(bits, dtype=float)).astype(np.int64)
+                  << levels)
         return a
 
-    def weights(self) -> np.ndarray:
-        """Powers of two per flat bit position."""
-        return np.asarray([1 << l for _, l in self.bit_positions()], dtype=float)
+    def expand(self, coef: np.ndarray) -> np.ndarray:
+        """Per-bit coefficients ``coef[..., n] * 2^l`` of the forms ``coef @ a``."""
+        dims, levels = self._layout
+        return np.asarray(coef, dtype=float)[..., dims] * 2.0 ** levels
+
+    def bound_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Rows ``sum_l 2^l alpha_{n,l} <= upper_bounds[n]`` with their
+        right-hand sides, one per dimension that has bits."""
+        has_bits = np.asarray(self.bit_counts, dtype=np.int64) > 0
+        return (self.expand(np.eye(self.box.dims)[has_bits]),
+                self.box.upper_bounds[has_bits].astype(float))
 
 
 def binary_encoding(box: ActionBox) -> BinaryEncoding:
@@ -260,15 +237,6 @@ def binary_encoding(box: ActionBox) -> BinaryEncoding:
             L = max(0, int(np.ceil(np.log2(float(ub)))))
             counts.append(L + 1)
     return BinaryEncoding(box=box, bit_counts=tuple(counts))
-
-
-def zeta_terms(enc: BinaryEncoding, anchor: np.ndarray) -> tuple[list, list]:
-    """Index sets of the anchor's one-bits and zero-bits, as (dim, level) pairs."""
-    bits = enc.encode(anchor)
-    positions = enc.bit_positions()
-    ones = [positions[k] for k in range(len(positions)) if bits[k] == 1]
-    zeros = [positions[k] for k in range(len(positions)) if bits[k] == 0]
-    return ones, zeros
 
 
 def zeta_value(enc: BinaryEncoding, anchor: np.ndarray, a: np.ndarray) -> int:
@@ -305,8 +273,6 @@ class IntegerOptimalityCut:
 
     anchor: np.ndarray
     anchor_value: float
-    ones: tuple          # (dim, level) pairs set in the anchor
-    zeros: tuple
     eta_bar: float
 
     def rhs(self, enc: BinaryEncoding, a: np.ndarray) -> float:
@@ -323,8 +289,4 @@ def integer_optimality_cut(ctx: RecourseContext, enc: BinaryEncoding,
             f"recourse bound {eta_bar} is below the anchor value {value}; "
             "the cut would exclude feasible points"
         )
-    ones, zeros = zeta_terms(enc, anchor)
-    return IntegerOptimalityCut(
-        anchor=anchor, anchor_value=value,
-        ones=tuple(ones), zeros=tuple(zeros), eta_bar=eta_bar,
-    )
+    return IntegerOptimalityCut(anchor=anchor, anchor_value=value, eta_bar=eta_bar)

@@ -14,15 +14,14 @@ benchmark and any synthetic instance shaped the same way.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .cuts import RecourseContext
-from .mcd import McdConfig, SelectionResult, StageReward, select_action
+from .mcd import McdConfig, StageReward, select_action
 from .mdp import MdpSpec, sample_states
 from .neural import RegressionSet, ReluNet, TrainConfig, fit, loss
 
@@ -39,7 +38,6 @@ class FviConfig:
     state_samples: int = 100       # per-period regression sample size
     transition_samples: int = 20   # Monte-Carlo draws per lookahead
     neurons: int = 20
-    regularization: float = 0.0
     train: TrainConfig = field(default_factory=TrainConfig)
     mcd: McdConfig = field(default_factory=lambda: McdConfig(engine="brute"))
     seed: int = 0
@@ -48,15 +46,12 @@ class FviConfig:
         if self.state_samples < 1 or self.transition_samples < 1:
             raise ValueError("sample counts must be >= 1")
 
-    def effective_train(self) -> TrainConfig:
-        return dataclasses.replace(self.train, regularization=self.regularization)
-
     def to_json_dict(self) -> dict:
         return {
             "state_samples": self.state_samples,
             "transition_samples": self.transition_samples,
             "neurons": self.neurons,
-            "regularization": self.regularization,
+            "regularization": self.train.regularization,
             "seed": self.seed,
             "engine": self.mcd.engine,
             "mcd_max_iterations": self.mcd.max_iterations,
@@ -155,14 +150,12 @@ def run_nnfvi(spec: MdpSpec, config: FviConfig) -> tuple[FittedValueSet, float]:
         raise ValueError("the MDP needs an initial_state for the final evaluation")
     T = spec.horizon
     s1, s2 = config.state_samples, config.transition_samples
-    train_cfg = config.effective_train()
     nets: dict = {}
     losses: dict = {}
 
     for t in range(T, 1, -1):
         state_rng = _substream(config.seed, t, 0, _STATES)
-        samples = sample_states(spec, s1, state_rng, period=t)
-        states = np.stack([smp.state for smp in samples])
+        states = sample_states(spec, s1, state_rng)
         targets = np.empty(s1)
         for s in range(s1):
             noise_rng = _substream(config.seed, t, s + 1, _NOISE)
@@ -171,12 +164,12 @@ def run_nnfvi(spec: MdpSpec, config: FviConfig) -> tuple[FittedValueSet, float]:
                                         config.mcd)
         data = RegressionSet(states, targets)
         try:
-            net = fit(data, config.neurons, train_cfg,
+            net = fit(data, config.neurons, config.train,
                       _substream(config.seed, t, 0, _FIT))
         except Exception as err:
             raise RuntimeError(f"network training failed at period {t}") from err
         nets[t] = net
-        losses[t] = loss(net, data, config.regularization)
+        losses[t] = loss(net, data, config.train.regularization)
 
     noise_rng = _substream(config.seed, 1, 0, _NOISE)
     noises = spec.draw_noises(noise_rng, s2)
@@ -243,10 +236,6 @@ class TabularMdp:
             raise ValueError("kernel entries must be non-negative")
         object.__setattr__(self, "exo_kernel", kernel)
 
-    @property
-    def state_count(self) -> int:
-        return len(self.endo_levels) * len(self.exo_levels)
-
 
 @dataclass
 class DpTables:
@@ -258,9 +247,6 @@ class DpTables:
 
     def value(self, t: int, endo_idx: int, exo_idx: int) -> float:
         return float(self.values[t - 1, endo_idx, exo_idx])
-
-    def greedy_action(self, t: int, endo_idx: int, exo_idx: int) -> np.ndarray:
-        return self.model.endo_levels[self.greedy[t - 1, endo_idx, exo_idx]]
 
     def to_csv_rows(self) -> list:
         header = ["period", "endo_index", "exo_index", "value", "greedy_action"]

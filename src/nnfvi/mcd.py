@@ -40,6 +40,7 @@ from .mdp import ActionBox, enumerate_actions
 from .simplex import LEQ, LpNumericalError, LpProblem
 
 ENGINES = ("mcd", "brute", "lshaped")
+MILP_TOLERANCE = 1e-9  # integrality and optimality tolerance of the first stage
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,6 @@ class McdConfig:
     max_iterations: int = 100
     gap_tolerance: float = 0.0035
     engine: str = "mcd"
-    milp_tolerance: float = 1e-9
     gap_floor: float = 1e-6  # denominator floor for the relative gap
 
     def __post_init__(self):
@@ -156,67 +156,48 @@ def build_first_stage(ctx: RecourseContext, enc: BinaryEncoding,
     """
     if reward.pieces is None:
         raise ValueError("MILP engines need a piecewise-linear stage reward")
-    box = ctx.spec.action_box
-    n2 = box.dims
+    n2 = ctx.spec.action_box.dims
     gamma = ctx.spec.discount
     n_bits = enc.total_bits
-    positions = enc.bit_positions()
-    pow2 = enc.weights()
 
     piece_dims = [n for n in range(n2) if reward.pieces[n]]
     rho_of_dim = {n: n_bits + 1 + k for k, n in enumerate(piece_dims)}
     n_vars = n_bits + 1 + len(piece_dims)
     eta = n_bits
 
-    def bit_cols(n: int) -> list[int]:
-        return [k for k, (dim, _) in enumerate(positions) if dim == n]
-
     rows, rhs = [], []
 
-    for n in range(n2):
-        cols = bit_cols(n)
-        if not cols:
-            continue
+    def add_row(bit_coef: np.ndarray, b: float, eta_coef: float = 0.0,
+                rho: Optional[int] = None) -> None:
         row = np.zeros(n_vars)
-        row[cols] = pow2[cols]
+        row[:n_bits] = bit_coef
+        row[eta] = eta_coef
+        if rho is not None:
+            row[rho] = 1.0
         rows.append(row)
-        rhs.append(float(box.upper_bounds[n]))
+        rhs.append(b)
 
-    bound_row = np.zeros(n_vars)
-    bound_row[eta] = 1.0
-    rows.append(bound_row)
-    rhs.append(eta_bar)
+    for bit_coef, b in zip(*enc.bound_rows()):
+        add_row(bit_coef, b)
+
+    add_row(np.zeros(n_bits), eta_bar, eta_coef=1.0)
 
     for cut in integer_cuts:
         # eta + (eta_bar - v) * (sum_ones alpha - sum_zeros alpha) <= v + (eta_bar - v)|ones|
         spread = cut.eta_bar - cut.anchor_value
-        row = np.zeros(n_vars)
-        row[eta] = 1.0
-        for k, pos in enumerate(positions):
-            if pos in cut.ones:
-                row[k] = spread
-            else:
-                row[k] = -spread
-        rows.append(row)
-        rhs.append(cut.anchor_value + spread * len(cut.ones))
+        bits = enc.encode(cut.anchor)
+        add_row(spread * (2 * bits - 1), cut.anchor_value + spread * int(bits.sum()),
+                eta_coef=1.0)
 
     for cut in combined_cuts:
         # eta <= coef @ a + const with a_n = sum_l 2^l alpha_{n,l}
-        row = np.zeros(n_vars)
-        row[eta] = 1.0
-        for k, (dim, _) in enumerate(positions):
-            row[k] = -cut.coef[dim] * pow2[k]
-        rows.append(row)
-        rhs.append(cut.const)
+        add_row(enc.expand(-cut.coef), cut.const, eta_coef=1.0)
 
     for n in piece_dims:
-        cols = bit_cols(n)
         for slope, icept in reward.pieces[n]:
-            row = np.zeros(n_vars)
-            row[rho_of_dim[n]] = 1.0
-            row[cols] = -slope * pow2[cols]
-            rows.append(row)
-            rhs.append(icept)
+            # rho_n <= slope * a_n + icept
+            add_row(enc.expand(np.where(np.arange(n2) == n, -slope, 0.0)), icept,
+                    rho=rho_of_dim[n])
 
     c = np.zeros(n_vars)
     c[eta] = gamma
@@ -276,9 +257,12 @@ def _neighbours(box: ActionBox, a: np.ndarray) -> np.ndarray:
 
 
 def _decompose(ctx: RecourseContext, reward: StageReward, config: McdConfig,
-               initial_action: np.ndarray, use_combined: bool) -> SelectionResult:
+               use_combined: bool) -> SelectionResult:
+    """Multi-cut decomposition (integer optimality plus combined cuts) or,
+    without ``use_combined``, the integer L-shaped method; both start from
+    the zero action."""
     box = ctx.spec.action_box
-    a_m = box.check(initial_action)
+    a_m = np.zeros(box.dims, dtype=np.int64)
     enc = binary_encoding(box)
     eta_bar = recourse_upper_bound(ctx)
 
@@ -319,7 +303,7 @@ def _decompose(ctx: RecourseContext, reward: StageReward, config: McdConfig,
         best_seen = max(visited, key=lambda k: visited[k])
         warm = enc.encode(np.asarray(best_seen, dtype=np.int64))
         try:
-            sol = solve_milp(fp.milp, tol=config.milp_tolerance, warm_start=warm)
+            sol = solve_milp(fp.milp, tol=MILP_TOLERANCE, warm_start=warm)
         except (LpNumericalError, NodeLimitError) as err:
             warnings.warn(
                 f"first-stage MILP failed ({err}); falling back to brute force",
@@ -359,29 +343,9 @@ def _decompose(ctx: RecourseContext, reward: StageReward, config: McdConfig,
     )
 
 
-def select_action_mcd(ctx: RecourseContext, reward: StageReward,
-                      config: McdConfig,
-                      initial_action: Optional[np.ndarray] = None) -> SelectionResult:
-    """Multi-cut decomposition: integer optimality cuts plus combined cuts."""
-    if initial_action is None:
-        initial_action = np.zeros(ctx.spec.action_box.dims, dtype=np.int64)
-    return _decompose(ctx, reward, config, initial_action, use_combined=True)
-
-
-def select_action_lshaped(ctx: RecourseContext, reward: StageReward,
-                          config: McdConfig,
-                          initial_action: Optional[np.ndarray] = None) -> SelectionResult:
-    """Integer L-shaped baseline: integer optimality cuts only."""
-    if initial_action is None:
-        initial_action = np.zeros(ctx.spec.action_box.dims, dtype=np.int64)
-    return _decompose(ctx, reward, config, initial_action, use_combined=False)
-
-
-def select_action(ctx: RecourseContext, reward: StageReward, config: McdConfig,
-                  initial_action: Optional[np.ndarray] = None) -> SelectionResult:
-    """Dispatch on ``config.engine``."""
+def select_action(ctx: RecourseContext, reward: StageReward,
+                  config: McdConfig) -> SelectionResult:
+    """Select an action with the engine ``config.engine`` names."""
     if config.engine == "brute":
         return select_action_bruteforce(ctx, reward)
-    if config.engine == "mcd":
-        return select_action_mcd(ctx, reward, config, initial_action)
-    return select_action_lshaped(ctx, reward, config, initial_action)
+    return _decompose(ctx, reward, config, use_combined=config.engine == "mcd")

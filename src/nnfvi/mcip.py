@@ -14,14 +14,15 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .bnb import MilpProblem, solve_milp
+from .cuts import binary_encoding
 from .fvi import FviConfig, TabularMdp, greedy_policy, run_nnfvi
-from .mcd import McdConfig, StageReward
+from .mcd import StageReward
 from .mdp import ActionBox, MdpSpec, enumerate_actions
 from .simplex import LEQ, LpProblem, solve_lp
 
@@ -482,12 +483,6 @@ def simulate_policy_on_paths(instance: McipInstance, policy: Callable,
     return SimulationResult(mean=float(npvs.mean()), std_error=se, npvs=npvs)
 
 
-def simulate_policy(instance: McipInstance, policy: Callable, n_paths: int,
-                    rng: np.random.Generator) -> SimulationResult:
-    return simulate_policy_on_paths(
-        instance, policy, draw_demand_paths(instance, n_paths, rng))
-
-
 def constant_capacity_policy(instance: McipInstance,
                              plan: np.ndarray) -> Callable:
     """Hold ``plan`` every period; the terminal period salvages everything."""
@@ -520,14 +515,8 @@ def inflexible_two_stage(instance: McipInstance,
         return np.zeros(N, dtype=np.int64), value
 
     n_scen = scenario_paths.shape[0]
-    bit_counts = [int(np.ceil(np.log2(ub))) + 1 if ub > 0 else 0
-                  for ub in instance.capacity_max]
-    bit_positions = [(n, l) for n in range(N) for l in range(bit_counts[n])]
-    n_bits = len(bit_positions)
-    pow2 = np.asarray([1 << l for _, l in bit_positions], dtype=float)
-
-    def bit_cols(n):
-        return [k for k, (dim, _) in enumerate(bit_positions) if dim == n]
+    enc = binary_encoding(ActionBox(instance.capacity_max))
+    n_bits = enc.total_bits
 
     # variables: bits | adjustment auxiliaries c_n | allocations z per (w, t, i, n)
     n_alloc = n_scen * (T - 1) * I * N
@@ -540,24 +529,25 @@ def inflexible_two_stage(instance: McipInstance,
 
     rows, rhs = [], []
     # plan bounded by the capacity limits
-    for n in range(N):
-        cols = bit_cols(n)
-        if not cols:
-            continue
+    for bit_coef, b in zip(*enc.bound_rows()):
         row = np.zeros(n_vars)
-        row[cols] = pow2[cols]
+        row[:n_bits] = bit_coef
         rows.append(row)
-        rhs.append(float(instance.capacity_max[n]))
-    # adjustment auxiliaries c_n >= q(plan_n - K0_n) for both unit prices
+        rhs.append(b)
+    # adjustment auxiliaries c_n >= q(plan_n - K0_n) for both unit prices;
+    # row n of enc.expand(np.diag(q)) holds the bits of q[n] * plan_n
+    salvage = enc.expand(np.diag(instance.salvage_values[0]))
+    expansion = enc.expand(np.diag(instance.expansion_costs[0]))
     for n in range(N):
-        cols = bit_cols(n)
-        for q in (instance.salvage_values[0, n], instance.expansion_costs[0, n]):
+        for q, bit_coef in ((instance.salvage_values[0, n], salvage[n]),
+                            (instance.expansion_costs[0, n], expansion[n])):
             row = np.zeros(n_vars)
-            row[cols] = q * pow2[cols]
+            row[:n_bits] = bit_coef
             row[n_bits + n] = -1.0
             rows.append(row)
             rhs.append(q * float(instance.initial_capacity[n]))
     # allocation rows per scenario and period
+    minus_plan = enc.expand(np.diag(np.full(N, -1.0)))
     constant = q1
     objective = np.zeros(n_vars)
     objective[n_bits:n_bits + N] = -1.0  # pay the period-1 adjustment
@@ -574,8 +564,7 @@ def inflexible_two_stage(instance: McipInstance,
                 row = np.zeros(n_vars)
                 for i in range(I):
                     row[z_col(w, t, i, n)] = 1.0
-                cols = bit_cols(n)
-                row[cols] = -pow2[cols]
+                row[:n_bits] = minus_plan[n]
                 rows.append(row)
                 rhs.append(0.0)
             for i in range(I):
@@ -585,8 +574,7 @@ def inflexible_two_stage(instance: McipInstance,
                 rows.append(row)
                 rhs.append(float(d[i]))
     # terminal salvage income on the plan
-    for k, (n, _) in enumerate(bit_positions):
-        objective[k] += gamma ** (T - 1) * instance.salvage_values[T - 1, n] * pow2[k]
+    objective[:n_bits] += enc.expand(gamma ** (T - 1) * instance.salvage_values[T - 1])
 
     lower = np.zeros(n_vars)
     upper = np.concatenate([
@@ -600,11 +588,7 @@ def inflexible_two_stage(instance: McipInstance,
                      tol=1e-7)
     if sol.status != "optimal":
         raise RuntimeError(f"inflexible design MILP reported {sol.status}")
-    bits = np.round(sol.x[:n_bits])
-    plan = np.zeros(N, dtype=np.int64)
-    for k, (n, l) in enumerate(bit_positions):
-        plan[n] += (1 << l) * int(bits[k])
-    return plan, float(sol.objective + constant)
+    return enc.decode(sol.x[:n_bits]), float(sol.objective + constant)
 
 
 @dataclass

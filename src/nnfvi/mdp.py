@@ -9,8 +9,7 @@ capacity-investment benchmark instantiates it.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 import numpy as np
@@ -47,14 +46,6 @@ class ActionBox:
     def count(self) -> int:
         """Number of feasible actions, prod(upper_bounds + 1)."""
         return int(np.prod(self.upper_bounds.astype(object) + 1))
-
-    def contains(self, a: np.ndarray) -> bool:
-        a = np.asarray(a)
-        if a.shape != (self.dims,):
-            return False
-        if not np.allclose(a, np.round(a), atol=1e-9):
-            return False
-        return bool(np.all(a >= -1e-9) and np.all(a <= self.upper_bounds + 1e-9))
 
     def check(self, a: np.ndarray) -> np.ndarray:
         """Validate and return ``a`` as an int vector, raising a diagnostic otherwise."""
@@ -136,14 +127,6 @@ class MdpSpec:
             self.initial_state = np.asarray(self.initial_state, dtype=float)
 
 
-@dataclass(frozen=True)
-class StateSample:
-    """One sampled state tagged with its period."""
-
-    period: int
-    state: np.ndarray
-
-
 def affine_transition(spec: MdpSpec, x: np.ndarray, a: np.ndarray, xi: Any) -> np.ndarray:
     """Next state ``A(x, xi) + B(x, xi) @ a``, clamped into ``state_bounds``.
 
@@ -172,15 +155,9 @@ def enumerate_actions(box: ActionBox, cap: int = DEFAULT_ENUMERATION_CAP) -> np.
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
-def iter_actions(box: ActionBox):
-    """Lazy lexicographic iterator over feasible actions (no cap)."""
-    for tup in itertools.product(*[range(ub + 1) for ub in box.upper_bounds]):
-        yield np.asarray(tup, dtype=np.int64)
-
-
-def sample_states(spec: MdpSpec, count: int, rng: np.random.Generator,
-                  period: int = 1) -> list[StateSample]:
-    """Draw ``count`` i.i.d. states; uniform over ``state_bounds`` unless overridden."""
+def sample_states(spec: MdpSpec, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw ``count`` i.i.d. states as a ``(count, state_dim)`` array; uniform
+    over ``state_bounds`` unless the spec overrides the sampler."""
     if count < 1:
         raise ValueError("count must be >= 1")
     if spec.state_sampler is not None:
@@ -194,4 +171,4 @@ def sample_states(spec: MdpSpec, count: int, rng: np.random.Generator,
         lo = spec.state_bounds[:, 0]
         hi = spec.state_bounds[:, 1]
         states = rng.uniform(size=(count, spec.state_dim)) * (hi - lo) + lo
-    return [StateSample(period=period, state=states[s]) for s in range(count)]
+    return states

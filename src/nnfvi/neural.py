@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -43,3 +43,21 @@ def random_context(seed, j=6, n1=3, n2=2, s2=4, a_bar=None, weight_scale=1.0):
     x = rng.normal(size=n1)
     noises = [spec.noise_sampler(rng) for _ in range(s2)]
     return RecourseContext(net, spec, x, noises)
+
+
+def partial_recourse(ctx, a, neurons):
+    """Scenario-averaged output of the hidden neurons ``neurons`` at ``a``."""
+    if not neurons:
+        return 0.0
+    pre = ctx.preactivations(np.asarray(a, dtype=float))[:, neurons]
+    return float(np.mean(np.maximum(pre, 0.0) @ ctx.net.output_weights[neurons]))
+
+
+def negative_part_value(ctx, a):
+    """Recourse contribution of the non-positive-weight neurons."""
+    return partial_recourse(ctx, a, ctx.rest_neurons)
+
+
+def positive_part_value(ctx, a):
+    """Recourse contribution of the positive-weight neurons."""
+    return partial_recourse(ctx, a, ctx.positive_neurons)

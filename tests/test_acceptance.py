@@ -21,12 +21,7 @@ from nnfvi.cuts import (
     recourse_upper_bound,
 )
 from nnfvi.fvi import FviConfig, exact_dp, greedy_policy, run_nnfvi
-from nnfvi.mcd import (
-    McdConfig,
-    select_action_bruteforce,
-    select_action_lshaped,
-    select_action_mcd,
-)
+from nnfvi.mcd import McdConfig, select_action, select_action_bruteforce
 from nnfvi.mcip import (
     CapacityState,
     build_mcip_mdp,
@@ -121,7 +116,7 @@ def mcd_campaign():
         n_actions = ctx.spec.action_box.count()
         cfg = McdConfig(engine="mcd", max_iterations=n_actions + 1,
                         gap_tolerance=0.0)
-        res = select_action_mcd(ctx, reward, cfg)
+        res = select_action(ctx, reward, cfg)
         ref = select_action_bruteforce(ctx, reward)
         exact_runs.append((res, ref))
 
@@ -137,9 +132,10 @@ def mcd_campaign():
                                               neurons=10,
                                               transition_samples=4,
                                               capacity_levels=3)
-            cfg = McdConfig(max_iterations=40, gap_tolerance=0.0)
-            r_mcd = select_action_mcd(ctx, reward, cfg)
-            r_lsh = select_action_lshaped(ctx, reward, cfg)
+            r_mcd = select_action(ctx, reward, McdConfig(
+                engine="mcd", max_iterations=40, gap_tolerance=0.0))
+            r_lsh = select_action(ctx, reward, McdConfig(
+                engine="lshaped", max_iterations=40, gap_tolerance=0.0))
             ref = select_action_bruteforce(ctx, reward)
             capped_runs.append((r_mcd, r_lsh, ref))
     return {"exact": exact_runs, "capped": capped_runs,

@@ -8,19 +8,22 @@ from nnfvi.cuts import (
     combined_cut,
     gradient_cut,
     integer_optimality_cut,
-    negative_part_value,
     positive_cut,
-    positive_part_value,
     recourse_upper_bound,
     recourse_value,
     recourse_values,
-    zeta_terms,
     zeta_value,
 )
+from nnfvi.mcip import build_mcip_mdp, synthetic_instance
 from nnfvi.mdp import ActionBox, enumerate_actions
 from nnfvi.neural import ReluNet, forward
 
-from conftest import random_affine_spec, random_context
+from conftest import (
+    negative_part_value,
+    positive_part_value,
+    random_affine_spec,
+    random_context,
+)
 
 
 def forward_oracle_recourse(ctx, a):
@@ -30,6 +33,35 @@ def forward_oracle_recourse(ctx, a):
         nxt = ctx.offsets[s] + ctx.linears[s] @ np.asarray(a, dtype=float)
         total += forward(ctx.net, nxt) - ctx.net.output_bias
     return total / ctx.s2
+
+
+def assert_cache_matches_per_neuron(ctx):
+    """``gamma1``/``gamma2`` against each neuron's weights applied to each
+    scenario's transition, one neuron and scenario at a time."""
+    u, u0 = ctx.net.input_weights, ctx.net.input_biases
+    for s in range(ctx.s2):
+        for j in range(ctx.net.neuron_count):
+            np.testing.assert_allclose(ctx.gamma1[s, j], u[j] @ ctx.linears[s],
+                                       rtol=1e-10, atol=1e-10)
+            assert ctx.gamma2[s, j] == pytest.approx(
+                float(u[j] @ ctx.offsets[s] + u0[j]), rel=1e-10, abs=1e-10)
+
+
+class TestRecourseContext:
+    def test_cache_matches_per_neuron_on_random_contexts(self):
+        for seed in range(10):
+            assert_cache_matches_per_neuron(
+                random_context(seed + 1100, j=7, n1=4, n2=3, s2=5))
+
+    def test_cache_matches_per_neuron_on_mcip_context(self):
+        inst = synthetic_instance(seed=42, customers=2, facilities=2, horizon=3)
+        spec = build_mcip_mdp(inst)
+        rng = np.random.default_rng(0)
+        net = ReluNet(rng.normal(size=(6, spec.state_dim)), rng.normal(size=6),
+                      rng.normal(size=6), 0.0)
+        x = spec.state_sampler(rng, 1)[0]
+        ctx = RecourseContext(net, spec, x, spec.draw_noises(rng, 8))
+        assert_cache_matches_per_neuron(ctx)
 
 
 class TestRecourseValue:
@@ -225,6 +257,36 @@ class TestBinaryEncoding:
         for a in enumerate_actions(box):
             np.testing.assert_array_equal(enc.decode(enc.encode(a)), a)
 
+    def test_encode_matches_bitwise_loop(self):
+        box = ActionBox(np.array([6, 0, 2]))
+        enc = binary_encoding(box)
+        for a in enumerate_actions(box):
+            expected = [(int(a[n]) >> l) & 1 for n, l in enc.bit_positions()]
+            np.testing.assert_array_equal(enc.encode(a), expected)
+
+    def test_expand_reproduces_linear_forms(self):
+        box = ActionBox(np.array([5, 0, 3]))
+        enc = binary_encoding(box)
+        coef = np.array([[1.5, -2.0, 0.25], [0.0, 7.0, -1.0]])
+        per_bit = enc.expand(coef)
+        assert per_bit.shape == (2, enc.total_bits)
+        for a in enumerate_actions(box):
+            np.testing.assert_allclose(per_bit @ enc.encode(a), coef @ a, atol=0)
+
+    def test_bound_rows_skip_zero_bit_dimensions(self):
+        box = ActionBox(np.array([0, 4, 1]))
+        enc = binary_encoding(box)
+        A, b = enc.bound_rows()
+        # bits (1,0..2) for bound 4 and (2,0) for bound 1; none for bound 0
+        np.testing.assert_array_equal(A, [[1, 2, 4, 0], [0, 0, 0, 1]])
+        np.testing.assert_array_equal(b, [4.0, 1.0])
+        # with ub 4 the bits reach 7, so the row must cut every bit pattern
+        # that decodes above the box and no pattern that stays inside it
+        for k in range(2 ** enc.total_bits):
+            bits = np.array([(k >> i) & 1 for i in range(enc.total_bits)])
+            inside = np.all(enc.decode(bits) <= box.upper_bounds)
+            assert bool(np.all(A @ bits <= b)) == inside
+
 
 class TestZeta:
     def test_anchor_gives_zero(self):
@@ -250,13 +312,6 @@ class TestZeta:
                 assert z == 0
             else:
                 assert z >= 1
-
-    def test_zeta_terms_partition(self):
-        box = ActionBox(np.array([5, 3]))
-        enc = binary_encoding(box)
-        ones, zeros = zeta_terms(enc, np.array([4, 1]))
-        assert sorted(ones + zeros) == sorted(enc.bit_positions())
-        assert not set(ones) & set(zeros)
 
 
 class TestRecourseUpperBound:

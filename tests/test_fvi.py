@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -143,6 +144,20 @@ class TestRunNnfvi:
                                                  epochs=100))
         assert sorted(fitted.nets) == [2, 3, 4]
         assert sorted(fitted.training_losses) == [2, 3, 4]
+
+    def test_train_regularization_is_used_and_reported(self):
+        # the one regularization knob lives on TrainConfig: it must reach
+        # the fit and the config snapshot, not be overwritten with 0
+        spec = small_spec(seed=10)
+        base = quick_config(seed=3, s1=15, s2=3, neurons=3, epochs=80)
+        reg = dataclasses.replace(
+            base, train=dataclasses.replace(base.train, regularization=0.5))
+        plain, _ = run_nnfvi(spec, base)
+        fitted, _ = run_nnfvi(spec, reg)
+        assert plain.config["regularization"] == 0.0
+        assert fitted.config["regularization"] == 0.5
+        assert not np.array_equal(fitted.nets[2].output_weights,
+                                  plain.nets[2].output_weights)
 
     def test_serialization_round_trip(self):
         spec = small_spec(seed=9)

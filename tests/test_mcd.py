@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,8 +17,6 @@ from nnfvi.mcd import (
     linear_stage_reward,
     select_action,
     select_action_bruteforce,
-    select_action_lshaped,
-    select_action_mcd,
 )
 from nnfvi.bnb import solve_milp
 from nnfvi.cli import make_bench_instance
@@ -164,7 +164,7 @@ class TestMcdEngine:
     def test_singleton_box(self):
         ctx = random_context(8, n2=2, a_bar=[0, 0])
         reward = make_reward(ctx, seed=4)
-        res = select_action_mcd(ctx, reward, McdConfig())
+        res = select_action(ctx, reward, McdConfig())
         np.testing.assert_array_equal(res.action, [0, 0])
         assert res.iterations == 1
         assert res.upper_bound == pytest.approx(res.objective, abs=1e-9)
@@ -176,7 +176,7 @@ class TestMcdEngine:
             reward = make_reward(ctx, seed=seed, scale=0.5)
             n_actions = ctx.spec.action_box.count()
             cfg = McdConfig(max_iterations=n_actions + 1, gap_tolerance=0.0)
-            res = select_action_mcd(ctx, reward, cfg)
+            res = select_action(ctx, reward, cfg)
             ref = select_action_bruteforce(ctx, reward)
             assert res.objective == pytest.approx(ref.objective, abs=1e-6)
 
@@ -185,7 +185,7 @@ class TestMcdEngine:
             ctx = random_context(seed + 800, j=6, n2=2, s2=3, a_bar=[3, 3])
             reward = make_reward(ctx, seed=seed)
             cfg = McdConfig(max_iterations=17, gap_tolerance=0.0)
-            res = select_action_mcd(ctx, reward, cfg)
+            res = select_action(ctx, reward, cfg)
             ref = select_action_bruteforce(ctx, reward)
             lowers = [row[1] for row in res.trace]
             uppers = [row[2] for row in res.trace]
@@ -198,8 +198,8 @@ class TestMcdEngine:
         ctx = random_context(9, n2=2, a_bar=[3, 3])
         reward = make_reward(ctx, seed=5)
         cfg = McdConfig(max_iterations=20, gap_tolerance=0.0)
-        r1 = select_action_mcd(ctx, reward, cfg)
-        r2 = select_action_mcd(ctx, reward, cfg)
+        r1 = select_action(ctx, reward, cfg)
+        r2 = select_action(ctx, reward, cfg)
         assert len(r1.trace) == len(r2.trace)
         for a, b in zip(r1.trace, r2.trace):
             assert a[0] == b[0] and a[1] == b[1] and a[2] == b[2]
@@ -209,7 +209,7 @@ class TestMcdEngine:
         ctx = random_context(10, n2=2, a_bar=[4, 4])
         reward = make_reward(ctx, seed=6)
         cfg = McdConfig(max_iterations=100, gap_tolerance=0.05)
-        res = select_action_mcd(ctx, reward, cfg)
+        res = select_action(ctx, reward, cfg)
         gap = res.upper_bound - res.objective
         assert gap <= 0.05 * max(abs(res.upper_bound), 1e-6) + 1e-9
 
@@ -221,12 +221,28 @@ class TestMcdEngine:
                                           transition_samples=4,
                                           capacity_levels=3)
         cfg = McdConfig(max_iterations=40, gap_tolerance=0.0)
-        res = select_action_mcd(ctx, reward, cfg)
+        res = select_action(ctx, reward, cfg)
         ref = select_action_bruteforce(ctx, reward)
         assert res.objective == pytest.approx(ref.objective, abs=1e-6)
         np.testing.assert_array_equal(res.action, ref.action)
         for _, lo, hi, _ in res.trace:
             assert lo - 1e-7 <= ref.objective <= hi + 1e-7
+
+    @pytest.mark.parametrize("engine", ["mcd", "lshaped"])
+    @pytest.mark.parametrize("a_bar", [[0, 4, 1], [5, 0, 2]])
+    def test_exact_mode_matches_brute_force_on_mixed_bounds(self, engine, a_bar):
+        # a zero bound gets no bits, and bound 4 or 5 gets bits reaching 7,
+        # so the bound rows must cut the decoded actions back into the box
+        for seed in range(8):
+            ctx = random_context(seed + 1200, j=6, n1=3, n2=3, s2=3, a_bar=a_bar)
+            reward = make_reward(ctx, seed=seed, scale=0.5)
+            n_actions = ctx.spec.action_box.count()
+            cfg = McdConfig(engine=engine, max_iterations=n_actions + 1,
+                            gap_tolerance=0.0)
+            res = select_action(ctx, reward, cfg)
+            ref = select_action_bruteforce(ctx, reward)
+            assert res.objective == pytest.approx(ref.objective, abs=1e-6)
+            ctx.spec.action_box.check(res.action)
 
     def test_engine_dispatch(self):
         ctx = random_context(11, n2=2, a_bar=[2, 2])
@@ -245,15 +261,15 @@ class TestLShapedEngine:
         for seed in range(5):
             ctx = random_context(seed + 900, n2=1, a_bar=[1])
             reward = make_reward(ctx, seed=seed)
-            cfg = McdConfig(max_iterations=2, gap_tolerance=0.0)
-            res = select_action_lshaped(ctx, reward, cfg)
+            cfg = McdConfig(engine="lshaped", max_iterations=2, gap_tolerance=0.0)
+            res = select_action(ctx, reward, cfg)
             ref = select_action_bruteforce(ctx, reward)
             assert res.objective == pytest.approx(ref.objective, abs=1e-8)
 
     def test_singleton_single_iteration(self):
         ctx = random_context(12, n2=1, a_bar=[0])
         reward = make_reward(ctx, seed=8)
-        res = select_action_lshaped(ctx, reward, McdConfig())
+        res = select_action(ctx, reward, McdConfig(engine="lshaped"))
         assert res.iterations == 1
 
     def test_never_better_than_mcd_at_matched_caps(self):
@@ -263,8 +279,9 @@ class TestLShapedEngine:
             ctx = random_context(seed + 1000, j=6, n2=2, s2=3, a_bar=[3, 3])
             reward = make_reward(ctx, seed=seed)
             cfg = McdConfig(max_iterations=6, gap_tolerance=0.0)
-            r_mcd = select_action_mcd(ctx, reward, cfg)
-            r_lsh = select_action_lshaped(ctx, reward, cfg)
+            r_mcd = select_action(ctx, reward, cfg)
+            r_lsh = select_action(ctx, reward,
+                                  dataclasses.replace(cfg, engine="lshaped"))
             if r_mcd.objective >= r_lsh.objective - 1e-9:
                 wins += 1
         assert wins >= int(0.8 * n)
@@ -272,8 +289,8 @@ class TestLShapedEngine:
     def test_lshaped_bounds_still_valid(self):
         ctx = random_context(13, n2=2, a_bar=[3, 3])
         reward = make_reward(ctx, seed=9)
-        cfg = McdConfig(max_iterations=10, gap_tolerance=0.0)
-        res = select_action_lshaped(ctx, reward, cfg)
+        cfg = McdConfig(engine="lshaped", max_iterations=10, gap_tolerance=0.0)
+        res = select_action(ctx, reward, cfg)
         ref = select_action_bruteforce(ctx, reward)
         assert res.objective <= ref.objective + 1e-9
         assert res.upper_bound >= ref.objective - 1e-9
@@ -283,8 +300,8 @@ class TestTraceExport:
     def test_trace_rows_shape(self):
         ctx = random_context(14, n2=2, a_bar=[2, 2])
         reward = make_reward(ctx, seed=10)
-        res = select_action_mcd(ctx, reward,
-                                McdConfig(max_iterations=5, gap_tolerance=0.0))
+        res = select_action(ctx, reward,
+                            McdConfig(max_iterations=5, gap_tolerance=0.0))
         rows = res.trace_rows()
         assert len(rows) == len(res.trace)
         for it, lo, hi, action in rows:

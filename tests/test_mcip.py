@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,6 @@ from nnfvi.mcip import (
     operating_profit,
     random_walk_demand,
     sensitivity_sweep,
-    simulate_policy,
     simulate_policy_on_paths,
     synthetic_instance,
     with_parameters,
@@ -322,7 +323,8 @@ class TestSimulation:
     def test_zero_capacity_matches_analytic_expectation(self):
         inst = synthetic_instance(seed=21, markov=False)  # iid demand
         policy = constant_capacity_policy(inst, np.zeros(2))
-        result = simulate_policy(inst, policy, 4000, np.random.default_rng(3))
+        result = simulate_policy_on_paths(
+            inst, policy, draw_demand_paths(inst, 4000, np.random.default_rng(3)))
         # reward with zero capacity is minus the penalty bill; demand is iid
         expected = -float(inst.penalties[0] @ inst.initial_demand)
         for t in range(2, inst.horizon + 1):
@@ -335,7 +337,8 @@ class TestSimulation:
         # single support point: path is deterministic
         plan = np.array([1, 1])
         policy = constant_capacity_policy(inst, plan)
-        result = simulate_policy(inst, policy, 3, np.random.default_rng(0))
+        result = simulate_policy_on_paths(
+            inst, policy, draw_demand_paths(inst, 3, np.random.default_rng(0)))
         d = inst.demand.support[0]
         r1 = mcip_reward(inst, 1, CapacityState(np.zeros(2), d), plan.astype(float))
         r2 = mcip_reward(inst, 2, CapacityState(plan.astype(float), d), np.zeros(2))
@@ -346,8 +349,10 @@ class TestSimulation:
     def test_standard_error_scaling(self):
         inst = synthetic_instance(seed=23, horizon=2)
         policy = constant_capacity_policy(inst, np.array([1, 1]))
-        small = simulate_policy(inst, policy, 100, np.random.default_rng(5))
-        large = simulate_policy(inst, policy, 10_000, np.random.default_rng(6))
+        small = simulate_policy_on_paths(
+            inst, policy, draw_demand_paths(inst, 100, np.random.default_rng(5)))
+        large = simulate_policy_on_paths(
+            inst, policy, draw_demand_paths(inst, 10_000, np.random.default_rng(6)))
         ratio = small.std_error / large.std_error
         assert 10.0 * 0.7 <= ratio <= 10.0 * 1.3
 
@@ -405,6 +410,24 @@ class TestInflexibleDesign:
             rolled = simulate_policy_on_paths(
                 inst, constant_capacity_policy(inst, np.asarray(other)), paths)
             assert value >= rolled.mean - 1e-6
+
+    def test_mixed_capacity_limits_give_best_constant_plan(self):
+        # limit 0 gets no bits and limit 4 gets bits reaching 7: the plan
+        # must stay inside the box and match exhaustive rollout on the
+        # MILP's own scenario paths
+        inst = dataclasses.replace(synthetic_instance(seed=29, facilities=3),
+                                   capacity_max=np.array([0, 1, 4]))
+        paths = draw_demand_paths(inst, 6, np.random.default_rng(4))
+        plan, value = inflexible_two_stage(inst, paths)
+        box = ActionBox(inst.capacity_max)
+        box.check(plan)
+        means = [simulate_policy_on_paths(
+            inst, constant_capacity_policy(inst, other), paths).mean
+            for other in enumerate_actions(box)]
+        assert value == pytest.approx(max(means), abs=1e-6)
+        rolled = simulate_policy_on_paths(
+            inst, constant_capacity_policy(inst, plan), paths)
+        assert rolled.mean == pytest.approx(max(means), abs=1e-6)
 
 
 class TestValueOfFlexibilityOracle:

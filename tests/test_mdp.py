@@ -148,25 +148,18 @@ class TestSampleStates:
     def test_degenerate_bounds(self):
         spec = make_spec()
         spec.state_bounds = np.array([[2.5, 2.5], [2.5, 2.5]])
-        samples = sample_states(spec, 1, np.random.default_rng(0))
-        assert len(samples) == 1
-        np.testing.assert_allclose(samples[0].state, [2.5, 2.5])
+        states = sample_states(spec, 1, np.random.default_rng(0))
+        assert states.shape == (1, 2)
+        np.testing.assert_allclose(states[0], [2.5, 2.5])
 
     def test_seeded_determinism(self):
         spec = make_spec()
         a = sample_states(spec, 5, np.random.default_rng(42))
         b = sample_states(spec, 5, np.random.default_rng(42))
-        for sa, sb in zip(a, b):
-            np.testing.assert_array_equal(sa.state, sb.state)
+        np.testing.assert_array_equal(a, b)
 
     def test_uniform_mean_on_unit_square(self):
         spec = make_spec()
         spec.state_bounds = np.array([[0.0, 1.0], [0.0, 1.0]])
-        samples = sample_states(spec, 10_000, np.random.default_rng(9))
-        states = np.stack([s.state for s in samples])
+        states = sample_states(spec, 10_000, np.random.default_rng(9))
         np.testing.assert_allclose(states.mean(axis=0), [0.5, 0.5], atol=0.02)
-
-    def test_period_tag(self):
-        spec = make_spec()
-        samples = sample_states(spec, 3, np.random.default_rng(0), period=2)
-        assert all(s.period == 2 for s in samples)
