@@ -165,8 +165,7 @@ def make_bench_instance(seed: int, facilities: int, neurons: int = 8,
         noise_sampler=noise_sampler,
         transition_A=lambda x, xi: xi["A"],
         transition_B=lambda x, xi: xi["B"],
-        reward=lambda t, x, a: 0.0,
-        r_max=1e9,
+        stage_reward=lambda t, x: reward,  # drawn last, below, to keep the rng order
     )
     net = ReluNet(
         input_weights=rng.normal(size=(neurons, n1)),
@@ -194,8 +193,10 @@ def cmd_mcd_bench(config: dict, out_dir: Path) -> int:
     levels = int(suite.get("capacity_levels", 3))
     engines = config.get("engines", ["brute", "lshaped", "mcd"])
     mcd_block = dict(config.get("mcd", {}))
-    max_iter = int(mcd_block.get("max_iterations", 100))
-    gap_tol = float(mcd_block.get("gap_tolerance", 0.0035))
+    configs = {engine: McdConfig(
+        engine=engine, max_iterations=int(mcd_block.get("max_iterations", 100)),
+        gap_tolerance=float(mcd_block.get("gap_tolerance", 0.0035)))
+        for engine in engines}
     chash = _config_hash(config)
 
     header = ["instance", "facilities", "algorithm", "stop_criterion",
@@ -212,10 +213,8 @@ def cmd_mcd_bench(config: dict, out_dir: Path) -> int:
                 transition_samples=s2, capacity_levels=levels)
             results = {}
             for engine in engines:
-                cfg = McdConfig(engine=engine, max_iterations=max_iter,
-                                gap_tolerance=gap_tol)
                 start = time.perf_counter()
-                res = select_action(ctx, reward, cfg)
+                res = select_action(ctx, reward, configs[engine])
                 elapsed = time.perf_counter() - start
                 results[engine] = (res, elapsed)
                 for it, lo, hi, action in res.trace_rows():
@@ -227,8 +226,7 @@ def cmd_mcd_bench(config: dict, out_dir: Path) -> int:
                 if engine == "brute":
                     stop, gap = "-", "-"
                 else:
-                    stop = McdConfig(engine=engine, max_iterations=max_iter,
-                                     gap_tolerance=gap_tol).stop_criterion_label()
+                    stop = configs[engine].stop_criterion_label()
                     if reference is not None:
                         ref_obj = reference[0].objective
                         gap = repr(100.0 * (ref_obj - res.objective)

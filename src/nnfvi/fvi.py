@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .cuts import RecourseContext
-from .mcd import McdConfig, StageReward, select_action
+from .mcd import McdConfig, select_action
 from .mdp import MdpSpec, sample_states
 from .neural import RegressionSet, ReluNet, TrainConfig, fit, loss
 
@@ -104,22 +104,6 @@ def _zero_net(state_dim: int) -> ReluNet:
     return ReluNet(np.zeros((1, state_dim)), np.zeros(1), np.zeros(1), 0.0)
 
 
-def _stage_reward(spec: MdpSpec, t: int, x: np.ndarray,
-                  engine: str) -> StageReward:
-    if spec.stage_reward_builder is not None:
-        return spec.stage_reward_builder(t, x)
-    if engine != "brute":
-        raise ValueError(
-            "MILP engines need a stage_reward_builder on the MDP; "
-            "use the brute-force engine otherwise"
-        )
-    return StageReward(
-        constant=0.0,
-        evaluate=lambda a, t=t, x=x: float(spec.reward(t, x, np.asarray(a))),
-        pieces=None,
-    )
-
-
 def bellman_target(spec: MdpSpec, nets: dict, t: int, x: np.ndarray,
                    noises: list, config: McdConfig) -> float:
     """One-step lookahead value at ``(t, x)`` under the chosen engine.
@@ -135,8 +119,7 @@ def bellman_target(spec: MdpSpec, nets: dict, t: int, x: np.ndarray,
     else:
         net = _zero_net(spec.state_dim)
     ctx = RecourseContext(net, spec, x, noises)
-    reward = _stage_reward(spec, t, x, config.engine)
-    return select_action(ctx, reward, config).objective
+    return select_action(ctx, spec.stage_reward(t, x), config).objective
 
 
 def run_nnfvi(spec: MdpSpec, config: FviConfig) -> tuple[FittedValueSet, float]:
@@ -203,8 +186,7 @@ def greedy_policy(spec: MdpSpec, nets: dict, config: McdConfig,
         else:
             net = _zero_net(spec.state_dim)
         ctx = RecourseContext(net, spec, x, noise_cache[t])
-        reward = _stage_reward(spec, t, x, config.engine)
-        return select_action(ctx, reward, config).action
+        return select_action(ctx, spec.stage_reward(t, x), config).action
 
     return policy
 

@@ -13,13 +13,18 @@ The neighbour step is not part of the MCD as the paper states it; it borrows
 the distance-1 solutions of Laporte & Louveaux's (1993) integer L-shaped
 method, which evaluate the recourse one step from the current first-stage
 solution to strengthen its cuts, and uses them here as incumbents only.
+
+The stage reward has one representation, :class:`StageReward`: separable
+concave pieces per action dimension.  Brute force and the exact anchor
+evaluations compute it with :meth:`StageReward.values`, and the first-stage
+MILP encodes the same pieces as rows.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -68,46 +73,31 @@ class McdConfig:
 class StageReward:
     """Stage reward ``r(a) = constant + sum_n min_k (slope_k a_n + icept_k)``.
 
-    ``pieces[n]`` lists the affine pieces whose pointwise minimum gives
-    dimension ``n``'s concave contribution; an empty list contributes zero.
-    ``evaluate`` is the ground-truth callback used by brute force and for
-    anchor evaluations; ``pieces`` may be ``None`` when the reward cannot be
-    linearized, which restricts the engines to brute force.
+    ``pieces[n]`` lists the ``(slope, intercept)`` pairs whose pointwise
+    minimum gives dimension ``n``'s concave contribution; an empty list
+    contributes zero.  Brute force and the exact anchor evaluations use
+    :meth:`values`; the first-stage MILP encodes the same pieces as rows.
     """
 
     constant: float
-    evaluate: Callable[[np.ndarray], float]
-    pieces: Optional[list] = None
+    pieces: list
 
-    def linear_value(self, a: np.ndarray) -> float:
-        if self.pieces is None:
-            raise ValueError("reward has no linear pieces")
-        a = np.asarray(a, dtype=float)
-        total = self.constant
+    def values(self, actions: np.ndarray) -> np.ndarray:
+        """Reward at every row of the ``(count, dims)`` array ``actions``."""
+        actions = np.asarray(actions, dtype=float)
+        total = np.full(len(actions), float(self.constant))
         for n, dim_pieces in enumerate(self.pieces):
             if dim_pieces:
-                total += min(slope * a[n] + icept for slope, icept in dim_pieces)
-        return float(total)
-
-    def spot_check(self, actions: np.ndarray, tol: float = 1e-8) -> None:
-        """Verify the piece representation against the callback on ``actions``."""
-        for a in np.asarray(actions):
-            lin = self.linear_value(a)
-            ref = self.evaluate(np.asarray(a))
-            if abs(lin - ref) > tol * max(1.0, abs(ref)):
-                raise ValueError(
-                    f"piece value {lin} disagrees with callback {ref} at action {a}"
-                )
+                slopes, icepts = np.asarray(dim_pieces, dtype=float).T
+                total += (np.multiply.outer(actions[:, n], slopes)
+                          + icepts).min(axis=1)
+        return total
 
 
 def linear_stage_reward(gain: np.ndarray, constant: float = 0.0) -> StageReward:
     """Purely linear reward ``constant + gain @ a`` as a one-piece StageReward."""
     gain = np.asarray(gain, dtype=float)
-    return StageReward(
-        constant=constant,
-        evaluate=lambda a, g=gain, c=constant: float(c + g @ np.asarray(a, dtype=float)),
-        pieces=[[(float(g), 0.0)] for g in gain],
-    )
+    return StageReward(constant=constant, pieces=[[(float(g), 0.0)] for g in gain])
 
 
 @dataclass
@@ -133,7 +123,6 @@ class FirstStage:
 
     milp: MilpProblem
     encoding: BinaryEncoding
-    eta_index: int
     constant_offset: float
 
     def decode_action(self, x: np.ndarray) -> np.ndarray:
@@ -154,8 +143,6 @@ def build_first_stage(ctx: RecourseContext, enc: BinaryEncoding,
     reward auxiliaries; objective constants (reward constant and the network's
     output bias) are carried in ``constant_offset``.
     """
-    if reward.pieces is None:
-        raise ValueError("MILP engines need a piecewise-linear stage reward")
     n2 = ctx.spec.action_box.dims
     gamma = ctx.spec.discount
     n_bits = enc.total_bits
@@ -217,18 +204,14 @@ def build_first_stage(ctx: RecourseContext, enc: BinaryEncoding,
     )
     milp = MilpProblem(lp=lp, binary_indices=list(range(n_bits)))
     offset = reward.constant + gamma * ctx.net.output_bias
-    return FirstStage(milp=milp, encoding=enc, eta_index=eta,
-                      constant_offset=offset)
+    return FirstStage(milp=milp, encoding=enc, constant_offset=offset)
 
 
 def _objectives(ctx: RecourseContext, reward: StageReward,
                 actions: np.ndarray) -> np.ndarray:
     """Exact objective at every row of ``actions``."""
     gamma = ctx.spec.discount
-    rewards = np.fromiter(
-        (reward.evaluate(a) for a in actions), dtype=float, count=len(actions)
-    )
-    return rewards + gamma * recourse_values(ctx, actions) \
+    return reward.values(actions) + gamma * recourse_values(ctx, actions) \
         + gamma * ctx.net.output_bias
 
 

@@ -303,36 +303,6 @@ def mcip_reward(instance: McipInstance, t: int, state: CapacityState,
     return profit - adjustment_cost(instance, t, state.capacity, target)
 
 
-def _stage_reward_builder(instance: McipInstance) -> Callable:
-    N, T = instance.facilities, instance.horizon
-
-    def build(t: int, x: np.ndarray) -> StageReward:
-        capacity = np.asarray(x[:N], dtype=float)
-        demand = np.asarray(x[N:], dtype=float)
-        profit, _ = operating_profit(instance, t, capacity, demand)
-        if t == T:
-            constant = profit - adjustment_cost(instance, t, capacity, np.zeros(N))
-            return StageReward(
-                constant=constant,
-                evaluate=lambda a, c=constant: c,
-                pieces=[[] for _ in range(N)],
-            )
-        q_minus = instance.salvage_values[t - 1]
-        q_plus = instance.expansion_costs[t - 1]
-        pieces = [
-            [(-q_minus[n], q_minus[n] * capacity[n]),
-             (-q_plus[n], q_plus[n] * capacity[n])]
-            for n in range(N)
-        ]
-
-        def evaluate(a, p=profit, cap=capacity, t=t):
-            return p - adjustment_cost(instance, t, cap, np.asarray(a, dtype=float))
-
-        return StageReward(constant=profit, evaluate=evaluate, pieces=pieces)
-
-    return build
-
-
 def build_mcip_mdp(instance: McipInstance) -> MdpSpec:
     """Affine-transition MDP view: the action overwrites the capacity block.
 
@@ -341,6 +311,8 @@ def build_mcip_mdp(instance: McipInstance) -> MdpSpec:
     demand rows.  State sampling is uniform over the actual finite state
     space (integer capacity lattice times demand rows): transitions only ever
     land on integer capacities, so that is where the fit has to be good.
+    The stage reward is the allocation profit as a constant plus the
+    capacity-adjustment charge as two pieces per facility.
     """
     I, N = instance.customers, instance.facilities
     n1 = N + I
@@ -378,9 +350,20 @@ def build_mcip_mdp(instance: McipInstance) -> MdpSpec:
         rng.shuffle(rows)
         return lattice[rows]
 
-    def reward(t, x, a):
-        state = CapacityState(capacity=x[:N], demand=x[N:])
-        return mcip_reward(instance, t, state, a)
+    def stage_reward(t, x):
+        capacity = np.asarray(x[:N], dtype=float)
+        profit, _ = operating_profit(instance, t, capacity,
+                                     np.asarray(x[N:], dtype=float))
+        if t == instance.horizon:
+            # all capacity is salvaged, whatever the action
+            constant = profit - adjustment_cost(instance, t, capacity, np.zeros(N))
+            return StageReward(constant=constant, pieces=[[] for _ in range(N)])
+        # -max(q_minus (a - K), q_plus (a - K)) is the minimum of two pieces
+        q_minus = instance.salvage_values[t - 1]
+        q_plus = instance.expansion_costs[t - 1]
+        pieces = [[(-q_minus[n], q_minus[n] * capacity[n]),
+                   (-q_plus[n], q_plus[n] * capacity[n])] for n in range(N)]
+        return StageReward(constant=profit, pieces=pieces)
 
     def noise_batch(rng, count):
         # stratified uniforms: the batch average is still unbiased, but the
@@ -397,12 +380,10 @@ def build_mcip_mdp(instance: McipInstance) -> MdpSpec:
         noise_sampler=lambda rng: float(rng.uniform()),
         transition_A=transition_A,
         transition_B=lambda x, u: linear,
-        reward=reward,
-        r_max=instance.reward_bound(),
+        stage_reward=stage_reward,
         initial_state=np.concatenate([instance.initial_capacity,
                                       instance.initial_demand]),
         state_sampler=state_sampler,
-        stage_reward_builder=_stage_reward_builder(instance),
         noise_batch_sampler=noise_batch,
     )
 

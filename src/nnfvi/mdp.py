@@ -4,15 +4,20 @@ State transitions have the form ``f(x, a, xi) = A(x, xi) + B(x, xi) @ a`` with
 the action ``a`` ranging over a box of non-negative integer vectors.  Every
 other module consumes this abstraction: the cut machinery exploits the affine
 structure, the fitted-value-iteration driver samples states from it, and the
-capacity-investment benchmark instantiates it.
+capacity-investment benchmark instantiates it.  An MDP supplies its stage
+reward once, as separable concave pieces (``MdpSpec.stage_reward``); brute
+force and the first-stage MILPs evaluate the same pieces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .mcd import StageReward
 
 DEFAULT_ENUMERATION_CAP = 10_000_000
 
@@ -76,17 +81,18 @@ class MdpSpec:
 
     ``transition_A(x, xi)`` returns the affine offset (length ``state_dim``) and
     ``transition_B(x, xi)`` the ``state_dim x action_box.dims`` linear part.
-    ``reward(t, x, a)`` must stay within ``r_max`` in absolute value for all
-    feasible inputs.  ``noise_sampler(rng)`` draws one exogenous disturbance.
+    ``stage_reward(t, x)`` returns the period-``t`` reward at state ``x`` as a
+    piecewise-linear :class:`nnfvi.mcd.StageReward`, the one representation
+    every action-selection engine reads.  ``noise_sampler(rng)`` draws one
+    exogenous disturbance.
 
     ``state_sampler`` overrides the default uniform sampling distribution over
-    ``state_bounds``; ``stage_reward_builder`` (optional) maps ``(t, x)`` to a
-    linearizable stage reward for the MILP-based action-selection engines.
-    ``initial_state`` is the known period-1 state used by the value-iteration
-    driver's final evaluation.  ``noise_batch_sampler`` (optional) draws a
-    whole batch of disturbances at once so problems with low-dimensional
-    noise can stratify the inner Monte-Carlo draws; the average over the
-    batch must stay an unbiased estimator of the single-draw expectation.
+    ``state_bounds``.  ``initial_state`` is the known period-1 state used by
+    the value-iteration driver's final evaluation.  ``noise_batch_sampler``
+    (optional) draws a whole batch of disturbances at once so problems with
+    low-dimensional noise can stratify the inner Monte-Carlo draws; the
+    average over the batch must stay an unbiased estimator of the
+    single-draw expectation.
     """
 
     horizon: int
@@ -97,11 +103,9 @@ class MdpSpec:
     noise_sampler: Callable[[np.random.Generator], Any]
     transition_A: Callable[[np.ndarray, Any], np.ndarray]
     transition_B: Callable[[np.ndarray, Any], np.ndarray]
-    reward: Callable[[int, np.ndarray, np.ndarray], float]
-    r_max: float
+    stage_reward: Callable[[int, np.ndarray], StageReward]
     initial_state: Optional[np.ndarray] = None
     state_sampler: Optional[Callable[[np.random.Generator, int], np.ndarray]] = None
-    stage_reward_builder: Optional[Callable[[int, np.ndarray], Any]] = None
     noise_batch_sampler: Optional[Callable[[np.random.Generator, int], list]] = None
 
     def draw_noises(self, rng: np.random.Generator, count: int) -> list:

@@ -3,8 +3,8 @@
 Supports max/min objectives, row senses <=, =, >=, and general variable
 bounds (including free and one-sided).  Pivoting follows Bland's smallest-
 index anti-cycling rule throughout, so the pivot sequence is deterministic
-for a given problem.  Row duals and per-variable reduced costs are reported
-in the orientation of the original problem.
+for a given problem.  Row duals and the dual objective are reported in the
+orientation of the original problem.
 
 Internally the problem is rewritten as ``min c z, A z = b, z >= 0``:
 finite lower bounds are shifted out, upper-bounded-only variables are
@@ -81,7 +81,6 @@ class LpSolution:
     objective: Optional[float] = None
     x: Optional[np.ndarray] = None
     duals: Optional[np.ndarray] = None          # one per original row
-    reduced_costs: Optional[np.ndarray] = None  # one per original variable
     dual_objective: Optional[float] = None
     pivots: list = field(default_factory=list)  # (entering, leaving) basis indices
 
@@ -348,7 +347,7 @@ def solve_lp(p: LpProblem) -> LpSolution:
     if status == "unbounded":
         return LpSolution(status="unbounded", pivots=list(tab.pivots))
 
-    return _extract_solution(p, std, tab, cs, is_art)
+    return _extract_solution(p, std, tab, cs)
 
 
 def _drive_out_artificials(tab: _Tableau, is_art: np.ndarray):
@@ -392,12 +391,11 @@ def _solve_unconstrained(p: LpProblem, std: _Standardized) -> LpSolution:
         x[j] = target
     obj = float(p.c @ x)
     return LpSolution(status="optimal", objective=obj, x=x,
-                      duals=np.zeros(0), reduced_costs=p.c.copy() * 0.0,
-                      dual_objective=obj)
+                      duals=np.zeros(0), dual_objective=obj)
 
 
 def _extract_solution(p: LpProblem, std: _Standardized, tab: _Tableau,
-                      cs: np.ndarray, is_art: np.ndarray) -> LpSolution:
+                      cs: np.ndarray) -> LpSolution:
     z = tab.values()
     x = np.empty(p.n_vars)
     for j, entry in enumerate(std.col_of_var):
@@ -426,20 +424,12 @@ def _extract_solution(p: LpProblem, std: _Standardized, tab: _Tableau,
         if i < std.n_orig_rows:
             duals[i] = sign * std.row_sign[i] * y[pos]
 
-    reduced = cs - y @ tab.A
-    rc = np.zeros(p.n_vars)
-    for j, entry in enumerate(std.col_of_var):
-        if entry[0] == "fixed":
-            continue
-        rc[j] = sign * reduced[entry[1]] if entry[0] != "reflected" else -sign * reduced[entry[1]]
-
     dual_objective = sign * (dual_obj_std + std.const)
     return LpSolution(
         status="optimal",
         objective=objective,
         x=x,
         duals=duals,
-        reduced_costs=rc,
         dual_objective=dual_objective,
         pivots=list(tab.pivots),
     )

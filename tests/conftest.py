@@ -3,6 +3,7 @@
 import numpy as np
 
 from nnfvi.cuts import RecourseContext
+from nnfvi.mcd import linear_stage_reward
 from nnfvi.mdp import ActionBox, MdpSpec
 from nnfvi.neural import ReluNet
 
@@ -23,8 +24,7 @@ def random_affine_spec(rng, n1, n2, a_bar, horizon=3, discount=0.9):
         noise_sampler=noise_sampler,
         transition_A=lambda x, xi: xi["A"],
         transition_B=lambda x, xi: xi["B"],
-        reward=lambda t, x, a: 0.0,
-        r_max=1e9,
+        stage_reward=lambda t, x: linear_stage_reward(np.zeros(n2)),
     )
 
 

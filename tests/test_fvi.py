@@ -24,6 +24,8 @@ from conftest import random_affine_spec
 
 def small_spec(seed=0, n1=2, n2=2, a_bar=(2, 2), horizon=3, discount=0.9,
                reward_scale=1.0, constant_reward=None):
+    """Small affine MDP and, for the oracles, its stage reward ``reward(t, x,
+    a)`` written out directly rather than read back from the spec."""
     rng = np.random.default_rng(seed)
     spec = random_affine_spec(rng, n1, n2, list(a_bar), horizon=horizon,
                               discount=discount)
@@ -31,23 +33,22 @@ def small_spec(seed=0, n1=2, n2=2, a_bar=(2, 2), horizon=3, discount=0.9,
     gain = rng.normal(size=n2) * reward_scale
 
     if constant_reward is not None:
-        spec.reward = lambda t, x, a: float(constant_reward)
-        spec.r_max = abs(constant_reward)
-        spec.stage_reward_builder = lambda t, x: StageReward(
-            constant=float(constant_reward),
-            evaluate=lambda a: float(constant_reward),
-            pieces=[[] for _ in range(n2)],
-        )
+        def reward(t, x, a):
+            return float(constant_reward)
+
+        spec.stage_reward = lambda t, x: StageReward(
+            constant=float(constant_reward), pieces=[[] for _ in range(n2)])
     else:
-        spec.reward = lambda t, x, a: float(np.sum(x) + gain @ np.asarray(a, dtype=float))
-        spec.r_max = 100.0
-        spec.stage_reward_builder = lambda t, x: linear_stage_reward(
+        def reward(t, x, a):
+            return float(np.sum(x) + gain @ np.asarray(a, dtype=float))
+
+        spec.stage_reward = lambda t, x: linear_stage_reward(
             gain, constant=float(np.sum(x)))
     # keep transitions inside the modest state box so clamping stays inert
     spec.transition_A = lambda x, xi: 0.2 * x + 0.05 * xi["A"]
     spec.transition_B = lambda x, xi: 0.05 * xi["B"]
     spec.initial_state = np.zeros(n1)
-    return spec
+    return spec, reward
 
 
 def quick_config(seed=0, engine="brute", s1=30, s2=5, neurons=5, restarts=1,
@@ -65,7 +66,7 @@ def quick_config(seed=0, engine="brute", s1=30, s2=5, neurons=5, restarts=1,
 
 class TestBellmanTarget:
     def test_terminal_reward_independent_of_action(self):
-        spec = small_spec(constant_reward=3.5)
+        spec, _ = small_spec(constant_reward=3.5)
         rng = np.random.default_rng(0)
         noises = [spec.noise_sampler(rng)]
         x = np.array([0.1, -0.2])
@@ -75,18 +76,18 @@ class TestBellmanTarget:
 
     def test_discount_zero_limit(self):
         # a dead continuation network reduces the target to the terminal case
-        spec = small_spec(seed=1)
+        spec, reward = small_spec(seed=1)
         dead = ReluNet(np.zeros((1, 2)), np.zeros(1), np.zeros(1), 0.0)
         rng = np.random.default_rng(1)
         noises = [spec.noise_sampler(rng) for _ in range(3)]
         x = np.array([0.3, 0.4])
         got = bellman_target(spec, {2: dead}, 1, x, noises,
                              McdConfig(engine="brute"))
-        best = max(spec.reward(1, x, a) for a in enumerate_actions(spec.action_box))
+        best = max(reward(1, x, a) for a in enumerate_actions(spec.action_box))
         assert got == pytest.approx(best)
 
     def test_engines_agree_on_small_instance(self):
-        spec = small_spec(seed=2)
+        spec, _ = small_spec(seed=2)
         rng = np.random.default_rng(2)
         net = ReluNet(rng.normal(size=(4, 2)), rng.normal(size=4),
                       rng.normal(size=4), float(rng.normal()))
@@ -102,7 +103,7 @@ class TestBellmanTarget:
         assert res_mcd == pytest.approx(res_brute, abs=1e-6)
 
     def test_missing_network_raises(self):
-        spec = small_spec(seed=3)
+        spec, _ = small_spec(seed=3)
         with pytest.raises(ValueError, match="no fitted network"):
             bellman_target(spec, {}, 1, np.zeros(2), [None],
                            McdConfig(engine="brute"))
@@ -110,36 +111,41 @@ class TestBellmanTarget:
 
 class TestRunNnfvi:
     def test_degenerate_horizon(self):
-        spec = small_spec(seed=4, horizon=1)
+        spec, reward = small_spec(seed=4, horizon=1)
         fitted, v_hat = run_nnfvi(spec, quick_config())
         assert fitted.nets == {}
-        best = max(spec.reward(1, spec.initial_state, a)
+        best = max(reward(1, spec.initial_state, a)
                    for a in enumerate_actions(spec.action_box))
         assert v_hat == pytest.approx(best)
 
     def test_constant_reward_geometric_sum(self):
         c = 2.0
-        spec = small_spec(seed=5, constant_reward=c, horizon=4, discount=0.8)
+        spec, _ = small_spec(seed=5, constant_reward=c, horizon=4, discount=0.8)
         fitted, v_hat = run_nnfvi(spec, quick_config(s1=25, s2=3, neurons=3))
         expected = sum(c * 0.8 ** (t - 1) for t in range(1, 5))
         assert v_hat == pytest.approx(expected, rel=0.01)
 
     def test_reproducible_bitwise(self):
-        spec = small_spec(seed=6)
+        spec, _ = small_spec(seed=6)
         cfg = quick_config(seed=77, s1=15, s2=3, neurons=3, epochs=150)
         _, v1 = run_nnfvi(spec, cfg)
-        spec2 = small_spec(seed=6)
+        spec2, _ = small_spec(seed=6)
         _, v2 = run_nnfvi(spec2, cfg)
         assert v1 == v2
 
     def test_targets_respect_reward_bound(self):
-        spec = small_spec(seed=7, horizon=3, discount=0.9)
+        spec, reward = small_spec(seed=7, horizon=3, discount=0.9)
         fitted, v_hat = run_nnfvi(spec, quick_config(s1=20, s2=3))
-        horizon_bound = spec.r_max * sum(0.9 ** (tau - 1) for tau in range(1, 4))
+        # the reward is affine in x, so over the state box |reward| peaks
+        # at one of its corners
+        corners = itertools.product(*spec.state_bounds)
+        r_max = max(abs(reward(1, np.array(x), a)) for x in corners
+                    for a in enumerate_actions(spec.action_box))
+        horizon_bound = r_max * sum(0.9 ** (tau - 1) for tau in range(1, 4))
         assert abs(v_hat) <= horizon_bound
 
     def test_nets_cover_periods_two_to_horizon(self):
-        spec = small_spec(seed=8, horizon=4)
+        spec, _ = small_spec(seed=8, horizon=4)
         fitted, _ = run_nnfvi(spec, quick_config(s1=15, s2=3, neurons=3,
                                                  epochs=100))
         assert sorted(fitted.nets) == [2, 3, 4]
@@ -148,7 +154,7 @@ class TestRunNnfvi:
     def test_train_regularization_is_used_and_reported(self):
         # the one regularization knob lives on TrainConfig: it must reach
         # the fit and the config snapshot, not be overwritten with 0
-        spec = small_spec(seed=10)
+        spec, _ = small_spec(seed=10)
         base = quick_config(seed=3, s1=15, s2=3, neurons=3, epochs=80)
         reg = dataclasses.replace(
             base, train=dataclasses.replace(base.train, regularization=0.5))
@@ -160,7 +166,7 @@ class TestRunNnfvi:
                                   plain.nets[2].output_weights)
 
     def test_serialization_round_trip(self):
-        spec = small_spec(seed=9)
+        spec, _ = small_spec(seed=9)
         fitted, v_hat = run_nnfvi(spec, quick_config(s1=10, s2=2, neurons=2,
                                                      epochs=80))
         clone = FittedValueSet.loads(fitted.dumps())
@@ -173,18 +179,18 @@ class TestRunNnfvi:
 
 class TestGreedyPolicy:
     def test_terminal_period_maximizes_terminal_reward(self):
-        spec = small_spec(seed=10)
+        spec, reward = small_spec(seed=10)
         policy = greedy_policy(spec, {}, McdConfig(engine="brute"),
                                transition_samples=3, seed=1)
         x = np.array([0.5, 0.5])
         action = policy(spec.horizon, x)
         best = max(enumerate_actions(spec.action_box),
-                   key=lambda a: spec.reward(spec.horizon, x, a))
-        assert spec.reward(spec.horizon, x, action) == pytest.approx(
-            spec.reward(spec.horizon, x, best))
+                   key=lambda a: reward(spec.horizon, x, a))
+        assert reward(spec.horizon, x, action) == pytest.approx(
+            reward(spec.horizon, x, best))
 
     def test_engine_equivalence_in_objective(self):
-        spec = small_spec(seed=11)
+        spec, reward = small_spec(seed=11)
         rng = np.random.default_rng(11)
         net = ReluNet(rng.normal(size=(4, 2)), rng.normal(size=4),
                       rng.normal(size=4), 0.0)
@@ -208,20 +214,20 @@ class TestGreedyPolicy:
                 np.random.SeedSequence((3, 2, 0, 1)))
             noises = [spec.noise_sampler(cache_rng) for _ in range(4)]
             ctx = RecourseContext(net, spec, x, noises)
-            return (spec.reward(2, x, a)
+            return (reward(2, x, a)
                     + spec.discount * recourse_value(ctx, a)
                     + spec.discount * net.output_bias)
 
         assert objective(a_m) == pytest.approx(objective(a_b), abs=1e-6)
 
     def test_singleton_box(self):
-        spec = small_spec(seed=12, a_bar=(0, 0))
+        spec, _ = small_spec(seed=12, a_bar=(0, 0))
         policy = greedy_policy(spec, {}, McdConfig(engine="brute"),
                                transition_samples=2, seed=5)
         np.testing.assert_array_equal(policy(spec.horizon, np.zeros(2)), [0, 0])
 
     def test_deterministic_given_seed(self):
-        spec = small_spec(seed=13)
+        spec, _ = small_spec(seed=13)
         rng = np.random.default_rng(13)
         net = ReluNet(rng.normal(size=(3, 2)), rng.normal(size=3),
                       rng.normal(size=3), 0.0)

@@ -6,6 +6,7 @@ import pytest
 from nnfvi.cuts import (
     RecourseContext,
     binary_encoding,
+    combined_cut,
     integer_optimality_cut,
     recourse_upper_bound,
     recourse_value,
@@ -26,50 +27,75 @@ from nnfvi.neural import ReluNet
 from conftest import random_affine_spec, random_context
 
 
-def exhaustive_optimum(ctx, reward):
-    """Two-loop enumeration oracle, independent of the vectorized paths."""
+def exhaustive_optimum(ctx, reward_of):
+    """Two-loop enumeration oracle, independent of the vectorized paths;
+    ``reward_of(a)`` is the test's own formula for the stage reward."""
     best_val, best_a = -np.inf, None
     gamma = ctx.spec.discount
     for a in enumerate_actions(ctx.spec.action_box):
-        val = reward.evaluate(a) + gamma * recourse_value(ctx, a) \
+        val = reward_of(a) + gamma * recourse_value(ctx, a) \
             + gamma * ctx.net.output_bias
         if val > best_val + 1e-15:
             best_val, best_a = val, a
     return best_val, best_a
 
 
-def make_reward(ctx, seed=0, scale=1.0):
+def reward_terms(ctx, seed=0, scale=1.0):
+    """Gain vector and constant of a random linear stage reward."""
     rng = np.random.default_rng(seed)
     gain = rng.normal(size=ctx.spec.action_box.dims) * scale
-    return linear_stage_reward(gain, constant=float(rng.normal()))
+    return gain, float(rng.normal())
+
+
+def make_reward(ctx, seed=0, scale=1.0):
+    gain, constant = reward_terms(ctx, seed, scale)
+    return linear_stage_reward(gain, constant=constant)
+
+
+def adjustment_reward():
+    """Two-piece MCIP-shaped reward on a 3-D box, the middle dimension
+    without pieces, and its per-action formula written out directly."""
+    capacity = np.array([1.0, 2.0, 2.0])
+    q_minus = np.array([0.5, 0.0, 1.0])
+    q_plus = np.array([3.0, 0.0, 2.5])
+    reward = StageReward(constant=4.25, pieces=[
+        [(-q_minus[n], q_minus[n] * capacity[n]),
+         (-q_plus[n], q_plus[n] * capacity[n])] if n != 1 else []
+        for n in range(3)])
+
+    def reward_of(a):
+        delta = np.asarray(a, dtype=float) - capacity
+        return 4.25 - sum(max(q_minus[n] * delta[n], q_plus[n] * delta[n])
+                          for n in (0, 2))
+
+    return reward, reward_of
 
 
 class TestStageReward:
     def test_linear_pieces_match_callback(self):
         ctx = random_context(0, n2=3, a_bar=[2, 2, 2])
-        reward = make_reward(ctx, seed=1)
-        reward.spot_check(enumerate_actions(ctx.spec.action_box))
+        gain, constant = reward_terms(ctx, seed=1)
+        reward = linear_stage_reward(gain, constant=constant)
+        actions = enumerate_actions(ctx.spec.action_box)
+        expected = [constant + sum(g * v for g, v in zip(gain, a)) for a in actions]
+        np.testing.assert_allclose(reward.values(actions), expected,
+                                   rtol=1e-14, atol=1e-14)
 
     def test_symmetric_adjustment_collapses_to_one_line(self):
         # equal up/down slopes make max{q(a-k), q(a-k)} a single affine piece
         q = 2.0
         k_prev = 1.0
-        pieces = [[(-q, q * k_prev)]]
-        reward = StageReward(
-            constant=0.0,
-            evaluate=lambda a: -max(q * (a[0] - k_prev), q * (a[0] - k_prev)),
-            pieces=pieces,
-        )
-        reward.spot_check(np.arange(4).reshape(-1, 1))
+        reward = StageReward(constant=0.0, pieces=[[(-q, q * k_prev)]])
+        actions = np.arange(4).reshape(-1, 1)
+        expected = [-max(q * (a[0] - k_prev), q * (a[0] - k_prev)) for a in actions]
+        np.testing.assert_array_equal(reward.values(actions), expected)
 
-    def test_spot_check_catches_mismatch(self):
-        reward = StageReward(
-            constant=0.0,
-            evaluate=lambda a: float(a[0]),
-            pieces=[[(2.0, 0.0)]],  # wrong slope
-        )
-        with pytest.raises(ValueError, match="disagrees"):
-            reward.spot_check(np.array([[1]]))
+    def test_two_piece_values_match_per_action_loop(self):
+        reward, reward_of = adjustment_reward()
+        actions = enumerate_actions(ActionBox(np.array([3, 2, 4])))
+        expected = [reward_of(a) for a in actions]
+        np.testing.assert_allclose(reward.values(actions), expected,
+                                   rtol=1e-14, atol=1e-14)
 
 
 class TestBuildFirstStage:
@@ -86,8 +112,6 @@ class TestBuildFirstStage:
         assert sol.status == "optimal"
         action = fp.decode_action(sol.x)
         np.testing.assert_array_equal(action, [3, 0])
-        expected = gain @ action + ctx.spec.discount * eta_bar \
-            + fp.constant_offset - reward.constant
         # objective includes gamma * eta at its cap plus the reward part
         assert sol.objective + fp.constant_offset == pytest.approx(
             float(gain @ action) + ctx.spec.discount * eta_bar
@@ -102,15 +126,45 @@ class TestBuildFirstStage:
         reward = linear_stage_reward(np.array([0.0]))
         enc = binary_encoding(ctx.spec.action_box)
         eta_bar = recourse_upper_bound(ctx)
-        best_val, best_a = exhaustive_optimum(ctx, reward)
+        best_val, best_a = exhaustive_optimum(ctx, lambda a: 0.0)
         cut = integer_optimality_cut(ctx, enc, best_a, eta_bar)
         fp = build_first_stage(ctx, enc, reward, [cut], [], eta_bar)
         sol = solve_milp(fp.milp, tol=1e-9)
         gamma = ctx.spec.discount
         # at the anchor the cut pins eta to the true recourse
-        fp_value_at_anchor = reward.evaluate(best_a) \
-            + gamma * recourse_value(ctx, best_a) + gamma * ctx.net.output_bias
+        fp_value_at_anchor = gamma * recourse_value(ctx, best_a) \
+            + gamma * ctx.net.output_bias
         assert sol.objective + fp.constant_offset >= fp_value_at_anchor - 1e-9
+
+    def test_rows_reproduce_cuts_and_reward(self):
+        # rows in build order: bit bounds, eta <= eta_bar, the integer cut,
+        # the combined cut, then the reward pieces of dimensions 0 and 2.
+        # At the bits of every action, each cut row's bound on eta must be
+        # the cut's own value there, and the tightest piece rows of each
+        # dimension must add up, with the constant, to the reward.
+        ctx = random_context(15, n1=3, n2=3, a_bar=[3, 2, 4])
+        reward, _ = adjustment_reward()
+        enc = binary_encoding(ctx.spec.action_box)
+        eta_bar = recourse_upper_bound(ctx)
+        int_cut = integer_optimality_cut(ctx, enc, np.array([1, 2, 0]), eta_bar)
+        lin_cut = combined_cut(ctx, np.array([3, 0, 4]))
+        fp = build_first_stage(ctx, enc, reward, [int_cut], [lin_cut], eta_bar)
+        lp = fp.milp.lp
+        n_bits = enc.total_bits
+        first = len(enc.bound_rows()[1]) + 1
+        bits_part, b = lp.A[:, :n_bits], lp.b
+        assert len(b) == first + 2 + 4
+        np.testing.assert_array_equal(lp.A[first:first + 2, n_bits], [1.0, 1.0])
+        rho = lp.A[first + 2:, n_bits + 1:]
+        np.testing.assert_array_equal(rho, [[1, 0]] * 2 + [[0, 1]] * 2)
+        actions = enumerate_actions(ctx.spec.action_box)
+        for a in actions:
+            room = b - bits_part @ enc.encode(a)
+            assert room[first] == pytest.approx(int_cut.rhs(enc, a), abs=1e-9)
+            assert room[first + 1] == pytest.approx(lin_cut.value(a), abs=1e-9)
+            pieces = room[first + 2:]
+            assert reward.constant + pieces[:2].min() + pieces[2:].min() \
+                == pytest.approx(reward.values(a[None, :])[0], abs=1e-12)
 
     def test_bit_bound_rows_enforced(self):
         # bound 5 needs bits {0,1,2} able to express up to 7: the explicit
@@ -137,9 +191,11 @@ class TestBruteForce:
     def test_matches_two_loop_oracle(self):
         for seed in range(10):
             ctx = random_context(seed + 600, n2=2, a_bar=[4, 3])
-            reward = make_reward(ctx, seed=seed)
-            res = select_action_bruteforce(ctx, reward)
-            best_val, best_a = exhaustive_optimum(ctx, reward)
+            gain, constant = reward_terms(ctx, seed=seed)
+            res = select_action_bruteforce(
+                ctx, linear_stage_reward(gain, constant=constant))
+            best_val, best_a = exhaustive_optimum(
+                ctx, lambda a: constant + float(gain @ a))
             assert res.objective == pytest.approx(best_val, abs=1e-10)
             np.testing.assert_array_equal(res.action, best_a)
 
@@ -148,8 +204,7 @@ class TestBruteForce:
         dead = ReluNet(ctx.net.input_weights, ctx.net.input_biases,
                        np.zeros(ctx.net.neuron_count), 0.0)
         ctx2 = RecourseContext(dead, ctx.spec, ctx.x, ctx.noises)
-        reward = StageReward(constant=0.0, evaluate=lambda a: 0.0,
-                             pieces=[[], []])
+        reward = StageReward(constant=0.0, pieces=[[], []])
         res = select_action_bruteforce(ctx2, reward)
         np.testing.assert_array_equal(res.action, [0, 0])
 

@@ -263,10 +263,12 @@ class TestMdpConstruction:
         rng = np.random.default_rng(1)
         for t in (1, 2, inst.horizon):
             x = spec.state_sampler(rng, 1)[0]
-            sr = spec.stage_reward_builder(t, x)
-            sr.spot_check(enumerate_actions(spec.action_box))
-            for a in enumerate_actions(spec.action_box)[:4]:
-                assert sr.evaluate(a) == pytest.approx(spec.reward(t, x, a))
+            sr = spec.stage_reward(t, x)
+            actions = enumerate_actions(spec.action_box)
+            state = CapacityState(capacity=x[:2], demand=x[2:])
+            expected = [mcip_reward(inst, t, state, a) for a in actions]
+            np.testing.assert_allclose(sr.values(actions), expected,
+                                       rtol=1e-12, atol=1e-12)
 
 
 class TestExtendedValueEquivalence:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nnfvi.mcd import linear_stage_reward
 from nnfvi.mdp import (
     ActionBox,
     ActionSpaceTooLargeError,
@@ -34,8 +35,8 @@ def make_spec(n1=2, n2=2, bounds_half_width=1e6, horizon=3, seed=0):
         noise_sampler=noise_sampler,
         transition_A=lambda x, xi: xi["A"] + 0.5 * x,
         transition_B=lambda x, xi: xi["B"],
-        reward=lambda t, x, a: float(np.sum(x) - np.sum(a)),
-        r_max=1e7,
+        stage_reward=lambda t, x: linear_stage_reward(-np.ones(n2),
+                                                      constant=float(np.sum(x))),
     )
 
 
@@ -101,15 +102,6 @@ class TestAffineTransition:
             mix = A + B @ (lam * a1 + (1 - lam) * a2)
             combo = lam * (A + B @ a1) + (1 - lam) * (A + B @ a2)
             np.testing.assert_allclose(mix, combo, rtol=1e-12, atol=1e-12)
-
-    def test_reward_bounded(self):
-        spec = make_spec()
-        rng = np.random.default_rng(3)
-        for _ in range(10_000):
-            t = int(rng.integers(1, spec.horizon + 1))
-            x = rng.uniform(-100, 100, size=2)
-            a = rng.integers(0, 4, size=2)
-            assert abs(spec.reward(t, x, a)) <= spec.r_max
 
 
 class TestEnumerateActions:
