@@ -156,15 +156,15 @@ def make_bench_instance(seed: int, facilities: int, neurons: int = 8,
     n1 = n2 + 1
     bounds = np.column_stack([np.full(n1, -1e9), np.full(n1, 1e9)])
 
-    def noise_sampler(r):
-        return {"A": r.normal(size=n1), "B": r.normal(size=(n1, n2))}
+    def draw_noises(r, count):
+        # one row per draw: the offset A, then the linear part B row by row
+        return r.normal(size=(count, n1 + n1 * n2))
 
     spec = MdpSpec(
         horizon=2, discount=0.9, state_dim=n1, state_bounds=bounds,
         action_box=ActionBox(np.full(n2, capacity_levels)),
-        noise_sampler=noise_sampler,
-        transition_A=lambda x, xi: xi["A"],
-        transition_B=lambda x, xi: xi["B"],
+        draw_noises=draw_noises,
+        transition=lambda x, xi: (xi[:, :n1], xi[:, n1:].reshape(-1, n1, n2)),
         stage_reward=lambda t, x: reward,  # drawn last, below, to keep the rng order
     )
     net = ReluNet(
@@ -174,8 +174,7 @@ def make_bench_instance(seed: int, facilities: int, neurons: int = 8,
         output_bias=float(rng.normal() * 10.0),
     )
     x = rng.normal(size=n1)
-    noises = [spec.noise_sampler(rng) for _ in range(transition_samples)]
-    ctx = RecourseContext(net, spec, x, noises)
+    ctx = RecourseContext(net, spec, x, spec.draw_noises(rng, transition_samples))
     reward = linear_stage_reward(rng.normal(size=n2) * 5.0,
                                  constant=float(rng.normal() * 10.0))
     return ctx, reward

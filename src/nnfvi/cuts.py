@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -51,7 +50,7 @@ class RecourseContext:
     """
 
     def __init__(self, net: ReluNet, spec: MdpSpec, x: np.ndarray,
-                 noises: Sequence):
+                 noises: np.ndarray):
         if net.input_dim != spec.state_dim:
             raise ValueError(
                 f"network expects {net.input_dim} inputs, state dimension is "
@@ -60,18 +59,21 @@ class RecourseContext:
         self.net = net
         self.spec = spec
         self.x = np.asarray(x, dtype=float)
-        self.noises = list(noises)
+        self.noises = np.asarray(noises)
         s2 = len(self.noises)
         if s2 == 0:
             raise ValueError("at least one noise draw is required")
-        J = net.neuron_count
-        n2 = spec.action_box.dims
+        n1, n2 = spec.state_dim, spec.action_box.dims
 
-        self.offsets = np.empty((s2, spec.state_dim))
-        self.linears = np.empty((s2, spec.state_dim, n2))
-        for s, xi in enumerate(self.noises):
-            self.offsets[s] = np.asarray(spec.transition_A(self.x, xi), dtype=float)
-            self.linears[s] = np.asarray(spec.transition_B(self.x, xi), dtype=float)
+        offsets, linears = spec.transition(self.x, self.noises)
+        self.offsets = np.asarray(offsets, dtype=float)  # (S2, N1)
+        self.linears = np.asarray(linears, dtype=float)  # (S2, N1, N2)
+        if self.offsets.shape != (s2, n1) or self.linears.shape != (s2, n1, n2):
+            raise ValueError(
+                f"transition returned offsets of shape {self.offsets.shape} and "
+                f"linears of shape {self.linears.shape}, expected ({s2}, {n1}) "
+                f"and ({s2}, {n1}, {n2})"
+            )
 
         u, u0 = net.input_weights, net.input_biases
         self.gamma1 = np.einsum("ji,sik->sjk", u, self.linears)  # (S2, J, N2)

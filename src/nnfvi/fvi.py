@@ -105,7 +105,7 @@ def _zero_net(state_dim: int) -> ReluNet:
 
 
 def bellman_target(spec: MdpSpec, nets: dict, t: int, x: np.ndarray,
-                   noises: list, config: McdConfig) -> float:
+                   noises: np.ndarray, config: McdConfig) -> float:
     """One-step lookahead value at ``(t, x)`` under the chosen engine.
 
     At the terminal period the continuation is zero; otherwise the fitted

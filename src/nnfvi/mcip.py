@@ -306,11 +306,13 @@ def mcip_reward(instance: McipInstance, t: int, state: CapacityState,
 def build_mcip_mdp(instance: McipInstance) -> MdpSpec:
     """Affine-transition MDP view: the action overwrites the capacity block.
 
-    The state is ``(capacity, demand)``; the affine offset carries the next
-    demand draw, the linear part is the identity on capacity rows and zero on
-    demand rows.  State sampling is uniform over the actual finite state
-    space (integer capacity lattice times demand rows): transitions only ever
-    land on integer capacities, so that is where the fit has to be good.
+    The state is ``(capacity, demand)``.  A noise is one uniform, stratified
+    across the batch; the affine offset carries the demand row it selects
+    from the current row's kernel, and the linear part is the identity on
+    capacity rows and zero on demand rows.  State sampling is uniform over
+    the actual finite state space (integer capacity lattice times demand
+    rows): transitions only ever land on integer capacities, so that is
+    where the fit has to be good.
     The stage reward is the allocation profit as a constant plus the
     capacity-adjustment charge as two pieces per facility.
     """
@@ -326,10 +328,12 @@ def build_mcip_mdp(instance: McipInstance) -> MdpSpec:
 
     linear = np.vstack([np.eye(N), np.zeros((I, N))])
 
-    def transition_A(x, u):
-        idx = demand.index_of(x[N:])
-        nxt = demand.next_index(idx, float(u))
-        return np.concatenate([np.zeros(N), demand.support[nxt]])
+    def transition(x, us):
+        # the inverse-CDF rule of DemandModel.next_index, for all draws at once
+        cdf = np.cumsum(demand.kernel[demand.index_of(x[N:])])
+        offsets = np.zeros((len(us), n1))
+        offsets[:, N:] = demand.support[np.searchsorted(cdf, us, side="right")]
+        return offsets, np.broadcast_to(linear, (len(us), n1, N))
 
     lattice_caps = enumerate_actions(ActionBox(instance.capacity_max))
     lattice = np.array([
@@ -365,11 +369,11 @@ def build_mcip_mdp(instance: McipInstance) -> MdpSpec:
                    (-q_plus[n], q_plus[n] * capacity[n])] for n in range(N)]
         return StageReward(constant=profit, pieces=pieces)
 
-    def noise_batch(rng, count):
+    def draw_noises(rng, count):
         # stratified uniforms: the batch average is still unbiased, but the
         # realized demand-row frequencies track the kernel row much closer
         us = (np.arange(count) + rng.uniform(size=count)) / count
-        return list(rng.permutation(us))
+        return rng.permutation(us)
 
     return MdpSpec(
         horizon=instance.horizon,
@@ -377,14 +381,12 @@ def build_mcip_mdp(instance: McipInstance) -> MdpSpec:
         state_dim=n1,
         state_bounds=bounds,
         action_box=ActionBox(instance.capacity_max),
-        noise_sampler=lambda rng: float(rng.uniform()),
-        transition_A=transition_A,
-        transition_B=lambda x, u: linear,
+        draw_noises=draw_noises,
+        transition=transition,
         stage_reward=stage_reward,
         initial_state=np.concatenate([instance.initial_capacity,
                                       instance.initial_demand]),
         state_sampler=state_sampler,
-        noise_batch_sampler=noise_batch,
     )
 
 

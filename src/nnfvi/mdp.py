@@ -4,7 +4,10 @@ State transitions have the form ``f(x, a, xi) = A(x, xi) + B(x, xi) @ a`` with
 the action ``a`` ranging over a box of non-negative integer vectors.  Every
 other module consumes this abstraction: the cut machinery exploits the affine
 structure, the fitted-value-iteration driver samples states from it, and the
-capacity-investment benchmark instantiates it.  An MDP supplies its stage
+capacity-investment benchmark instantiates it.  Disturbances are handled a
+batch at a time: ``MdpSpec.draw_noises`` draws a batch and
+``MdpSpec.transition`` returns ``A`` and ``B`` for every draw in it at once,
+which is the unit the recourse averages over.  An MDP supplies its stage
 reward once, as separable concave pieces (``MdpSpec.stage_reward``); brute
 force and the first-stage MILPs evaluate the same pieces.
 """
@@ -12,7 +15,7 @@ force and the first-stage MILPs evaluate the same pieces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
@@ -79,20 +82,21 @@ class ActionBox:
 class MdpSpec:
     """Problem data for a discounted finite-horizon MDP.
 
-    ``transition_A(x, xi)`` returns the affine offset (length ``state_dim``) and
-    ``transition_B(x, xi)`` the ``state_dim x action_box.dims`` linear part.
-    ``stage_reward(t, x)`` returns the period-``t`` reward at state ``x`` as a
-    piecewise-linear :class:`nnfvi.mcd.StageReward`, the one representation
-    every action-selection engine reads.  ``noise_sampler(rng)`` draws one
-    exogenous disturbance.
+    Disturbances come in batches.  ``draw_noises(rng, count)`` returns an
+    array whose first axis has length ``count``; a problem may stratify the
+    batch, as long as the batch average stays an unbiased estimator of the
+    single-draw expectation.  ``transition(x, noises)`` maps a state and a
+    batch of ``S`` draws to the next-state data ``(offsets, linears)`` of
+    shapes ``(S, state_dim)`` and ``(S, state_dim, action_box.dims)``: under
+    draw ``s`` action ``a`` leads to ``offsets[s] + linears[s] @ a``, with no
+    clamping.  ``stage_reward(t, x)`` returns the period-``t`` reward at
+    state ``x`` as a piecewise-linear :class:`nnfvi.mcd.StageReward`, the one
+    representation every action-selection engine reads.
 
-    ``state_sampler`` overrides the default uniform sampling distribution over
-    ``state_bounds``.  ``initial_state`` is the known period-1 state used by
-    the value-iteration driver's final evaluation.  ``noise_batch_sampler``
-    (optional) draws a whole batch of disturbances at once so problems with
-    low-dimensional noise can stratify the inner Monte-Carlo draws; the
-    average over the batch must stay an unbiased estimator of the
-    single-draw expectation.
+    ``state_bounds`` is the default box that :func:`sample_states` draws
+    from uniformly; ``state_sampler`` overrides that distribution.
+    ``initial_state`` is the known period-1 state used by the value-iteration
+    driver's final evaluation.
     """
 
     horizon: int
@@ -100,19 +104,11 @@ class MdpSpec:
     state_dim: int
     state_bounds: np.ndarray  # (state_dim, 2) closed intervals
     action_box: ActionBox
-    noise_sampler: Callable[[np.random.Generator], Any]
-    transition_A: Callable[[np.ndarray, Any], np.ndarray]
-    transition_B: Callable[[np.ndarray, Any], np.ndarray]
+    draw_noises: Callable[[np.random.Generator, int], np.ndarray]
+    transition: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
     stage_reward: Callable[[int, np.ndarray], StageReward]
     initial_state: Optional[np.ndarray] = None
     state_sampler: Optional[Callable[[np.random.Generator, int], np.ndarray]] = None
-    noise_batch_sampler: Optional[Callable[[np.random.Generator, int], list]] = None
-
-    def draw_noises(self, rng: np.random.Generator, count: int) -> list:
-        """Batch of disturbances, stratified when the problem provides it."""
-        if self.noise_batch_sampler is not None:
-            return list(self.noise_batch_sampler(rng, count))
-        return [self.noise_sampler(rng) for _ in range(count)]
 
     def __post_init__(self):
         if self.horizon < 1:
@@ -129,19 +125,6 @@ class MdpSpec:
         self.state_bounds = bounds
         if self.initial_state is not None:
             self.initial_state = np.asarray(self.initial_state, dtype=float)
-
-
-def affine_transition(spec: MdpSpec, x: np.ndarray, a: np.ndarray, xi: Any) -> np.ndarray:
-    """Next state ``A(x, xi) + B(x, xi) @ a``, clamped into ``state_bounds``.
-
-    Raises :class:`InfeasibleActionError` for actions outside the box.
-    """
-    a = spec.action_box.check(a)
-    x = np.asarray(x, dtype=float)
-    offset = np.asarray(spec.transition_A(x, xi), dtype=float)
-    linear = np.asarray(spec.transition_B(x, xi), dtype=float)
-    nxt = offset + linear @ a
-    return np.clip(nxt, spec.state_bounds[:, 0], spec.state_bounds[:, 1])
 
 
 def enumerate_actions(box: ActionBox, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:

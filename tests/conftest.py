@@ -9,11 +9,9 @@ from nnfvi.neural import ReluNet
 
 
 def random_affine_spec(rng, n1, n2, a_bar, horizon=3, discount=0.9):
-    """Affine MDP with bounds wide enough that transitions never clamp."""
+    """Affine MDP whose noise row holds the offset ``A`` and then the linear
+    part ``B`` row by row, with state bounds wide enough to sample anywhere."""
     bounds = np.column_stack([np.full(n1, -1e9), np.full(n1, 1e9)])
-
-    def noise_sampler(r):
-        return {"A": r.normal(size=n1), "B": r.normal(size=(n1, n2))}
 
     return MdpSpec(
         horizon=horizon,
@@ -21,9 +19,8 @@ def random_affine_spec(rng, n1, n2, a_bar, horizon=3, discount=0.9):
         state_dim=n1,
         state_bounds=bounds,
         action_box=ActionBox(np.asarray(a_bar, dtype=np.int64)),
-        noise_sampler=noise_sampler,
-        transition_A=lambda x, xi: xi["A"],
-        transition_B=lambda x, xi: xi["B"],
+        draw_noises=lambda r, count: r.normal(size=(count, n1 + n1 * n2)),
+        transition=lambda x, xi: (xi[:, :n1], xi[:, n1:].reshape(-1, n1, n2)),
         stage_reward=lambda t, x: linear_stage_reward(np.zeros(n2)),
     )
 
@@ -41,8 +38,13 @@ def random_context(seed, j=6, n1=3, n2=2, s2=4, a_bar=None, weight_scale=1.0):
         output_bias=float(rng.normal()),
     )
     x = rng.normal(size=n1)
-    noises = [spec.noise_sampler(rng) for _ in range(s2)]
-    return RecourseContext(net, spec, x, noises)
+    return RecourseContext(net, spec, x, spec.draw_noises(rng, s2))
+
+
+def affine_noise(A, B):
+    """A one-draw batch of ``random_affine_spec`` noise with offset ``A`` and
+    linear part ``B``."""
+    return np.concatenate([A, np.ravel(B)])[None, :]
 
 
 def partial_recourse(ctx, a, neurons):

@@ -271,6 +271,31 @@ class TestBenchInstanceFactory:
         np.testing.assert_array_equal(a_ctx.gamma1, b_ctx.gamma1)
         assert a_reward.constant == b_reward.constant
 
+    def test_noise_batch_keeps_per_noise_rng_order(self):
+        # oracle: the generator stream as drawn one noise at a time, offset A
+        # then linear part B, between the network and state draws and the
+        # reward drawn last; the benchmark corpora depend on this order
+        for seed, n2, neurons, count in ((2000, 2, 10, 4), (3000, 3, 10, 4),
+                                         (7, 5, 6, 20)):
+            n1 = n2 + 1
+            ctx, reward = make_bench_instance(seed, n2, neurons=neurons,
+                                              transition_samples=count)
+            rng = np.random.default_rng(seed)
+            weights = rng.normal(size=(neurons, n1))
+            rng.normal(size=neurons)
+            rng.normal(size=neurons)
+            rng.normal()
+            x = rng.normal(size=n1)
+            draws = [(rng.normal(size=n1), rng.normal(size=(n1, n2)))
+                     for _ in range(count)]
+            gain = rng.normal(size=n2) * 5.0
+            np.testing.assert_array_equal(ctx.net.input_weights, weights)
+            np.testing.assert_array_equal(ctx.x, x)
+            np.testing.assert_array_equal(ctx.offsets, [A for A, _ in draws])
+            np.testing.assert_array_equal(ctx.linears, [B for _, B in draws])
+            assert [p[0][0] for p in reward.pieces] == list(gain)
+            assert reward.constant == float(rng.normal() * 10.0)
+
     def test_dimensions(self):
         ctx, reward = make_bench_instance(2, 4, neurons=6,
                                           transition_samples=3,

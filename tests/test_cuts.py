@@ -19,6 +19,7 @@ from nnfvi.mdp import ActionBox, enumerate_actions
 from nnfvi.neural import ReluNet, forward
 
 from conftest import (
+    affine_noise,
     negative_part_value,
     positive_part_value,
     random_affine_spec,
@@ -63,6 +64,22 @@ class TestRecourseContext:
         ctx = RecourseContext(net, spec, x, spec.draw_noises(rng, 8))
         assert_cache_matches_per_neuron(ctx)
 
+    def test_wrong_transition_shape_is_refused(self):
+        # offsets of shape (n1,) for a batch of 4 would otherwise broadcast
+        rng = np.random.default_rng(3)
+        spec = random_affine_spec(rng, n1=3, n2=2, a_bar=[2, 2])
+        draws = spec.transition
+
+        def transition(x, xi):
+            offsets, linears = draws(x, xi)
+            return offsets[0], linears
+
+        spec.transition = transition
+        net = ReluNet(rng.normal(size=(4, 3)), rng.normal(size=4),
+                      rng.normal(size=4), 0.0)
+        with pytest.raises(ValueError, match=r"expected \(4, 3\) and \(4, 3, 2\)"):
+            RecourseContext(net, spec, np.zeros(3), spec.draw_noises(rng, 4))
+
 
 class TestRecourseValue:
     def test_dead_neurons_give_zero(self):
@@ -77,8 +94,8 @@ class TestRecourseValue:
         rng = np.random.default_rng(1)
         spec = random_affine_spec(rng, n1=2, n2=2, a_bar=[3, 3])
         net = ReluNet(np.array([[1.0, -1.0]]), np.array([0.5]), np.array([2.0]), 0.0)
-        xi = {"A": np.array([1.0, 0.25]), "B": np.array([[1.0, 0.0], [0.0, 2.0]])}
-        ctx = RecourseContext(net, spec, np.zeros(2), [xi])
+        xi = affine_noise([1.0, 0.25], [[1.0, 0.0], [0.0, 2.0]])
+        ctx = RecourseContext(net, spec, np.zeros(2), xi)
         # gamma1 = u @ B = (1, -2); gamma2 = u @ A + u0 = 0.75 + 0.5 = 1.25
         a = np.array([2, 1])
         assert recourse_value(ctx, a) == pytest.approx(2.0 * max(2.0 - 2.0 + 1.25, 0.0))
@@ -142,8 +159,8 @@ class TestPositiveCut:
         spec = random_affine_spec(rng, n1=2, n2=2, a_bar=[3, 3])
         net = ReluNet(np.array([[1.0, 0.0]]), np.array([0.0]), np.array([1.5]), 0.0)
         # positive coefficients and a large positive constant: min over box > 0
-        xi = {"A": np.array([10.0, 0.0]), "B": np.array([[1.0, 1.0], [0.0, 0.0]])}
-        ctx = RecourseContext(net, spec, np.zeros(2), [xi])
+        xi = affine_noise([10.0, 0.0], [[1.0, 1.0], [0.0, 0.0]])
+        ctx = RecourseContext(net, spec, np.zeros(2), xi)
         cut = positive_cut(ctx)
         np.testing.assert_allclose(cut.coef, 1.5 * np.array([1.0, 1.0]))
         assert cut.const == pytest.approx(1.5 * 10.0)
@@ -154,8 +171,8 @@ class TestPositiveCut:
         rng = np.random.default_rng(8)
         spec = random_affine_spec(rng, n1=2, n2=2, a_bar=[3, 3])
         net = ReluNet(np.array([[1.0, 0.0]]), np.array([0.0]), np.array([1.5]), 0.0)
-        xi = {"A": np.array([-100.0, 0.0]), "B": np.array([[1.0, 1.0], [0.0, 0.0]])}
-        ctx = RecourseContext(net, spec, np.zeros(2), [xi])
+        xi = affine_noise([-100.0, 0.0], [[1.0, 1.0], [0.0, 0.0]])
+        ctx = RecourseContext(net, spec, np.zeros(2), xi)
         cut = positive_cut(ctx)
         np.testing.assert_array_equal(cut.coef, 0.0)
         assert cut.const == 0.0
@@ -328,8 +345,8 @@ class TestRecourseUpperBound:
         rng = np.random.default_rng(13)
         spec = random_affine_spec(rng, n1=2, n2=2, a_bar=[3, 3])
         net = ReluNet(np.array([[1.0, 0.0]]), np.array([0.0]), np.array([2.0]), 0.0)
-        xi = {"A": np.array([-50.0, 0.0]), "B": np.array([[1.0, 1.0], [0.0, 0.0]])}
-        ctx = RecourseContext(net, spec, np.zeros(2), [xi])
+        xi = affine_noise([-50.0, 0.0], [[1.0, 1.0], [0.0, 0.0]])
+        ctx = RecourseContext(net, spec, np.zeros(2), xi)
         assert recourse_upper_bound(ctx) == 0.0
 
     def test_dominates_enumerated_maximum(self):

@@ -44,9 +44,15 @@ def small_spec(seed=0, n1=2, n2=2, a_bar=(2, 2), horizon=3, discount=0.9,
 
         spec.stage_reward = lambda t, x: linear_stage_reward(
             gain, constant=float(np.sum(x)))
-    # keep transitions inside the modest state box so clamping stays inert
-    spec.transition_A = lambda x, xi: 0.2 * x + 0.05 * xi["A"]
-    spec.transition_B = lambda x, xi: 0.05 * xi["B"]
+    # contract the state and damp the noise, so next states stay near the
+    # modest sampling box the networks are fitted on
+    draws = spec.transition
+
+    def transition(x, xi):
+        offsets, linears = draws(x, xi)
+        return 0.2 * x + 0.05 * offsets, 0.05 * linears
+
+    spec.transition = transition
     spec.initial_state = np.zeros(n1)
     return spec, reward
 
@@ -68,7 +74,7 @@ class TestBellmanTarget:
     def test_terminal_reward_independent_of_action(self):
         spec, _ = small_spec(constant_reward=3.5)
         rng = np.random.default_rng(0)
-        noises = [spec.noise_sampler(rng)]
+        noises = spec.draw_noises(rng, 1)
         x = np.array([0.1, -0.2])
         got = bellman_target(spec, {}, spec.horizon, x, noises,
                              McdConfig(engine="brute"))
@@ -79,7 +85,7 @@ class TestBellmanTarget:
         spec, reward = small_spec(seed=1)
         dead = ReluNet(np.zeros((1, 2)), np.zeros(1), np.zeros(1), 0.0)
         rng = np.random.default_rng(1)
-        noises = [spec.noise_sampler(rng) for _ in range(3)]
+        noises = spec.draw_noises(rng, 3)
         x = np.array([0.3, 0.4])
         got = bellman_target(spec, {2: dead}, 1, x, noises,
                              McdConfig(engine="brute"))
@@ -91,7 +97,7 @@ class TestBellmanTarget:
         rng = np.random.default_rng(2)
         net = ReluNet(rng.normal(size=(4, 2)), rng.normal(size=4),
                       rng.normal(size=4), float(rng.normal()))
-        noises = [spec.noise_sampler(rng) for _ in range(4)]
+        noises = spec.draw_noises(rng, 4)
         x = np.array([0.2, -0.1])
         n_actions = spec.action_box.count()
         res_brute = bellman_target(spec, {3: net}, 2, x, noises,
@@ -212,7 +218,7 @@ class TestGreedyPolicy:
         def objective(a):
             cache_rng = np.random.default_rng(
                 np.random.SeedSequence((3, 2, 0, 1)))
-            noises = [spec.noise_sampler(cache_rng) for _ in range(4)]
+            noises = spec.draw_noises(cache_rng, 4)
             ctx = RecourseContext(net, spec, x, noises)
             return (reward(2, x, a)
                     + spec.discount * recourse_value(ctx, a)

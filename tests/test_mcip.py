@@ -223,29 +223,45 @@ class TestMdpConstruction:
     def test_linear_part_structure(self):
         inst = synthetic_instance(seed=14)
         spec = build_mcip_mdp(inst)
-        B = spec.transition_B(spec.initial_state, 0.5)
-        np.testing.assert_array_equal(B[:2], np.eye(2))
-        np.testing.assert_array_equal(B[2:], np.zeros((2, 2)))
+        _, linears = spec.transition(spec.initial_state, np.array([0.5, 0.2]))
+        assert linears.shape == (2, 4, 2)
+        for B in linears:
+            np.testing.assert_array_equal(B[:2], np.eye(2))
+            np.testing.assert_array_equal(B[2:], np.zeros((2, 2)))
 
     def test_action_writes_capacity_block(self):
         inst = synthetic_instance(seed=15)
         spec = build_mcip_mdp(inst)
-        from nnfvi.mdp import affine_transition
         x = spec.initial_state
         a = np.array([2, 1])
-        nxt = affine_transition(spec, x, a, 0.3)
+        offsets, linears = spec.transition(x, np.array([0.3]))
+        nxt = offsets[0] + linears[0] @ a
         np.testing.assert_allclose(nxt[:2], [2.0, 1.0])
 
     def test_demand_transition_matches_model_sampling(self):
+        # oracle: DemandModel.next_index, one uniform at a time, including 0
+        # and the uniforms in [0, 1) on the kernel row's cumulative sums
         inst = synthetic_instance(seed=16)
         spec = build_mcip_mdp(inst)
         model = inst.demand
-        x = spec.initial_state
-        idx = model.index_of(x[2:])
-        for u in (0.05, 0.4, 0.95):
-            nxt = spec.transition_A(x, u)
-            np.testing.assert_allclose(
-                nxt[2:], model.support[model.next_index(idx, u)])
+        rng = np.random.default_rng(0)
+        for idx in range(model.size):
+            x = np.concatenate([[1.0, 2.0], model.support[idx]])
+            cdf = np.cumsum(model.kernel[idx])
+            us = np.concatenate([[0.0, 0.05, 0.4, 0.95], cdf[cdf < 1.0],
+                                 rng.uniform(size=200)])
+            offsets, _ = spec.transition(x, us)
+            assert offsets.shape == (us.size, 4)
+            np.testing.assert_array_equal(offsets[:, :2], 0.0)
+            for u, row in zip(us, offsets):
+                np.testing.assert_array_equal(
+                    row[2:], model.support[model.next_index(idx, float(u))])
+
+    def test_noise_batch_is_stratified(self):
+        spec = build_mcip_mdp(synthetic_instance(seed=16))
+        us = spec.draw_noises(np.random.default_rng(4), 8)
+        assert us.shape == (8,)
+        np.testing.assert_array_equal(np.sort(np.floor(us * 8)), np.arange(8))
 
     def test_state_sampler_demand_on_lattice(self):
         inst = synthetic_instance(seed=17)

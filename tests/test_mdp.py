@@ -7,24 +7,18 @@ from nnfvi.mdp import (
     ActionSpaceTooLargeError,
     InfeasibleActionError,
     MdpSpec,
-    affine_transition,
     enumerate_actions,
     sample_states,
 )
 
 
-def make_spec(n1=2, n2=2, bounds_half_width=1e6, horizon=3, seed=0):
-    """Synthetic affine MDP whose transition data is drawn once per noise draw."""
-    bounds = np.column_stack([
-        np.full(n1, -bounds_half_width),
-        np.full(n1, bounds_half_width),
-    ])
+def make_spec(n1=2, n2=2, horizon=3, seed=0):
+    """Synthetic affine MDP: each noise row holds ``A`` and then ``B`` row by
+    row, and the next state is ``A + 0.5 x + B a``."""
+    bounds = np.column_stack([np.full(n1, -1e6), np.full(n1, 1e6)])
 
-    def noise_sampler(rng):
-        return {
-            "A": rng.normal(size=n1),
-            "B": rng.normal(size=(n1, n2)),
-        }
+    def transition(x, xi):
+        return xi[:, :n1] + 0.5 * x, xi[:, n1:].reshape(-1, n1, n2)
 
     return MdpSpec(
         horizon=horizon,
@@ -32,75 +26,73 @@ def make_spec(n1=2, n2=2, bounds_half_width=1e6, horizon=3, seed=0):
         state_dim=n1,
         state_bounds=bounds,
         action_box=ActionBox(np.full(n2, 3)),
-        noise_sampler=noise_sampler,
-        transition_A=lambda x, xi: xi["A"] + 0.5 * x,
-        transition_B=lambda x, xi: xi["B"],
+        draw_noises=lambda rng, count: rng.normal(size=(count, n1 + n1 * n2)),
+        transition=transition,
         stage_reward=lambda t, x: linear_stage_reward(-np.ones(n2),
                                                       constant=float(np.sum(x))),
     )
 
 
+def next_state(spec, x, a, xi):
+    """``offsets + linears @ a`` for the one-draw batch ``xi``."""
+    offsets, linears = spec.transition(x, xi)
+    return offsets[0] + linears[0] @ np.asarray(a, dtype=float)
+
+
 class TestAffineTransition:
     def test_zero_linear_part(self):
         spec = make_spec()
-        xi = {"A": np.array([1.0, -2.0]), "B": np.zeros((2, 2))}
+        xi = np.array([[1.0, -2.0, 0.0, 0.0, 0.0, 0.0]])
         x = np.array([0.5, 0.25])
         for a in ([0, 0], [1, 2], [3, 3]):
-            nxt = affine_transition(spec, x, np.array(a), xi)
-            np.testing.assert_allclose(nxt, xi["A"] + 0.5 * x)
+            nxt = next_state(spec, x, a, xi)
+            np.testing.assert_allclose(nxt, [1.0, -2.0] + 0.5 * x)
 
     def test_zero_action_gives_offset(self):
         spec = make_spec()
         rng = np.random.default_rng(1)
-        xi = spec.noise_sampler(rng)
+        xi = spec.draw_noises(rng, 1)
         x = np.array([1.0, 2.0])
-        nxt = affine_transition(spec, x, np.zeros(2, dtype=int), xi)
-        np.testing.assert_allclose(nxt, spec.transition_A(x, xi))
+        nxt = next_state(spec, x, np.zeros(2, dtype=int), xi)
+        np.testing.assert_allclose(nxt, xi[0, :2] + 0.5 * x)
 
     def test_matches_elementwise_hand_expansion(self):
-        # oracle: expand A + B a component by component in explicit loops
+        # oracle: read A and B off the noise row and expand A + 0.5 x + B a
+        # component by component in explicit loops
         spec = make_spec()
         rng = np.random.default_rng(7)
         for _ in range(20):
-            xi = spec.noise_sampler(rng)
+            xi = spec.draw_noises(rng, 1)
             x = rng.normal(size=2)
             a = rng.integers(0, 4, size=2)
-            A = spec.transition_A(x, xi)
-            B = spec.transition_B(x, xi)
+            row = xi[0]
             expected = np.array([
-                A[i] + sum(B[i, n] * a[n] for n in range(2)) for i in range(2)
+                row[i] + 0.5 * x[i] + sum(row[2 + 2 * i + n] * a[n] for n in range(2))
+                for i in range(2)
             ])
-            got = affine_transition(spec, x, a, xi)
+            got = next_state(spec, x, a, xi)
             np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
 
     def test_infeasible_action_names_bound(self):
-        spec = make_spec()
-        xi = spec.noise_sampler(np.random.default_rng(0))
+        box = make_spec().action_box
         with pytest.raises(InfeasibleActionError, match="above upper bound 3"):
-            affine_transition(spec, np.zeros(2), np.array([0, 4]), xi)
+            box.check(np.array([0, 4]))
         with pytest.raises(InfeasibleActionError, match="below lower bound 0"):
-            affine_transition(spec, np.zeros(2), np.array([-1, 0]), xi)
-
-    def test_clamped_to_state_bounds(self):
-        spec = make_spec(bounds_half_width=1.0)
-        xi = {"A": np.array([50.0, -50.0]), "B": np.zeros((2, 2))}
-        nxt = affine_transition(spec, np.zeros(2), np.zeros(2, dtype=int), xi)
-        np.testing.assert_allclose(nxt, [1.0, -1.0])
+            box.check(np.array([-1, 0]))
 
     def test_affinity_property(self):
-        # f(x, lam*a1 + (1-lam)*a2, xi) interpolates exactly, pre-clamp
+        # f(x, lam*a1 + (1-lam)*a2, xi) interpolates exactly
         spec = make_spec()
         rng = np.random.default_rng(11)
         for _ in range(50):
-            xi = spec.noise_sampler(rng)
+            xi = spec.draw_noises(rng, 1)
             x = rng.normal(size=2)
             a1 = rng.integers(0, 4, size=2).astype(float)
             a2 = rng.integers(0, 4, size=2).astype(float)
             lam = rng.uniform()
-            A = spec.transition_A(x, xi)
-            B = spec.transition_B(x, xi)
-            mix = A + B @ (lam * a1 + (1 - lam) * a2)
-            combo = lam * (A + B @ a1) + (1 - lam) * (A + B @ a2)
+            mix = next_state(spec, x, lam * a1 + (1 - lam) * a2, xi)
+            combo = (lam * next_state(spec, x, a1, xi)
+                     + (1 - lam) * next_state(spec, x, a2, xi))
             np.testing.assert_allclose(mix, combo, rtol=1e-12, atol=1e-12)
 
 
