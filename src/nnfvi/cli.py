@@ -199,7 +199,8 @@ def cmd_mcd_bench(config: dict, out_dir: Path) -> int:
     chash = _config_hash(config)
 
     header = ["instance", "facilities", "algorithm", "stop_criterion",
-              "iterations", "objective_currency", "relative_gap_pct"]
+              "iterations", "objective_currency", "relative_gap_pct",
+              "fell_back"]
     rows = []
     trace_rows = []
     timing_rows = []
@@ -233,7 +234,7 @@ def cmd_mcd_bench(config: dict, out_dir: Path) -> int:
                     else:
                         gap = "-"
                 rows.append([case, int(n2), engine, stop, res.iterations,
-                             repr(res.objective), gap])
+                             repr(res.objective), gap, int(res.fell_back)])
                 timing_rows.append([case, engine, repr(elapsed)])
 
     _write_csv(out_dir / "mcd_bench.csv", header, rows, chash)

@@ -32,9 +32,6 @@ class LinearCut:
     coef: np.ndarray
     const: float
 
-    def value(self, a: np.ndarray) -> float:
-        return float(self.coef @ np.asarray(a, dtype=float) + self.const)
-
     def values(self, actions: np.ndarray) -> np.ndarray:
         return np.asarray(actions, dtype=float) @ self.coef + self.const
 
@@ -84,6 +81,12 @@ class RecourseContext:
     @property
     def s2(self) -> int:
         return len(self.noises)
+
+    @cached_property
+    def positive_part_cut(self) -> LinearCut:
+        """:func:`positive_cut` of this context, computed on first use only:
+        it does not depend on the anchor."""
+        return positive_cut(self)
 
     def preactivations(self, a: np.ndarray) -> np.ndarray:
         """Per-scenario, per-neuron preactivations at one action, shape (S2, J)."""
@@ -169,7 +172,7 @@ def positive_cut(ctx: RecourseContext) -> LinearCut:
 
 def combined_cut(ctx: RecourseContext, anchor: np.ndarray) -> LinearCut:
     """Valid cut for the full recourse: gradient cut plus positive-neuron cut."""
-    return gradient_cut(ctx, anchor) + positive_cut(ctx)
+    return gradient_cut(ctx, anchor) + ctx.positive_part_cut
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ MILP encodes the same pieces as rows.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -108,6 +108,8 @@ class SelectionResult:
     upper_bound: float
     iterations: int
     trace: list = field(default_factory=list)  # (iteration, lower, upper, action)
+    fell_back: bool = False   # a decomposition engine's MILP failed, so this
+                              # is the brute-force result
 
     def trace_rows(self) -> list:
         """CSV-ready rows: iteration, lower bound, upper bound, action string."""
@@ -239,6 +241,13 @@ def _neighbours(box: ActionBox, a: np.ndarray) -> np.ndarray:
     return cand[((cand >= 0) & (cand <= box.upper_bounds)).all(axis=1)]
 
 
+def _fall_back(ctx: RecourseContext, reward: StageReward,
+               reason: str) -> SelectionResult:
+    """Brute-force result marked ``fell_back``, with a RuntimeWarning."""
+    warnings.warn(f"{reason}; falling back to brute force", RuntimeWarning)
+    return replace(select_action_bruteforce(ctx, reward), fell_back=True)
+
+
 def _decompose(ctx: RecourseContext, reward: StageReward, config: McdConfig,
                use_combined: bool) -> SelectionResult:
     """Multi-cut decomposition (integer optimality plus combined cuts) or,
@@ -288,17 +297,9 @@ def _decompose(ctx: RecourseContext, reward: StageReward, config: McdConfig,
         try:
             sol = solve_milp(fp.milp, tol=MILP_TOLERANCE, warm_start=warm)
         except (LpNumericalError, NodeLimitError) as err:
-            warnings.warn(
-                f"first-stage MILP failed ({err}); falling back to brute force",
-                RuntimeWarning,
-            )
-            return select_action_bruteforce(ctx, reward)
+            return _fall_back(ctx, reward, f"first-stage MILP failed ({err})")
         if sol.status != "optimal":
-            warnings.warn(
-                f"first-stage MILP status {sol.status}; falling back to brute force",
-                RuntimeWarning,
-            )
-            return select_action_bruteforce(ctx, reward)
+            return _fall_back(ctx, reward, f"first-stage MILP status {sol.status}")
 
         a_next = fp.decode_action(sol.x)
         key = tuple(int(v) for v in a_next)

@@ -5,6 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nnfvi import mcd
+from nnfvi.bnb import MilpSolution
 from nnfvi.cli import (
     EXIT_DOMAIN,
     EXIT_OK,
@@ -102,6 +104,7 @@ class TestMcdBench:
             assert abs(float(r[gap_col])) <= 1e-6  # relative gap vs brute force
         # stop criterion renders in the benchmark table style
         assert all(r[3] == "0%/100 steps" for r in mcd_rows)
+        assert {r[header.index("fell_back")] for r in rows} == {"0"}
         trace_header, trace_rows = read_csv(out / "mcd_bench_traces.csv")
         assert trace_header[2] == "iteration"
         assert trace_rows
@@ -134,6 +137,22 @@ class TestMcdBench:
         header, rows = read_csv(out1 / "mcd_bench_timings.csv")
         assert header == ["instance", "algorithm", "wall_time_s"]
         assert len(rows) == 6
+
+    def test_fallback_column_marks_brute_force_runs(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(mcd, "solve_milp",
+                            lambda *args, **kwargs: MilpSolution(status="infeasible"))
+        cfg = write_config(tmp_path, "bench.json", {
+            "seed": 1,
+            "suite": {"instances": 1, "facilities": [2], "neurons": 4,
+                      "transition_samples": 2, "capacity_levels": 1},
+            "engines": ["brute", "mcd"],
+        })
+        out = tmp_path / "out"
+        with pytest.warns(RuntimeWarning, match="falling back to brute force"):
+            assert main(["mcd-bench", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        header, rows = read_csv(out / "mcd_bench.csv")
+        column = header.index("fell_back")
+        assert {r[2]: r[column] for r in rows} == {"brute": "0", "mcd": "1"}
 
     def test_empty_suite_header_only(self, tmp_path):
         cfg = write_config(tmp_path, "bench.json", {

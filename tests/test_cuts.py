@@ -147,10 +147,10 @@ class TestGradientCut:
             rng = np.random.default_rng(seed)
             anchor = actions[rng.integers(len(actions))]
             cut = gradient_cut(ctx, anchor)
-            assert cut.value(anchor) == pytest.approx(
+            assert cut.values([anchor])[0] == pytest.approx(
                 negative_part_value(ctx, anchor), abs=1e-10)
-            for a in actions:
-                assert cut.value(a) >= negative_part_value(ctx, a) - 1e-9
+            for a, value in zip(actions, cut.values(actions)):
+                assert value >= negative_part_value(ctx, a) - 1e-9
 
 
 class TestPositiveCut:
@@ -164,8 +164,9 @@ class TestPositiveCut:
         cut = positive_cut(ctx)
         np.testing.assert_allclose(cut.coef, 1.5 * np.array([1.0, 1.0]))
         assert cut.const == pytest.approx(1.5 * 10.0)
-        for a in enumerate_actions(spec.action_box):
-            assert cut.value(a) == pytest.approx(positive_part_value(ctx, a), abs=1e-12)
+        actions = enumerate_actions(spec.action_box)
+        for a, value in zip(actions, cut.values(actions)):
+            assert value == pytest.approx(positive_part_value(ctx, a), abs=1e-12)
 
     def test_never_active_neuron_vanishes(self):
         rng = np.random.default_rng(8)
@@ -181,8 +182,9 @@ class TestPositiveCut:
         for seed in range(20):
             ctx = random_context(seed + 80, j=6, n2=2, s2=3, a_bar=[4, 4])
             cut = positive_cut(ctx)
-            for a in enumerate_actions(ctx.spec.action_box):
-                assert cut.value(a) >= positive_part_value(ctx, a) - 1e-9
+            actions = enumerate_actions(ctx.spec.action_box)
+            for a, value in zip(actions, cut.values(actions)):
+                assert value >= positive_part_value(ctx, a) - 1e-9
 
     def test_anchor_independence(self):
         ctx = random_context(9)
@@ -211,8 +213,7 @@ class TestPositiveCut:
             if denom > 0:
                 assert max_pre / denom <= 1.0 + 1e-12
             cut = positive_cut(ctx)
-            for a in enumerate_actions(ctx.spec.action_box):
-                assert cut.value(a) >= -1e-12
+            assert np.all(cut.values(enumerate_actions(ctx.spec.action_box)) >= -1e-12)
 
 
 class TestCombinedCut:
@@ -244,8 +245,8 @@ class TestCombinedCut:
             actions = enumerate_actions(ctx.spec.action_box)
             anchor = actions[seed % len(actions)]
             cut = combined_cut(ctx, anchor)
-            for a in actions:
-                assert cut.value(a) >= recourse_value(ctx, a) - 1e-9
+            for a, value in zip(actions, cut.values(actions)):
+                assert value >= recourse_value(ctx, a) - 1e-9
 
 
 class TestBinaryEncoding:

