@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .cuts import RecourseContext
-from .mcd import McdConfig, select_action
+from .mcd import McdConfig, SelectionResult, select_action
 from .mdp import MdpSpec, sample_states
 from .neural import RegressionSet, ReluNet, TrainConfig, fit, loss
 
@@ -104,9 +104,9 @@ def _zero_net(state_dim: int) -> ReluNet:
     return ReluNet(np.zeros((1, state_dim)), np.zeros(1), np.zeros(1), 0.0)
 
 
-def bellman_target(spec: MdpSpec, nets: dict, t: int, x: np.ndarray,
-                   noises: np.ndarray, config: McdConfig) -> float:
-    """One-step lookahead value at ``(t, x)`` under the chosen engine.
+def _decide(spec: MdpSpec, nets: dict, t: int, x: np.ndarray,
+            noises: np.ndarray, config: McdConfig) -> SelectionResult:
+    """Best action at ``(t, x)`` against the period ``t+1`` network.
 
     At the terminal period the continuation is zero; otherwise the fitted
     period ``t+1`` network is averaged over the supplied noise draws, which
@@ -119,7 +119,13 @@ def bellman_target(spec: MdpSpec, nets: dict, t: int, x: np.ndarray,
     else:
         net = _zero_net(spec.state_dim)
     ctx = RecourseContext(net, spec, x, noises)
-    return select_action(ctx, spec.stage_reward(t, x), config).objective
+    return select_action(ctx, spec.stage_reward(t, x), config)
+
+
+def bellman_target(spec: MdpSpec, nets: dict, t: int, x: np.ndarray,
+                   noises: np.ndarray, config: McdConfig) -> float:
+    """One-step lookahead value at ``(t, x)`` under the chosen engine."""
+    return _decide(spec, nets, t, x, noises, config).objective
 
 
 def run_nnfvi(spec: MdpSpec, config: FviConfig) -> tuple[FittedValueSet, float]:
@@ -171,22 +177,16 @@ def greedy_policy(spec: MdpSpec, nets: dict, config: McdConfig,
                   transition_samples: int, seed: int) -> Callable:
     """One-step greedy policy induced by the fitted networks.
 
-    The lookahead noise is drawn once per period from the policy's own seed,
-    so decisions are deterministic and alternatives at the same period share
-    draws.
+    The lookahead noise for each period is drawn up front from the policy's
+    own seed, so a decision is a function of ``(t, x)`` alone and
+    alternatives at the same period share draws.  Decisions are made by the
+    same code as :func:`bellman_target`.
     """
-    noise_cache: dict = {}
+    noises = {t: spec.draw_noises(_substream(seed, t, 0, _NOISE), transition_samples)
+              for t in range(1, spec.horizon + 1)}
 
     def policy(t: int, x: np.ndarray) -> np.ndarray:
-        if t not in noise_cache:
-            rng = _substream(seed, t, 0, _NOISE)
-            noise_cache[t] = spec.draw_noises(rng, transition_samples)
-        if t < spec.horizon:
-            net = nets[t + 1]
-        else:
-            net = _zero_net(spec.state_dim)
-        ctx = RecourseContext(net, spec, x, noise_cache[t])
-        return select_action(ctx, spec.stage_reward(t, x), config).action
+        return _decide(spec, nets, t, x, noises[t], config).action
 
     return policy
 

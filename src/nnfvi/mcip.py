@@ -65,16 +65,21 @@ class DemandModel:
         d = np.asarray(d, dtype=float)
         return int(np.argmin(np.abs(self.support - d).sum(axis=1)))
 
-    def next_index(self, idx: int, u: float) -> int:
-        """Inverse-CDF transition given one uniform draw."""
-        return int(np.searchsorted(np.cumsum(self.kernel[idx]), u, side="right"))
+    def next_index(self, idx: int, u: float | np.ndarray) -> int | np.ndarray:
+        """Inverse-CDF transition from row ``idx``, per uniform draw in ``u``.
+
+        A row may sum to slightly less than one; draws above its last
+        cumulative value land on the last row.
+        """
+        cdf = np.cumsum(self.kernel[idx])
+        return np.minimum(np.searchsorted(cdf, u, side="right"), self.size - 1)
 
     def sample_path(self, start_idx: int, length: int,
                     rng: np.random.Generator) -> np.ndarray:
         path = np.empty(length, dtype=np.int64)
         path[0] = start_idx
         for t in range(1, length):
-            path[t] = self.next_index(path[t - 1], float(rng.uniform()))
+            path[t] = self.next_index(path[t - 1], rng.uniform())
         return path
 
 
@@ -329,10 +334,8 @@ def build_mcip_mdp(instance: McipInstance) -> MdpSpec:
     linear = np.vstack([np.eye(N), np.zeros((I, N))])
 
     def transition(x, us):
-        # the inverse-CDF rule of DemandModel.next_index, for all draws at once
-        cdf = np.cumsum(demand.kernel[demand.index_of(x[N:])])
         offsets = np.zeros((len(us), n1))
-        offsets[:, N:] = demand.support[np.searchsorted(cdf, us, side="right")]
+        offsets[:, N:] = demand.support[demand.next_index(demand.index_of(x[N:]), us)]
         return offsets, np.broadcast_to(linear, (len(us), n1, N))
 
     lattice_caps = enumerate_actions(ActionBox(instance.capacity_max))
@@ -441,27 +444,32 @@ def simulate_policy_on_paths(instance: McipInstance, policy: Callable,
                              paths: np.ndarray) -> SimulationResult:
     """Discounted rollout of ``policy`` along pre-drawn demand paths.
 
-    Reusing one path set across policies gives common-random-number
-    comparisons.
+    All paths advance together, one period at a time.  The policy's action
+    must be a function of ``(t, x)`` alone: it is called once per distinct
+    state per period (never at the horizon, where everything is salvaged),
+    and paths sharing a state share its action and stage reward.  Reusing
+    one path set across policies gives common-random-number comparisons.
     """
     n_paths, T = paths.shape
     if T != instance.horizon:
         raise ValueError("path length must equal the horizon")
     N = instance.facilities
-    npvs = np.empty(n_paths)
-    for p in range(n_paths):
-        capacity = instance.initial_capacity.astype(float).copy()
-        total = 0.0
-        for t in range(1, T + 1):
-            demand = instance.demand.support[paths[p, t - 1]]
-            x = np.concatenate([capacity, demand])
-            action = np.zeros(N) if t == T else np.asarray(
-                policy(t, x), dtype=float)
-            state = CapacityState(capacity=capacity, demand=demand)
-            total += instance.discount ** (t - 1) * mcip_reward(
-                instance, t, state, action)
-            capacity = action
-        npvs[p] = total
+    npvs = np.zeros(n_paths)
+    capacity = np.tile(instance.initial_capacity.astype(float), (n_paths, 1))
+    for t in range(1, T + 1):
+        keys = np.column_stack([capacity, paths[:, t - 1]])
+        states, rows = np.unique(keys, axis=0, return_inverse=True)
+        rows = rows.reshape(-1)  # numpy 2.0.0 returns the inverse 2-D
+        actions = np.zeros((len(states), N))
+        rewards = np.empty(len(states))
+        for k, key in enumerate(states):
+            demand = instance.demand.support[int(key[N])]
+            if t < T:
+                actions[k] = policy(t, np.concatenate([key[:N], demand]))
+            rewards[k] = mcip_reward(instance, t, CapacityState(key[:N], demand),
+                                     actions[k])
+        npvs += instance.discount ** (t - 1) * rewards[rows]
+        capacity = actions[rows]
     se = float(npvs.std(ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
     return SimulationResult(mean=float(npvs.mean()), std_error=se, npvs=npvs)
 

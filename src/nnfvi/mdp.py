@@ -62,19 +62,16 @@ class ActionBox:
             raise InfeasibleActionError(
                 f"action has shape {a.shape}, expected ({self.dims},)"
             )
-        if not np.allclose(a, np.round(a), atol=1e-9):
+        rounded = np.round(a)
+        if not np.all(np.abs(a - rounded) <= 1e-9):
             raise InfeasibleActionError(f"action {a} is not integer-valued")
-        a = np.round(a).astype(np.int64)
-        for n in range(self.dims):
-            if a[n] < 0:
-                raise InfeasibleActionError(
-                    f"action component {n} is {a[n]}, below lower bound 0"
-                )
-            if a[n] > self.upper_bounds[n]:
-                raise InfeasibleActionError(
-                    f"action component {n} is {a[n]}, above upper bound "
-                    f"{self.upper_bounds[n]}"
-                )
+        a = rounded.astype(np.int64)
+        outside = np.flatnonzero((a < 0) | (a > self.upper_bounds))
+        if outside.size:
+            n = outside[0]
+            bound = ("below lower bound 0" if a[n] < 0
+                     else f"above upper bound {self.upper_bounds[n]}")
+            raise InfeasibleActionError(f"action component {n} is {a[n]}, {bound}")
         return a
 
 

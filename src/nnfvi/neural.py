@@ -86,6 +86,15 @@ class ReluNet:
         return ReluNet.from_json_dict(json.loads(text))
 
 
+# Levenberg-Marquardt damping schedule and stopping tolerance of the
+# trainer; implementation defaults, not values from the source problem
+_DAMPING_INIT = 1e-2
+_DAMPING_SHRINK = 0.5
+_DAMPING_GROW = 4.0
+_DAMPING_MAX = 1e10
+_LOSS_TOLERANCE = 1e-12
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Knobs for the damped Gauss-Newton trainer.
@@ -98,11 +107,6 @@ class TrainConfig:
     regularization: float = 0.0
     restarts: int = 5
     max_epochs: int = 200
-    damping_init: float = 1e-2
-    damping_shrink: float = 0.5
-    damping_grow: float = 4.0
-    damping_max: float = 1e10
-    loss_tolerance: float = 1e-12
 
     def __post_init__(self):
         if self.regularization < 0:
@@ -166,27 +170,13 @@ def loss(net: ReluNet, data: RegressionSet, beta: float) -> float:
 def gradient(net: ReluNet, data: RegressionSet, beta: float) -> np.ndarray:
     """Exact gradient of :func:`loss` in the flat parameter layout.
 
-    The ReLU subgradient at a kink is taken as 0, matching the strict
-    activation indicator used by the cut construction.
+    Built from the Jacobian the trainer uses.  The ReLU subgradient at a
+    kink is taken as 0, matching the strict activation indicator used by
+    the cut construction.
     """
-    X = data.inputs
-    S = len(data)
-    pre = X @ net.input_weights.T + net.input_biases  # (S, J)
-    act = np.maximum(pre, 0.0)
-    on = (pre > 0.0).astype(float)
-    resid = act @ net.output_weights + net.output_bias - data.targets  # (S,)
-
-    scale = 2.0 / S
-    # d/dw_j, d/dw0
-    g_w = scale * (resid @ act)
-    g_w0 = scale * np.sum(resid)
-    # d/du_j, d/du0_j: chain through the active indicator
-    back = (resid[:, None] * on) * net.output_weights  # (S, J)
-    g_u = scale * (back.T @ X)
-    g_u0 = scale * np.sum(back, axis=0)
-
-    grad = np.concatenate([g_u.ravel(), g_u0, g_w, [g_w0]])
-    return grad + beta * _flatten(net)
+    y = _flatten(net)
+    resid, jac = _residuals_jacobian(y, data, net.neuron_count, net.input_dim)
+    return (2.0 / len(data)) * (jac.T @ resid) + beta * y
 
 
 def split_neurons(net: ReluNet) -> tuple[list[int], list[int]]:
@@ -246,7 +236,7 @@ def _descend(data: RegressionSet, start: ReluNet, config: TrainConfig) -> tuple[
     S = len(data)
     y = _flatten(start)
     cur = loss(start, data, beta)
-    lam = config.damping_init
+    lam = _DAMPING_INIT
     eye = np.eye(y.size)
     for _ in range(config.max_epochs):
         resid, jac = _residuals_jacobian(y, data, J, n1)
@@ -255,24 +245,24 @@ def _descend(data: RegressionSet, start: ReluNet, config: TrainConfig) -> tuple[
         g = (2.0 / S) * (jac.T @ resid) + beta * y
         H = (2.0 / S) * (jac.T @ jac) + beta * eye
         accepted = False
-        while lam <= config.damping_max:
+        while lam <= _DAMPING_MAX:
             try:
                 step = np.linalg.solve(H + lam * eye, -g)
             except np.linalg.LinAlgError:
-                lam *= config.damping_grow
+                lam *= _DAMPING_GROW
                 continue
             cand = y + step
             cand_loss = loss(_unflatten(cand, J, n1), data, beta)
             if np.isfinite(cand_loss) and cand_loss < cur:
                 improvement = cur - cand_loss
                 y, cur = cand, cand_loss
-                lam = max(lam * config.damping_shrink, 1e-12)
+                lam = max(lam * _DAMPING_SHRINK, 1e-12)
                 accepted = True
                 break
-            lam *= config.damping_grow
+            lam *= _DAMPING_GROW
         if not accepted:
             break
-        if improvement < config.loss_tolerance:
+        if improvement < _LOSS_TOLERANCE:
             break
     return _unflatten(y, J, n1), cur
 

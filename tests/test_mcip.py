@@ -25,7 +25,7 @@ from nnfvi.mcip import (
     with_parameters,
 )
 from nnfvi.mdp import ActionBox, enumerate_actions
-from nnfvi.neural import TrainConfig
+from nnfvi.neural import ReluNet, TrainConfig
 
 from test_simplex import enumerate_vertex_optimum
 
@@ -92,6 +92,21 @@ class TestDemandModels:
         assert model.index_of(np.array([2.0])) == 1
         assert model.next_index(1, 0.0) == 0
         assert model.next_index(1, 0.999) == 2
+
+    def test_short_kernel_row_steps_to_last_row(self):
+        # a row summing to 1 - 1e-13 passes validation; a draw above its
+        # last cumulative value must land on the last row, not past it
+        support = np.array([[1.0, 1.0], [2.0, 2.0]])
+        kernel = np.array([[0.5, 0.5 - 1e-13], [0.5, 0.5]])
+        model = DemandModel(support=support, kernel=kernel)
+        u = 1.0 - 1e-14
+        assert model.next_index(0, u) == 1
+        assert model.next_index(0, 0.25) == 0
+        inst = dataclasses.replace(synthetic_instance(seed=17), demand=model,
+                                   initial_demand=support[0])
+        offsets, _ = build_mcip_mdp(inst).transition(
+            np.array([0.0, 0.0, 1.0, 1.0]), np.array([0.25, u]))
+        np.testing.assert_array_equal(offsets[:, 2:], support)
 
 
 class TestOperatingProfit:
@@ -239,8 +254,9 @@ class TestMdpConstruction:
         np.testing.assert_allclose(nxt[:2], [2.0, 1.0])
 
     def test_demand_transition_matches_model_sampling(self):
-        # oracle: DemandModel.next_index, one uniform at a time, including 0
-        # and the uniforms in [0, 1) on the kernel row's cumulative sums
+        # oracle: the first row whose cumulative probability exceeds the
+        # draw, one uniform at a time, including 0 and the uniforms in
+        # [0, 1) on the kernel row's cumulative sums
         inst = synthetic_instance(seed=16)
         spec = build_mcip_mdp(inst)
         model = inst.demand
@@ -254,8 +270,9 @@ class TestMdpConstruction:
             assert offsets.shape == (us.size, 4)
             np.testing.assert_array_equal(offsets[:, :2], 0.0)
             for u, row in zip(us, offsets):
-                np.testing.assert_array_equal(
-                    row[2:], model.support[model.next_index(idx, float(u))])
+                step = next(k for k in range(model.size) if cdf[k] > u)
+                assert model.next_index(idx, float(u)) == step
+                np.testing.assert_array_equal(row[2:], model.support[step])
 
     def test_noise_batch_is_stratified(self):
         spec = build_mcip_mdp(synthetic_instance(seed=16))
@@ -337,7 +354,73 @@ class TestExtendedValueEquivalence:
             assert mid >= 0.5 * terminal_value(K1) + 0.5 * terminal_value(K2) - 1e-8
 
 
+def rollout_per_path(instance, policy, paths):
+    """Reference rollout: one path at a time, the policy called at every
+    step before the horizon; returns the NPVs and the states visited."""
+    N, T = instance.facilities, instance.horizon
+    npvs = np.empty(len(paths))
+    visited = set()
+    for p in range(len(paths)):
+        capacity = instance.initial_capacity.astype(float).copy()
+        total = 0.0
+        for t in range(1, T + 1):
+            demand = instance.demand.support[paths[p, t - 1]]
+            x = np.concatenate([capacity, demand])
+            if t < T:
+                visited.add((t, tuple(x)))
+            action = np.zeros(N) if t == T else np.asarray(
+                policy(t, x), dtype=float)
+            state = CapacityState(capacity=capacity, demand=demand)
+            total += instance.discount ** (t - 1) * mcip_reward(
+                instance, t, state, action)
+            capacity = action
+        npvs[p] = total
+    return npvs, visited
+
+
+def random_greedy_policy(instance, seed):
+    """Greedy policy over random networks; its decisions vary with demand."""
+    spec = build_mcip_mdp(instance)
+    rng = np.random.default_rng(seed)
+    nets = {t: ReluNet(rng.normal(size=(6, spec.state_dim)), rng.normal(size=6),
+                       rng.normal(size=6) * 5.0, 0.0)
+            for t in range(2, instance.horizon + 1)}
+    return greedy_policy(spec, nets, McdConfig(engine="brute"),
+                         transition_samples=4, seed=seed)
+
+
 class TestSimulation:
+    def test_matches_per_path_rollout_bit_for_bit(self):
+        inst = synthetic_instance(seed=35, horizon=4)
+        paths = draw_demand_paths(inst, 200, np.random.default_rng(8))
+        greedy = random_greedy_policy(inst, seed=3)
+        plan = constant_capacity_policy(inst, np.array([2, 1]))
+        for policy in (greedy, plan):
+            expected, visited = rollout_per_path(inst, policy, paths)
+            result = simulate_policy_on_paths(inst, policy, paths)
+            np.testing.assert_array_equal(result.npvs, expected)
+            assert result.mean == float(expected.mean())
+            assert result.std_error == float(
+                expected.std(ddof=1) / np.sqrt(len(expected)))
+            if policy is greedy:
+                # the greedy paths branch: period-3 states hold several capacities
+                assert len({x[:2] for t, x in visited if t == 3}) > 1
+
+    def test_policy_called_once_per_distinct_state(self):
+        inst = synthetic_instance(seed=35, horizon=4)
+        paths = draw_demand_paths(inst, 200, np.random.default_rng(8))
+        greedy = random_greedy_policy(inst, seed=3)
+        calls = []
+
+        def counted(t, x):
+            calls.append((t, tuple(x)))
+            return greedy(t, x)
+
+        simulate_policy_on_paths(inst, counted, paths)
+        _, visited = rollout_per_path(inst, greedy, paths)
+        assert len(calls) == len(set(calls))
+        assert set(calls) == visited
+
     def test_zero_capacity_matches_analytic_expectation(self):
         inst = synthetic_instance(seed=21, markov=False)  # iid demand
         policy = constant_capacity_policy(inst, np.zeros(2))

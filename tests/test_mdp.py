@@ -80,6 +80,22 @@ class TestAffineTransition:
         with pytest.raises(InfeasibleActionError, match="below lower bound 0"):
             box.check(np.array([-1, 0]))
 
+    def test_check_reports_first_violating_component(self):
+        box = make_spec().action_box
+        with pytest.raises(InfeasibleActionError,
+                           match="component 0 is 5, above upper bound 3"):
+            box.check(np.array([5, -1]))
+        with pytest.raises(InfeasibleActionError,
+                           match="component 1 is -2, below lower bound 0"):
+            box.check(np.array([1, -2]))
+        np.testing.assert_array_equal(box.check(np.array([3.0, 1e-10])), [3, 0])
+
+    def test_check_rejects_near_integers(self):
+        # 3.00002 is within np.allclose's default relative tolerance of 3
+        box = make_spec().action_box
+        with pytest.raises(InfeasibleActionError, match="not integer-valued"):
+            box.check(np.array([3.00002, 1.0]))
+
     def test_affinity_property(self):
         # f(x, lam*a1 + (1-lam)*a2, xi) interpolates exactly
         spec = make_spec()

@@ -47,3 +47,13 @@ def test_workload_inputs_build_and_select_runs():
                                        workloads.McdConfig(engine="brute")).objective
     tol = workloads.BRACKET_TOL * max(1.0, abs(best))
     assert res.objective <= best + tol and res.upper_bound >= best - tol
+
+
+@pytest.mark.skipif(not WORKLOADS.is_file(),
+                    reason="perfbench/workloads.py not present")
+def test_sweep_passes_pass_their_check():
+    workloads = _load(WORKLOADS, "perfbench_workloads")
+    sweep = workloads.WORKLOADS["sweep"](0)
+    check = sweep.check([sweep.run_pass(), sweep.run_pass()])
+    assert check.problems == []
+    assert check.failed_ops == 0
