@@ -1,20 +1,25 @@
 """Branch-and-bound over binary variables with simplex LP relaxations.
 
 Best-first node order on the relaxation bound, most-fractional branching
-with lowest-index tie-breaks, and a defensive node cap.  The solver proves
-optimality to an absolute tolerance; the global bound after each processed
-node is recorded so callers can audit monotone convergence.
+with lowest-index tie-breaks, and a defensive node cap.  A node is the
+root LP with its own ``lower`` and ``upper`` bound vectors: a child copies
+its parent's and fixes one binary to 0 or 1.  Incumbents come only from
+integral relaxations: best-first order expands a node only while its
+bound beats the optimum (up to the tolerance), so seeding the optimum as
+the incumbent would save no expansion.  The solver proves optimality to
+an absolute tolerance; the global bound after each processed node is
+recorded so callers can audit monotone convergence.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .simplex import LpProblem, LpSolution, solve_lp
+from .simplex import LpProblem, solve_lp
 
 DEFAULT_TOL = 1e-6
 NODE_CAP = 100_000
@@ -65,15 +70,8 @@ def _most_fractional(x: np.ndarray, binaries: Sequence[int]) -> Optional[int]:
     return best_idx
 
 
-def solve_milp(p: MilpProblem, tol: float = DEFAULT_TOL,
-               warm_start: Optional[np.ndarray] = None) -> MilpSolution:
-    """Globally solve the binary MILP within absolute tolerance ``tol``.
-
-    ``warm_start`` optionally supplies binary values (one per binary index)
-    for a known-feasible assignment; its completion seeds the incumbent so
-    pruning starts immediately.  The warm start never affects the returned
-    optimum, only the search effort.
-    """
+def solve_milp(p: MilpProblem, tol: float = DEFAULT_TOL) -> MilpSolution:
+    """Globally solve the binary MILP within absolute tolerance ``tol``."""
     sense = 1.0 if p.lp.maximize else -1.0
 
     def better(a: float, b: float) -> bool:
@@ -85,20 +83,6 @@ def solve_milp(p: MilpProblem, tol: float = DEFAULT_TOL,
     if root.status == "unbounded":
         return MilpSolution(status="unbounded")
 
-    incumbent_x: Optional[np.ndarray] = None
-    incumbent_val = -sense * np.inf
-    node_count = 0
-    bound_trace: list[float] = []
-
-    if warm_start is not None:
-        fixed = {idx: float(round(float(v)))
-                 for idx, v in zip(p.binary_indices, warm_start)}
-        seed = _solve_fixed(p.lp, fixed)
-        if seed.status == "optimal" and _most_fractional(
-                seed.x, p.binary_indices) is None:
-            incumbent_x = seed.x
-            incumbent_val = seed.objective
-
     branch_var = _most_fractional(root.x, p.binary_indices)
     if branch_var is None:
         return MilpSolution(
@@ -106,10 +90,16 @@ def solve_milp(p: MilpProblem, tol: float = DEFAULT_TOL,
             bound=root.objective, node_count=0, bound_trace=[root.objective],
         )
 
-    # heap orders by worst-case-first on the relaxation bound (max: largest first)
+    incumbent_x: Optional[np.ndarray] = None
+    incumbent_val = -sense * np.inf
+    node_count = 0
+    bound_trace: list[float] = []
+
+    # heap orders by worst-case-first on the relaxation bound (max: largest
+    # first); each entry carries its node's variable bounds
     counter = 0
-    heap: list[tuple[float, int, float, int, dict]] = []
-    heapq.heappush(heap, (-sense * root.objective, counter, root.objective, branch_var, {}))
+    heap: list[tuple] = [(-sense * root.objective, counter, root.objective,
+                          branch_var, p.lp.lower, p.lp.upper)]
 
     def global_bound() -> float:
         best_open = heap[0][2] if heap else None
@@ -120,19 +110,19 @@ def solve_milp(p: MilpProblem, tol: float = DEFAULT_TOL,
         return best_open if better(best_open, incumbent_val) else incumbent_val
 
     while heap:
-        _, _, parent_bound, var, fixings = heapq.heappop(heap)
+        _, _, parent_bound, var, lower, upper = heapq.heappop(heap)
         if incumbent_x is not None and not better(parent_bound, incumbent_val + sense * tol):
             bound_trace.append(global_bound())
             continue  # pruned by bound
         for value in (0.0, 1.0):
-            child_fix = dict(fixings)
-            child_fix[var] = value
+            child_lower, child_upper = lower.copy(), upper.copy()
+            child_lower[var] = child_upper[var] = value
             node_count += 1
             if node_count > NODE_CAP:
                 raise NodeLimitError(
                     f"exceeded {NODE_CAP} nodes; increase the cap or tighten the model"
                 )
-            sol = _solve_fixed(p.lp, child_fix)
+            sol = solve_lp(replace(p.lp, lower=child_lower, upper=child_upper))
             if sol.status != "optimal":
                 continue
             if incumbent_x is not None and not better(sol.objective, incumbent_val):
@@ -143,7 +133,8 @@ def solve_milp(p: MilpProblem, tol: float = DEFAULT_TOL,
                 incumbent_val = sol.objective
             else:
                 counter += 1
-                heapq.heappush(heap, (-sense * sol.objective, counter, sol.objective, nxt, child_fix))
+                heapq.heappush(heap, (-sense * sol.objective, counter, sol.objective,
+                                      nxt, child_lower, child_upper))
         # both children accounted for: the open cover shrank, record the bound
         bound_trace.append(global_bound())
         if incumbent_x is not None and heap and not better(heap[0][2], incumbent_val + sense * tol):
@@ -161,14 +152,3 @@ def solve_milp(p: MilpProblem, tol: float = DEFAULT_TOL,
         node_count=node_count,
         bound_trace=bound_trace,
     )
-
-
-def _solve_fixed(lp: LpProblem, fixings: dict) -> LpSolution:
-    lower = lp.lower.copy()
-    upper = lp.upper.copy()
-    for i, v in fixings.items():
-        lower[i] = v
-        upper[i] = v
-    child = LpProblem(c=lp.c, A=lp.A, b=lp.b, senses=lp.senses,
-                      lower=lower, upper=upper, maximize=lp.maximize)
-    return solve_lp(child)

@@ -281,14 +281,19 @@ def cmd_dp_oracle(config: dict, out_dir: Path) -> int:
     """Exact value tables, plus the gap against a fitted run when supplied."""
     instance = _instance_from_config(config)
     chash = _config_hash(config)
-    tables = exact_dp(dp_model(instance))
+    model = dp_model(instance)
+    start = np.flatnonzero(
+        (model.endo_levels == instance.initial_capacity).all(axis=1))
+    if start.size == 0:
+        raise ValueError(
+            f"initial capacity {instance.initial_capacity.tolist()} is not on "
+            "the integer capacity lattice that exact DP solves")
+    tables = exact_dp(model)
 
     value_rows = tables.to_csv_rows()
     _write_csv(out_dir / "dp_values.csv", value_rows[0], value_rows[1:], chash)
 
-    e0 = int(np.flatnonzero(
-        (tables.model.endo_levels == instance.initial_capacity.astype(int))
-        .all(axis=1))[0])
+    e0 = int(start[0])
     x0 = instance.demand.index_of(instance.initial_demand)
     v_dp = tables.value(1, e0, x0)
     summary = [["dp_value_currency", repr(v_dp)]]

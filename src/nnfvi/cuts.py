@@ -181,9 +181,10 @@ class BinaryEncoding:
 
     The one owner of the bit layout: MILPs over the bits take their
     coefficients from ``expand`` and their box rows from ``bound_rows``.
-    ``bit_counts[n]`` is the number of bits for dimension ``n``; the bit
-    range can represent values above the box bound, so consumers must add
-    the rows ``bound_rows`` gives.
+    ``bit_counts[n]`` is the number of bits for dimension ``n``, levels
+    ``0..bit_counts[n] - 1``; unless the bound is one less than a power of
+    two the bit range also represents values above it, so consumers must
+    add the rows ``bound_rows`` gives.
     """
 
     box: ActionBox
@@ -230,18 +231,12 @@ class BinaryEncoding:
 
 
 def binary_encoding(box: ActionBox) -> BinaryEncoding:
-    """Minimal bit layout with ``2**(L-1) <= bound <= 2**L`` per dimension.
-
-    Bit levels run 0..L inclusive; dimensions with a zero bound get no bits.
-    """
-    counts = []
-    for ub in box.upper_bounds:
-        if ub == 0:
-            counts.append(0)
-        else:
-            L = max(0, int(np.ceil(np.log2(float(ub)))))
-            counts.append(L + 1)
-    return BinaryEncoding(box=box, bit_counts=tuple(counts))
+    """Minimal bit layout: ``L = int(bound).bit_length()`` bits per dimension,
+    the fewest whose range ``0..2**L - 1`` covers ``0..bound`` (none for a
+    zero bound).  This is the usual floor(log2 bound) + 1 expansion, as in
+    Zou, Ahmed & Sun's (2019) SDDiP."""
+    return BinaryEncoding(box=box, bit_counts=tuple(
+        int(ub).bit_length() for ub in box.upper_bounds))
 
 
 def zeta_value(enc: BinaryEncoding, anchor: np.ndarray, a: np.ndarray) -> int:

@@ -4,7 +4,11 @@ The driver sweeps backward over periods: sample states, compute one-step
 lookahead targets through the previously fitted network, regress a fresh
 network on the targets, and finally evaluate the known initial state.  All
 randomness is derived from one master seed through named substreams, so a
-run is bit-for-bit reproducible.
+run is bit-for-bit reproducible for a fixed BLAS thread count.  Another
+thread count may round numpy's BLAS calls differently and so move the
+result: perfbench's criterion-4 run returns 27.721914566172384 with one
+OpenBLAS thread and 27.721914566172316 with two, and ``perfbench/run.py``
+pins one thread.
 
 The DP oracle performs exact backward induction for problems whose state
 splits into an endogenous lattice (written directly by the action) and an
@@ -197,7 +201,8 @@ class TabularMdp:
 
     ``endo_levels`` doubles as the action set: choosing action ``a`` moves the
     endogenous block to ``endo_levels[a]``; the exogenous block evolves by
-    ``exo_kernel`` regardless of the action.  ``reward(t, e, x, a)`` works on
+    ``exo_kernel`` regardless of the action.  ``reward(t)`` is period
+    ``t``'s reward table of shape ``(nE, nX, nE)``, indexed ``[e, x, a]`` by
     row indices.
     """
 
@@ -206,7 +211,7 @@ class TabularMdp:
     endo_levels: np.ndarray   # (nE, dim_endo)
     exo_levels: np.ndarray    # (nX, dim_exo)
     exo_kernel: np.ndarray    # (nX, nX), rows sum to one
-    reward: Callable[[int, int, int, int], float]
+    reward: Callable[[int], np.ndarray]
 
     def __post_init__(self):
         kernel = np.asarray(self.exo_kernel, dtype=float)
@@ -264,12 +269,11 @@ def exact_dp(model: TabularMdp, max_states: int = 1_000_000) -> DpTables:
     values = np.empty((T, nE, nX))
     greedy = np.empty((T, nE, nX), dtype=np.int64)
 
-    reward_t = np.empty((nE, nX, nE))
     for t in range(T, 0, -1):
-        for e in range(nE):
-            for x in range(nX):
-                for a in range(nE):
-                    reward_t[e, x, a] = model.reward(t, e, x, a)
+        reward_t = np.asarray(model.reward(t), dtype=float)
+        if reward_t.shape != (nE, nX, nE):
+            raise ValueError(f"period-{t} reward table has shape {reward_t.shape}, "
+                             f"expected {(nE, nX, nE)}")
         if t == T:
             q = reward_t
         else:

@@ -261,7 +261,7 @@ def _decompose(ctx: RecourseContext, reward: StageReward, config: McdConfig,
     integer_cuts: list[IntegerOptimalityCut] = []
     combined_cuts: list[LinearCut] = []
     # anchors only: each carries an integer cut, which the revisit rule needs
-    visited: dict[tuple, float] = {}
+    visited: set[tuple] = set()
     incumbent: tuple = ()
     lower, upper = -np.inf, np.inf
     trace: list = []
@@ -273,7 +273,7 @@ def _decompose(ctx: RecourseContext, reward: StageReward, config: McdConfig,
         # every evaluated action is feasible, so the best value is a lower bound
         cands = np.vstack([a_m, _neighbours(box, a_m)])
         values = _objectives(ctx, reward, cands)
-        visited[tuple(int(v) for v in a_m)] = float(values[0])
+        visited.add(tuple(int(v) for v in a_m))
         best = int(np.argmax(values))  # first maximum: ties keep the anchor
         if values[best] > lower:
             lower = float(values[best])
@@ -289,13 +289,8 @@ def _decompose(ctx: RecourseContext, reward: StageReward, config: McdConfig,
 
         fp = build_first_stage(ctx, enc, reward, integer_cuts, combined_cuts,
                                eta_bar)
-        # seed the search with the best anchor seen so far: a known-feasible
-        # incumbent lets the tree prune from the first node.  A neighbour
-        # could break MILP ties differently and so change the anchors.
-        best_seen = max(visited, key=lambda k: visited[k])
-        warm = enc.encode(np.asarray(best_seen, dtype=np.int64))
         try:
-            sol = solve_milp(fp.milp, tol=MILP_TOLERANCE, warm_start=warm)
+            sol = solve_milp(fp.milp, tol=MILP_TOLERANCE)
         except (LpNumericalError, NodeLimitError) as err:
             return _fall_back(ctx, reward, f"first-stage MILP failed ({err})")
         if sol.status != "optimal":

@@ -65,22 +65,19 @@ class DemandModel:
         d = np.asarray(d, dtype=float)
         return int(np.argmin(np.abs(self.support - d).sum(axis=1)))
 
-    def next_index(self, idx: int, u: float | np.ndarray) -> int | np.ndarray:
+    def next_index(self, idx: int | np.ndarray,
+                   u: float | np.ndarray) -> int | np.ndarray:
         """Inverse-CDF transition from row ``idx``, per uniform draw in ``u``.
 
-        A row may sum to slightly less than one; draws above its last
-        cumulative value land on the last row.
+        ``idx`` is one row for every draw, or an array of rows paired with
+        the draws of ``u`` elementwise.  The next row is the first whose
+        cumulative probability exceeds the draw.  A row may sum to slightly
+        less than one; draws above its last cumulative value land on the
+        last row.
         """
-        cdf = np.cumsum(self.kernel[idx])
-        return np.minimum(np.searchsorted(cdf, u, side="right"), self.size - 1)
-
-    def sample_path(self, start_idx: int, length: int,
-                    rng: np.random.Generator) -> np.ndarray:
-        path = np.empty(length, dtype=np.int64)
-        path[0] = start_idx
-        for t in range(1, length):
-            path[t] = self.next_index(path[t - 1], rng.uniform())
-        return path
+        cdf = np.cumsum(self.kernel[idx], axis=-1)
+        steps = np.sum(cdf <= np.asarray(u)[..., None], axis=-1)
+        return np.minimum(steps, self.size - 1)
 
 
 def iid_uniform_demand(support: np.ndarray) -> DemandModel:
@@ -394,20 +391,22 @@ def build_mcip_mdp(instance: McipInstance) -> MdpSpec:
 
 
 def dp_model(instance: McipInstance) -> TabularMdp:
-    """Finite tabular view for the exact-DP oracle, with cached profits."""
-    capacity_levels = enumerate_actions(ActionBox(instance.capacity_max))
-    profit_cache: dict = {}
+    """Finite tabular view for the exact-DP oracle.
 
-    def reward(t, e, x, a):
-        key = (t, e, x)
-        if key not in profit_cache:
-            profit_cache[key] = operating_profit(
-                instance, t, capacity_levels[e].astype(float),
-                instance.demand.support[x])[0]
-        target = np.zeros(instance.facilities) if t == instance.horizon \
-            else capacity_levels[a].astype(float)
-        return profit_cache[key] - adjustment_cost(
-            instance, t, capacity_levels[e].astype(float), target)
+    A period's table solves one allocation LP per (capacity, demand) pair
+    and subtracts the adjustment cost of every (capacity, target) pair,
+    broadcast over demand.
+    """
+    capacity_levels = enumerate_actions(ActionBox(instance.capacity_max))
+    levels = capacity_levels.astype(float)
+
+    def reward(t: int) -> np.ndarray:
+        profit = np.array([[operating_profit(instance, t, cap, d)[0]
+                            for d in instance.demand.support] for cap in levels])
+        targets = np.zeros_like(levels) if t == instance.horizon else levels
+        cost = np.array([[adjustment_cost(instance, t, cap, target)
+                          for target in targets] for cap in levels])
+        return profit[:, :, None] - cost[:, None, :]
 
     return TabularMdp(
         horizon=instance.horizon,
@@ -432,11 +431,17 @@ class SimulationResult:
 
 def draw_demand_paths(instance: McipInstance, n_paths: int,
                       rng: np.random.Generator) -> np.ndarray:
-    """Demand index paths of length ``horizon`` starting at the known demand."""
-    start = instance.demand.index_of(instance.initial_demand)
+    """Demand index paths of length ``horizon`` starting at the known demand.
+
+    One call draws every uniform, path after path, and all paths step
+    together; path ``p`` gets the same draws as sampling the paths one at a
+    time would give it.
+    """
+    u = rng.uniform(size=(n_paths, instance.horizon - 1))
     paths = np.empty((n_paths, instance.horizon), dtype=np.int64)
-    for p in range(n_paths):
-        paths[p] = instance.demand.sample_path(start, instance.horizon, rng)
+    paths[:, 0] = instance.demand.index_of(instance.initial_demand)
+    for t in range(1, instance.horizon):
+        paths[:, t] = instance.demand.next_index(paths[:, t - 1], u[:, t - 1])
     return paths
 
 

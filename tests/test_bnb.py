@@ -98,6 +98,21 @@ class TestRandomVsEnumeration:
             sol = solve_milp(binary_milp(c, A, b, True))
             assert sol.objective == pytest.approx(expected, abs=1e-8)
 
+    def test_caller_bounds_untouched(self):
+        # nodes carry their own bound vectors; the caller's LP keeps its own
+        rng = np.random.default_rng(35)
+        searched = 0
+        for _ in range(10):
+            c, A, b = self._instance(rng, 8, 3)
+            p = binary_milp(c, A, b, True)
+            lower, upper = p.lp.lower, p.lp.upper
+            sol = solve_milp(p)
+            searched += sol.node_count > 2
+            assert p.lp.lower is lower and p.lp.upper is upper
+            np.testing.assert_array_equal(lower, np.zeros(8))
+            np.testing.assert_array_equal(upper, np.ones(8))
+        assert searched
+
     def test_bound_trace_monotone(self):
         rng = np.random.default_rng(33)
         for _ in range(10):

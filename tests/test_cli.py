@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from nnfvi.cli import (
     make_bench_instance,
 )
 from nnfvi.mcip import synthetic_instance
+from nnfvi.mdp import ActionBox, enumerate_actions
 
 
 def write_config(tmp_path, name, payload):
@@ -249,6 +251,35 @@ class TestDpOracle:
         _, rows = read_csv(dp_out / "dp_summary.csv")
         records = {r[0]: float(r[1]) for r in rows}
         assert records["relative_gap_pct"] <= 5.0
+
+    def _instance_file(self, tmp_path, capacity):
+        inst = dataclasses.replace(synthetic_instance(seed=21, horizon=2),
+                                   initial_capacity=np.array(capacity))
+        path = tmp_path / "instance.json"
+        path.write_text(inst.dumps())
+        return write_config(tmp_path, "dp.json", {"instance": {"path": str(path)}})
+
+    def test_value_read_at_the_initial_capacity(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = self._instance_file(tmp_path, [1.0, 0.0])
+        assert main(["dp-oracle", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        _, summary = read_csv(out / "dp_summary.csv")
+        _, values = read_csv(out / "dp_values.csv")
+        inst = synthetic_instance(seed=21, horizon=2)
+        levels = enumerate_actions(ActionBox(inst.capacity_max)).tolist()
+        e0 = levels.index([1, 0])
+        x0 = inst.demand.index_of(inst.initial_demand)
+        (row,) = [r for r in values if r[:3] == ["1", str(e0), str(x0)]]
+        assert summary[0] == ["dp_value_currency", row[3]]
+
+    def test_off_lattice_initial_capacity_is_domain_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = self._instance_file(tmp_path, [1.5, 0.0])
+        assert main(["dp-oracle", "--config", cfg, "--out", str(out)]) == EXIT_DOMAIN
+        err = json.loads(capsys.readouterr().err)
+        assert "[1.5, 0.0]" in err["message"]
+        assert "lattice" in err["message"]
+        assert not (out / "dp_summary.csv").exists()
 
     def test_oversized_instance_refused_with_size(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "dp.json", {

@@ -250,10 +250,10 @@ class TestCombinedCut:
 
 
 class TestBinaryEncoding:
-    def test_nine_needs_bits_zero_through_four(self):
+    def test_nine_needs_bits_zero_through_three(self):
         enc = binary_encoding(ActionBox(np.array([9])))
-        assert enc.bit_counts == (5,)
-        assert enc.bit_positions() == [(0, 0), (0, 1), (0, 2), (0, 3), (0, 4)]
+        assert enc.bit_counts == (4,)
+        assert enc.bit_positions() == [(0, 0), (0, 1), (0, 2), (0, 3)]
 
     def test_one_needs_single_bit(self):
         enc = binary_encoding(ActionBox(np.array([1])))
@@ -261,13 +261,12 @@ class TestBinaryEncoding:
 
     def test_zero_bound_dimension_gets_no_bits(self):
         enc = binary_encoding(ActionBox(np.array([0, 3])))
-        assert enc.bit_counts == (0, 3)
+        assert enc.bit_counts == (0, 2)
 
-    def test_sandwich_invariant(self):
-        for ub in range(1, 40):
+    def test_bit_count_is_bit_length(self):
+        for ub in range(0, 41):
             enc = binary_encoding(ActionBox(np.array([ub])))
-            L = enc.bit_counts[0] - 1
-            assert 2 ** (L - 1) <= ub <= 2**L if L >= 1 else ub == 1
+            assert enc.bit_counts == (ub.bit_length(),)
 
     def test_round_trip_exhaustive(self):
         box = ActionBox(np.array([5, 3]))

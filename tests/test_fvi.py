@@ -254,13 +254,10 @@ def two_level_model(horizon=2, discount=0.9, deterministic=True, seed=0):
     else:
         kernel = np.array([[0.7, 0.3], [0.4, 0.6]])
     rng = np.random.default_rng(seed)
-    table = rng.normal(size=(horizon + 1, 2, 2, 2))
-
-    def reward(t, e, x, a):
-        return float(table[t, e, x, a])
-
+    table = rng.normal(size=(horizon + 1, 2, 2, 2))  # [t, e, x, a]
     return TabularMdp(horizon=horizon, discount=discount, endo_levels=endo,
-                      exo_levels=exo, exo_kernel=kernel, reward=reward), table
+                      exo_levels=exo, exo_kernel=kernel,
+                      reward=lambda t: table[t]), table
 
 
 class TestExactDp:
@@ -318,10 +315,19 @@ class TestExactDp:
         endo = np.arange(2000).reshape(-1, 1)
         exo = np.arange(600).reshape(-1, 1)
         kernel = np.full((600, 600), 1.0 / 600)
+
+        def reward(t):
+            pytest.fail("the size check must refuse before any reward table")
+
         model = TabularMdp(horizon=2, discount=0.9, endo_levels=endo,
-                           exo_levels=exo, exo_kernel=kernel,
-                           reward=lambda t, e, x, a: 0.0)
+                           exo_levels=exo, exo_kernel=kernel, reward=reward)
         with pytest.raises(DpSizeError, match="1200000"):
+            exact_dp(model)
+
+    def test_wrong_reward_table_shape_refused(self):
+        model, table = two_level_model(horizon=1)
+        model = dataclasses.replace(model, reward=lambda t: table[t, :, :, :1])
+        with pytest.raises(ValueError, match=r"shape \(2, 2, 1\)"):
             exact_dp(model)
 
     def test_csv_rows_shape(self):

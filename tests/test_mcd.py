@@ -168,6 +168,14 @@ class TestBuildFirstStage:
             assert reward.constant + pieces[:2].min() + pieces[2:].min() \
                 == pytest.approx(reward.values(a[None, :])[0], abs=1e-12)
 
+    def test_three_by_three_box_has_four_binaries(self):
+        # bound 3 needs two bits per dimension
+        ctx = random_context(2, n2=2, a_bar=[3, 3])
+        enc = binary_encoding(ctx.spec.action_box)
+        fp = build_first_stage(ctx, enc, linear_stage_reward(np.ones(2)), [], [],
+                               recourse_upper_bound(ctx))
+        assert fp.milp.binary_indices == [0, 1, 2, 3]
+
     def test_bit_bound_rows_enforced(self):
         # bound 5 needs bits {0,1,2} able to express up to 7: the explicit
         # row must keep decoded actions inside the box

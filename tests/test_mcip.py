@@ -30,18 +30,24 @@ from nnfvi.neural import ReluNet, TrainConfig
 from test_simplex import enumerate_vertex_optimum
 
 
-def exact_plan_value(model, e0, x0, plan):
+def reward_tables(model):
+    """Period t's reward table at index t - 1."""
+    return [model.reward(t) for t in range(1, model.horizon + 1)]
+
+
+def exact_plan_value(model, rewards, e0, x0, plan):
     """Exact expected discounted value of the constant plan ``plan``.
 
     ``plan`` is an endogenous-level row index: it is installed at the end of
     period 1 and held until the final period salvages it.  The expectation
     propagates the demand distribution through the kernel, without sampling.
+    ``rewards`` are the model's :func:`reward_tables`.
     """
     probs = np.zeros(len(model.exo_levels))
     probs[x0] = 1.0
     total, e = 0.0, e0
     for t in range(1, model.horizon + 1):
-        stage = sum(p * model.reward(t, e, x, plan)
+        stage = sum(p * rewards[t - 1][e, x, plan]
                     for x, p in enumerate(probs) if p > 0)
         total += model.discount ** (t - 1) * stage
         probs = probs @ model.exo_kernel
@@ -56,7 +62,8 @@ def exact_value_of_flexibility(instance):
     e0 = model.endo_levels.tolist().index(
         instance.initial_capacity.astype(int).tolist())
     x0 = instance.demand.index_of(instance.initial_demand)
-    best_plan = max(exact_plan_value(model, e0, x0, a)
+    rewards = reward_tables(model)
+    best_plan = max(exact_plan_value(model, rewards, e0, x0, a)
                     for a in range(len(model.endo_levels)))
     return tables.value(1, e0, x0) - best_plan
 
@@ -107,6 +114,30 @@ class TestDemandModels:
         offsets, _ = build_mcip_mdp(inst).transition(
             np.array([0.0, 0.0, 1.0, 1.0]), np.array([0.25, u]))
         np.testing.assert_array_equal(offsets[:, 2:], support)
+
+    def test_array_of_rows_steps_each_row(self):
+        model = synthetic_instance(seed=3, demand_points=5).demand
+        rng = np.random.default_rng(4)
+        rows = rng.integers(0, model.size, size=50)
+        u = rng.uniform(size=50)
+        np.testing.assert_array_equal(
+            model.next_index(rows, u),
+            [model.next_index(int(r), float(v)) for r, v in zip(rows, u)])
+
+    @pytest.mark.parametrize("markov", [True, False])
+    def test_paths_match_sampling_one_path_at_a_time(self, markov):
+        # the oracle draws one uniform per step, path after path
+        inst = synthetic_instance(seed=9, horizon=4, demand_points=5, markov=markov)
+        rng, oracle_rng = np.random.default_rng(17), np.random.default_rng(17)
+        paths = draw_demand_paths(inst, 30, rng)
+        expected = np.empty((30, inst.horizon), dtype=np.int64)
+        for p in range(30):
+            expected[p, 0] = inst.demand.index_of(inst.initial_demand)
+            for t in range(1, inst.horizon):
+                expected[p, t] = inst.demand.next_index(expected[p, t - 1],
+                                                        oracle_rng.uniform())
+        np.testing.assert_array_equal(paths, expected)
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 class TestOperatingProfit:
@@ -329,6 +360,17 @@ class TestExtendedValueEquivalence:
             tables[t] = V
         return tables
 
+    def test_reward_tables_equal_mcip_reward_bit_for_bit(self):
+        inst = synthetic_instance(seed=19, capacity_max=2, demand_points=2,
+                                  horizon=2)
+        model = dp_model(inst)
+        levels = model.endo_levels.astype(float)
+        for t in range(1, inst.horizon + 1):
+            table = model.reward(t)
+            for e, x, a in np.ndindex(table.shape):
+                state = CapacityState(levels[e], inst.demand.support[x])
+                assert table[e, x, a] == mcip_reward(inst, t, state, levels[a])
+
     def test_dp_equals_extended_recursion_on_lattice(self):
         inst = synthetic_instance(seed=19, capacity_max=2, demand_points=2,
                                   horizon=2)
@@ -549,11 +591,12 @@ class TestValueOfFlexibilityOracle:
     def test_plan_value_equals_deterministic_rollout(self):
         inst = synthetic_instance(seed=33, demand_points=1)
         model = dp_model(inst)
+        rewards = reward_tables(model)
         paths = draw_demand_paths(inst, 1, np.random.default_rng(0))
         for e, plan in enumerate(model.endo_levels):
             rolled = simulate_policy_on_paths(
                 inst, constant_capacity_policy(inst, plan), paths)
-            assert exact_plan_value(model, 0, 0, e) == pytest.approx(
+            assert exact_plan_value(model, rewards, 0, 0, e) == pytest.approx(
                 rolled.mean, abs=1e-9)
 
     def test_plan_value_equals_probability_weighted_rollouts(self):
@@ -561,6 +604,7 @@ class TestValueOfFlexibilityOracle:
         # probability, gives the exact expectation by a second route
         inst = synthetic_instance(seed=34)
         model = dp_model(inst)
+        rewards = reward_tables(model)
         x0 = inst.demand.index_of(inst.initial_demand)
         M, T = inst.demand.size, inst.horizon
         tails = np.array(np.meshgrid(*[np.arange(M)] * (T - 1),
@@ -573,7 +617,7 @@ class TestValueOfFlexibilityOracle:
             plan = model.endo_levels[e]
             rolled = simulate_policy_on_paths(
                 inst, constant_capacity_policy(inst, plan), paths)
-            assert exact_plan_value(model, 0, x0, e) == pytest.approx(
+            assert exact_plan_value(model, rewards, 0, x0, e) == pytest.approx(
                 float(weights @ rolled.npvs), abs=1e-9)
 
 
