@@ -23,6 +23,7 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -30,13 +31,14 @@ import numpy as np
 from .cuts import RecourseContext
 from .fvi import FittedValueSet, FviConfig, exact_dp, run_nnfvi
 from .mcd import (
+    ENGINES,
     McdConfig,
     StageReward,
     linear_stage_reward,
     select_action,
 )
 from .mcip import McipInstance, build_mcip_mdp, dp_model, sensitivity_sweep, \
-    synthetic_instance
+    synthetic_instance, with_parameters
 from .mdp import ActionBox, MdpSpec
 from .neural import ReluNet, TrainConfig
 
@@ -99,35 +101,44 @@ def _instance_from_config(config: dict) -> McipInstance:
     raise UsageError("instance block needs either 'path' or 'synthetic'")
 
 
-def _fvi_config_from(config: dict, seed: int, engine: str) -> FviConfig:
-    fvi = dict(config.get("fvi", {}))
-    mcd = dict(config.get("mcd", {}))
-    train = TrainConfig(
-        regularization=float(fvi.get("regularization", 0.0)),
-        restarts=int(fvi.pop("restarts", 5)),
-        max_epochs=int(fvi.pop("max_epochs", 200)),
-    )
+@contextmanager
+def _usage_errors():
+    """Report a config value that the config classes refuse as a usage error."""
+    try:
+        yield
+    except (TypeError, ValueError) as err:
+        raise UsageError(str(err)) from err
+
+
+def _present(block: dict, casts: dict) -> dict:
+    """The keys of ``casts`` that ``block`` sets, cast; the classes own the defaults."""
+    return {key: cast(block[key]) for key, cast in casts.items() if key in block}
+
+
+@_usage_errors()
+def _mcd_config_from(config: dict, engine: str) -> McdConfig:
+    return McdConfig(engine=engine, **_present(
+        config.get("mcd", {}), {"max_iterations": int, "gap_tolerance": float}))
+
+
+@_usage_errors()
+def _fvi_config_from(config: dict, seed: int) -> FviConfig:
+    fvi = config.get("fvi", {})
+    train = TrainConfig(**_present(
+        fvi, {"regularization": float, "restarts": int, "max_epochs": int}))
     return FviConfig(
-        state_samples=int(fvi.get("state_samples", 100)),
-        transition_samples=int(fvi.get("transition_samples", 20)),
-        neurons=int(fvi.get("neurons", 20)),
-        train=train,
-        mcd=McdConfig(
-            engine=engine,
-            max_iterations=int(mcd.get("max_iterations", 100)),
-            gap_tolerance=float(mcd.get("gap_tolerance", 0.0035)),
-        ),
-        seed=seed,
-    )
+        **_present(fvi, {"state_samples": int, "transition_samples": int,
+                         "neurons": int}),
+        train=train, mcd=_mcd_config_from(config, config.get("engine", "brute")),
+        seed=seed)
 
 
 def cmd_fvi_run(config: dict, out_dir: Path) -> int:
     """Train the fitted value iteration and record losses, value, and nets."""
     seed = _require_seed(config)
-    engine = config.get("engine", "brute")
     instance = _instance_from_config(config)
     spec = build_mcip_mdp(instance)
-    fvi_config = _fvi_config_from(config, seed, engine)
+    fvi_config = _fvi_config_from(config, seed)
     chash = _config_hash(config)
 
     start = time.perf_counter()
@@ -184,18 +195,13 @@ def cmd_mcd_bench(config: dict, out_dir: Path) -> int:
     """Engine comparison on seeded random instances; emits results, traces
     and, in a separate file, wall-clock timings."""
     seed = _require_seed(config)
-    suite = dict(config.get("suite", {}))
+    suite = config.get("suite", {})
     n_instances = int(suite.get("instances", 0))
     facilities = suite.get("facilities", [3])
-    neurons = int(suite.get("neurons", 8))
-    s2 = int(suite.get("transition_samples", 4))
-    levels = int(suite.get("capacity_levels", 3))
+    shape = _present(suite, {"neurons": int, "transition_samples": int,
+                             "capacity_levels": int})
     engines = config.get("engines", ["brute", "lshaped", "mcd"])
-    mcd_block = dict(config.get("mcd", {}))
-    configs = {engine: McdConfig(
-        engine=engine, max_iterations=int(mcd_block.get("max_iterations", 100)),
-        gap_tolerance=float(mcd_block.get("gap_tolerance", 0.0035)))
-        for engine in engines}
+    configs = {engine: _mcd_config_from(config, engine) for engine in engines}
     chash = _config_hash(config)
 
     header = ["instance", "facilities", "algorithm", "stop_criterion",
@@ -208,9 +214,7 @@ def cmd_mcd_bench(config: dict, out_dir: Path) -> int:
     for n2 in facilities:
         for k in range(n_instances):
             case += 1
-            ctx, reward = make_bench_instance(
-                seed + 1000 * case, int(n2), neurons=neurons,
-                transition_samples=s2, capacity_levels=levels)
+            ctx, reward = make_bench_instance(seed + 1000 * case, int(n2), **shape)
             results = {}
             for engine in engines:
                 start = time.perf_counter()
@@ -250,20 +254,20 @@ def cmd_mcd_bench(config: dict, out_dir: Path) -> int:
 def cmd_case_study(config: dict, out_dir: Path) -> int:
     """Sensitivity sweep over discount factors and salvage-to-expansion ratios."""
     seed = _require_seed(config)
-    engine = config.get("engine", "brute")
     instance = _instance_from_config(config)
     gammas = config.get("gammas")
     ratios = config.get("ratios")
     if not gammas or not ratios:
         raise UsageError("case-study config needs non-empty 'gammas' and 'ratios'")
-    fvi_config = _fvi_config_from(config, seed, engine)
-    n_paths = int(config.get("n_paths", 1000))
-    n_scenarios = int(config.get("n_scenarios", 30))
+    fvi_config = _fvi_config_from(config, seed)
+    with _usage_errors():  # refuse a bad grid before the first cell's FVI
+        for gamma in gammas:
+            for ratio in ratios:
+                with_parameters(instance, gamma=gamma, salvage_ratio=ratio)
     chash = _config_hash(config)
 
-    cells = sensitivity_sweep(instance, gammas, ratios, fvi_config,
-                              n_paths=n_paths, n_scenarios=n_scenarios,
-                              seed=seed)
+    cells = sensitivity_sweep(instance, gammas, ratios, fvi_config, seed=seed,
+                              **_present(config, {"n_paths": int, "n_scenarios": int}))
     header = ["gamma", "salvage_expansion_ratio",
               "inflexible_enpv_currency", "inflexible_se_currency",
               "flexible_enpv_currency", "flexible_se_currency",
@@ -328,7 +332,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
-    parser.add_argument("--engine", choices=["brute", "mcd", "lshaped"],
+    parser.add_argument("--engine", choices=ENGINES,
                         default=None, help="override the config engine")
     return parser
 

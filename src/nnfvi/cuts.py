@@ -2,12 +2,13 @@
 
 For a fixed state and a batch of noise draws, each neuron's preactivation is
 affine in the action: ``pre[s, j](a) = gamma1[s, j] @ a + gamma2[s, j]``.
-All cut families are built from these cached affine forms:
+All cut families are built from these cached affine forms, one line per
+(scenario, neuron) term:
 
 * gradient cuts support the concave part (non-positive output weights) at an
   anchor action and stay above it everywhere;
-* the positive-neuron cut bounds the convex part from above using the box
-  extremes of each preactivation, independently of any anchor;
+* the positive-neuron cut bounds the convex part from above, independently
+  of any anchor, by each term's ReLU chord between the box extremes;
 * integer optimality cuts are exact at their anchor and relax to a recourse
   upper bound elsewhere, expressed over a binary expansion of the action.
 """
@@ -112,6 +113,25 @@ def recourse_values(ctx: RecourseContext, actions: np.ndarray) -> np.ndarray:
     return out
 
 
+def _box_range(ctx: RecourseContext,
+               neurons: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Box minimum ``lo`` and maximum ``hi`` of each (scenario, neuron)
+    preactivation of ``neurons``, both of shape (S2, Jn)."""
+    a_bar = ctx.spec.action_box.upper_bounds.astype(float)
+    g1 = ctx.gamma1[:, neurons, :]
+    g2 = ctx.gamma2[:, neurons]
+    return np.minimum(g1, 0.0) @ a_bar + g2, np.maximum(g1, 0.0) @ a_bar + g2
+
+
+def _linear_form(ctx: RecourseContext, neurons: list[int], slope: np.ndarray,
+                 intercept: np.ndarray) -> LinearCut:
+    """Scenario average of ``w_j * (slope * gamma1 @ a + intercept)`` summed
+    over ``neurons``; ``slope`` and ``intercept`` have shape (S2, Jn)."""
+    w = ctx.net.output_weights[neurons]
+    coef = np.einsum("sj,sjk->k", slope * w, ctx.gamma1[:, neurons, :]) / ctx.s2
+    return LinearCut(coef, float(np.sum(w * intercept) / ctx.s2))
+
+
 def gradient_cut(ctx: RecourseContext, anchor: np.ndarray) -> LinearCut:
     """Supporting hyperplane of the concave recourse part at ``anchor``.
 
@@ -121,53 +141,29 @@ def gradient_cut(ctx: RecourseContext, anchor: np.ndarray) -> LinearCut:
     """
     anchor = ctx.spec.action_box.check(anchor)
     neurons = ctx.rest_neurons
-    n2 = ctx.spec.action_box.dims
-    if not neurons:
-        return LinearCut(np.zeros(n2), 0.0)
-    w = ctx.net.output_weights[neurons]
-    g1 = ctx.gamma1[:, neurons, :]  # (S2, Jn, N2)
-    g2 = ctx.gamma2[:, neurons]     # (S2, Jn)
-    active = (g1 @ anchor.astype(float) + g2) > 0.0
-    coef = np.einsum("sj,sjk->k", active * w, g1) / ctx.s2
-    const = float(np.sum((active * w) * g2) / ctx.s2)
-    return LinearCut(coef, const)
+    g2 = ctx.gamma2[:, neurons]
+    active = (ctx.gamma1[:, neurons, :] @ anchor.astype(float) + g2) > 0.0
+    return _linear_form(ctx, neurons, active, active * g2)
 
 
 def positive_cut(ctx: RecourseContext) -> LinearCut:
     """Anchor-free linear over-estimator of the convex recourse part.
 
-    Per neuron and scenario, the preactivation's minimum and maximum over the
-    action box decide the case: always-active neurons contribute their exact
-    affine form, never-active neurons vanish, and mixed neurons contribute a
-    scaled line through the box corner where the preactivation peaks.
+    Per neuron and scenario, the preactivation's box minimum ``lo`` and
+    maximum ``hi`` decide the term: always-active terms (``lo > 0``) give
+    their exact affine form, never-active ones vanish, and mixed ones give
+    the ReLU's chord ``hi / (hi - lo) * (pre - lo)``, 0 at the minimum and
+    ``hi`` at the peak.
     """
-    n2 = ctx.spec.action_box.dims
-    a_bar = ctx.spec.action_box.upper_bounds.astype(float)
-    coef = np.zeros(n2)
-    const = 0.0
-    for j in ctx.positive_neurons:
-        wj = ctx.net.output_weights[j]
-        for s in range(ctx.s2):
-            g1 = ctx.gamma1[s, j]
-            g2 = ctx.gamma2[s, j]
-            neg_mask = g1 < 0.0
-            min_pre = g1[neg_mask] @ a_bar[neg_mask] + g2
-            max_pre = g1[~neg_mask] @ a_bar[~neg_mask] + g2
-            if min_pre > 0.0:
-                coef += wj * g1
-                const += wj * g2
-            elif max_pre < 0.0:
-                continue
-            else:
-                denom = float(np.abs(g1) @ a_bar)
-                if denom <= 0.0:
-                    # preactivation is action-independent: exact constant line
-                    const += wj * max(g2, 0.0)
-                    continue
-                ratio = max_pre / denom
-                coef += wj * ratio * g1
-                const += -wj * ratio * float(g1[neg_mask] @ a_bar[neg_mask])
-    return LinearCut(coef / ctx.s2, const / ctx.s2)
+    neurons = ctx.positive_neurons
+    lo, hi = _box_range(ctx, neurons)
+    g2 = ctx.gamma2[:, neurons]
+    active = lo > 0.0
+    # where hi > 0, hi - lo >= hi > 0; a never-active term, or a mixed one
+    # with hi == 0 (so also one with lo == hi), adds 0
+    chord = np.divide(hi, hi - lo, out=np.zeros_like(hi), where=~active & (hi > 0.0))
+    return _linear_form(ctx, neurons, np.where(active, 1.0, chord),
+                        np.where(active, g2, chord * (g2 - lo)))
 
 
 def combined_cut(ctx: RecourseContext, anchor: np.ndarray) -> LinearCut:
@@ -253,14 +249,9 @@ def recourse_upper_bound(ctx: RecourseContext) -> float:
     Each positive-weight neuron is charged its box-maximal activation; the
     non-positive part contributes at most zero.
     """
-    a_bar = ctx.spec.action_box.upper_bounds.astype(float)
-    total = 0.0
-    for j in ctx.positive_neurons:
-        wj = ctx.net.output_weights[j]
-        g1 = ctx.gamma1[:, j, :]  # (S2, N2)
-        max_pre = np.where(g1 > 0.0, g1, 0.0) @ a_bar + ctx.gamma2[:, j]
-        total += wj * float(np.sum(np.maximum(max_pre, 0.0)))
-    return total / ctx.s2
+    neurons = ctx.positive_neurons
+    _, hi = _box_range(ctx, neurons)
+    return float(np.mean(np.maximum(hi, 0.0) @ ctx.net.output_weights[neurons]))
 
 
 @dataclass(frozen=True)
@@ -268,10 +259,11 @@ class IntegerOptimalityCut:
     """Cut exact at one anchor action and loose (at the bound) elsewhere.
 
     Evaluates to ``anchor_value + zeta(a) * (eta_bar - anchor_value)`` where
-    ``zeta`` counts bit flips from the anchor's canonical encoding.
+    ``zeta`` counts bit flips from ``bits``, the anchor's canonical encoding.
     """
 
     anchor: np.ndarray
+    bits: np.ndarray
     anchor_value: float
     eta_bar: float
 
@@ -289,4 +281,5 @@ def integer_optimality_cut(ctx: RecourseContext, enc: BinaryEncoding,
             f"recourse bound {eta_bar} is below the anchor value {value}; "
             "the cut would exclude feasible points"
         )
-    return IntegerOptimalityCut(anchor=anchor, anchor_value=value, eta_bar=eta_bar)
+    return IntegerOptimalityCut(anchor=anchor, bits=enc.encode(anchor),
+                                anchor_value=value, eta_bar=eta_bar)

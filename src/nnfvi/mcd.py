@@ -174,9 +174,8 @@ def build_first_stage(ctx: RecourseContext, enc: BinaryEncoding,
     for cut in integer_cuts:
         # eta + (eta_bar - v) * (sum_ones alpha - sum_zeros alpha) <= v + (eta_bar - v)|ones|
         spread = cut.eta_bar - cut.anchor_value
-        bits = enc.encode(cut.anchor)
-        add_row(spread * (2 * bits - 1), cut.anchor_value + spread * int(bits.sum()),
-                eta_coef=1.0)
+        add_row(spread * (2 * cut.bits - 1),
+                cut.anchor_value + spread * int(cut.bits.sum()), eta_coef=1.0)
 
     for cut in combined_cuts:
         # eta <= coef @ a + const with a_n = sum_l 2^l alpha_{n,l}

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nnfvi import mcd
+from nnfvi import mcd, mcip
 from nnfvi.bnb import MilpSolution
 from nnfvi.cli import (
     EXIT_DOMAIN,
@@ -211,6 +211,17 @@ class TestCaseStudy:
         out = tmp_path / "out"
         assert main(["case-study", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
 
+    def test_bad_grid_cell_is_usage_error_before_any_cell_runs(
+            self, tmp_path, capsys, monkeypatch):
+        def no_fvi(*args, **kwargs):
+            raise AssertionError("a cell ran before the grid was checked")
+
+        monkeypatch.setattr(mcip, "run_nnfvi", no_fvi)
+        cfg = write_config(tmp_path, "cs.json", self._payload([0.9], [0.5, 1.5]))
+        out = tmp_path / "out"
+        assert main(["case-study", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+        assert "salvage ratio" in json.loads(capsys.readouterr().err)["message"]
+
 
 class TestDpOracle:
     def test_single_period_table(self, tmp_path):
@@ -309,6 +320,24 @@ class TestErrors:
             "instance": {"synthetic": {"seed": 1}}})
         assert main(["fvi-run", "--config", cfg,
                      "--out", str(tmp_path / "o")]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("change", [{"engine": "bogus"},
+                                        {"fvi": {"state_samples": 0}}])
+    def test_refused_fvi_config_is_usage(self, tmp_path, capsys, change):
+        cfg = write_config(tmp_path, "cfg.json", {**tiny_fvi_payload(), **change})
+        out = tmp_path / "out"
+        assert main(["fvi-run", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+        assert json.loads(capsys.readouterr().err)["error"] == "usage"
+        assert not (out / "fvi_results.csv").exists()
+
+    def test_refused_mcd_bench_config_is_usage(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "bench.json", {
+            "seed": 1, "suite": {"instances": 1, "facilities": [2]},
+            "mcd": {"max_iterations": 0},
+        })
+        out = tmp_path / "out"
+        assert main(["mcd-bench", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+        assert "max_iterations" in json.loads(capsys.readouterr().err)["message"]
 
     def test_bad_flag_is_usage(self, tmp_path):
         assert main(["fvi-run", "--nonsense"]) == EXIT_USAGE

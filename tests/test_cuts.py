@@ -3,6 +3,7 @@ import pytest
 
 from nnfvi.cuts import (
     BinaryEncoding,
+    LinearCut,
     RecourseContext,
     binary_encoding,
     combined_cut,
@@ -46,6 +47,89 @@ def assert_cache_matches_per_neuron(ctx):
                                        rtol=1e-10, atol=1e-10)
             assert ctx.gamma2[s, j] == pytest.approx(
                 float(u[j] @ ctx.offsets[s] + u0[j]), rel=1e-10, abs=1e-10)
+
+
+def loop_positive_cut(ctx):
+    """The per-(neuron, scenario) loop that built the positive-neuron cut
+    before the array form, kept as its oracle."""
+    n2 = ctx.spec.action_box.dims
+    a_bar = ctx.spec.action_box.upper_bounds.astype(float)
+    coef = np.zeros(n2)
+    const = 0.0
+    for j in ctx.positive_neurons:
+        wj = ctx.net.output_weights[j]
+        for s in range(ctx.s2):
+            g1 = ctx.gamma1[s, j]
+            g2 = ctx.gamma2[s, j]
+            neg_mask = g1 < 0.0
+            min_pre = g1[neg_mask] @ a_bar[neg_mask] + g2
+            max_pre = g1[~neg_mask] @ a_bar[~neg_mask] + g2
+            if min_pre > 0.0:
+                coef += wj * g1
+                const += wj * g2
+            elif max_pre < 0.0:
+                continue
+            else:
+                denom = float(np.abs(g1) @ a_bar)
+                if denom <= 0.0:
+                    # preactivation is action-independent: exact constant line
+                    const += wj * max(g2, 0.0)
+                    continue
+                ratio = max_pre / denom
+                coef += wj * ratio * g1
+                const += -wj * ratio * float(g1[neg_mask] @ a_bar[neg_mask])
+    return LinearCut(coef / ctx.s2, const / ctx.s2)
+
+
+def loop_recourse_upper_bound(ctx):
+    """The per-neuron loop that charged each positive neuron its box-maximal
+    activation before the array form, kept as its oracle."""
+    a_bar = ctx.spec.action_box.upper_bounds.astype(float)
+    total = 0.0
+    for j in ctx.positive_neurons:
+        wj = ctx.net.output_weights[j]
+        g1 = ctx.gamma1[:, j, :]  # (S2, N2)
+        max_pre = np.where(g1 > 0.0, g1, 0.0) @ a_bar + ctx.gamma2[:, j]
+        total += wj * float(np.sum(np.maximum(max_pre, 0.0)))
+    return total / ctx.s2
+
+
+def integer_context(seed, j=6, n1=2, n2=3, s2=4):
+    """Context with small-integer weights, biases and transitions, so that
+    preactivations with a box minimum or maximum of exactly 0 occur, and a
+    box with zero bounds.  Neuron 0 has zero input weights and bias and a
+    positive output weight: gamma1 = gamma2 = 0, a constant mixed term."""
+    rng = np.random.default_rng(seed)
+    spec = random_affine_spec(rng, n1, n2, rng.integers(0, 4, size=n2))
+    u = rng.integers(-1, 2, size=(j, n1)).astype(float)
+    u0 = rng.integers(-2, 3, size=j).astype(float)
+    w = rng.normal(size=j)
+    u[0], u0[0], w[0] = 0.0, 0.0, abs(w[0]) + 0.1
+    noises = rng.integers(-2, 3, size=(s2, n1 + n1 * n2)).astype(float)
+    return RecourseContext(ReluNet(u, u0, w, 0.0), spec, np.zeros(n1), noises)
+
+
+def positive_term_cases(ctx):
+    """Which cases the positive-weight (scenario, neuron) terms of ``ctx`` hit,
+    computed one term at a time."""
+    a_bar = ctx.spec.action_box.upper_bounds.astype(float)
+    cases = {"zero-bound dimension"} if np.any(a_bar == 0) else set()
+    for j in ctx.positive_neurons:
+        for s in range(ctx.s2):
+            g1, g2 = ctx.gamma1[s, j], ctx.gamma2[s, j]
+            lo = sum(min(g, 0.0) * b for g, b in zip(g1, a_bar)) + g2
+            hi = sum(max(g, 0.0) * b for g, b in zip(g1, a_bar)) + g2
+            if lo > 0:
+                cases.add("always active")
+            elif hi < 0:
+                cases.add("never active")
+            elif np.abs(g1) @ a_bar == 0:
+                cases.add("constant mixed term")
+            else:
+                cases.add("mixed")
+            if lo == 0 or hi == 0:
+                cases.add("box extreme 0")
+    return cases
 
 
 class TestRecourseContext:
@@ -214,6 +298,31 @@ class TestPositiveCut:
                 assert max_pre / denom <= 1.0 + 1e-12
             cut = positive_cut(ctx)
             assert np.all(cut.values(enumerate_actions(ctx.spec.action_box)) >= -1e-12)
+
+
+class TestLoopOracle:
+    """The array forms of positive_cut and recourse_upper_bound against the
+    per-term loops they replaced."""
+
+    def contexts(self):
+        for seed in range(50):
+            a_bar = [0, 3, 4] if seed % 5 == 0 else None
+            yield random_context(seed + 1300, j=7, n1=3, n2=3, s2=4, a_bar=a_bar)
+        for seed in range(30):
+            yield integer_context(seed + 1400)
+
+    def test_matches_loop_on_random_and_integer_contexts(self):
+        seen = set()
+        for ctx in self.contexts():
+            seen |= positive_term_cases(ctx)
+            cut, oracle = positive_cut(ctx), loop_positive_cut(ctx)
+            np.testing.assert_allclose(cut.coef, oracle.coef, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(cut.const, oracle.const, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(recourse_upper_bound(ctx),
+                                       loop_recourse_upper_bound(ctx),
+                                       rtol=1e-12, atol=1e-12)
+        assert seen == {"zero-bound dimension", "always active", "never active",
+                        "constant mixed term", "mixed", "box extreme 0"}
 
 
 class TestCombinedCut:

@@ -342,6 +342,31 @@ class TestCutReuse:
         assert calls == [ctx]
         assert res.objective <= reference.objective + 1e-9
 
+    def test_anchor_encoded_once_per_integer_cut(self, monkeypatch):
+        # the first-stage rows read each cut's stored bits instead of
+        # re-encoding every earlier anchor at every iteration
+        ctx, reward = make_bench_instance(3006, facilities=3, neurons=10,
+                                          transition_samples=4,
+                                          capacity_levels=3)
+        encoded, made = [], []
+        encode = cuts.BinaryEncoding.encode
+        make_cut = mcd.integer_optimality_cut
+
+        def counting_encode(enc, a):
+            encoded.append(a)
+            return encode(enc, a)
+
+        def counting_cut(*args):
+            made.append(make_cut(*args))
+            return made[-1]
+
+        monkeypatch.setattr(cuts.BinaryEncoding, "encode", counting_encode)
+        monkeypatch.setattr(mcd, "integer_optimality_cut", counting_cut)
+        res = select_action(ctx, reward, McdConfig(max_iterations=10, gap_tolerance=0.0))
+        assert res.iterations == 10
+        assert len(made) == 9
+        assert len(encoded) == len(made)
+
     def test_combined_cut_bit_identical_to_fresh_sum(self):
         ctx = random_context(13, j=8, n2=3, a_bar=[3, 2, 4])
         for anchor in enumerate_actions(ctx.spec.action_box)[::5]:
