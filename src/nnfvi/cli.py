@@ -196,10 +196,13 @@ def cmd_mcd_bench(config: dict, out_dir: Path) -> int:
     and, in a separate file, wall-clock timings."""
     seed = _require_seed(config)
     suite = config.get("suite", {})
-    n_instances = int(suite.get("instances", 0))
-    facilities = suite.get("facilities", [3])
-    shape = _present(suite, {"neurons": int, "transition_samples": int,
-                             "capacity_levels": int})
+    with _usage_errors():  # refuse a bad suite block before the first selection
+        n_instances = int(suite.get("instances", 0))
+        shape = _present(suite, {"neurons": int, "transition_samples": int,
+                                 "capacity_levels": int})
+        dims = [int(n2) for n2 in suite.get("facilities", [3]) for _ in range(n_instances)]
+        instances = [make_bench_instance(seed + 1000 * case, n2, **shape)
+                     for case, n2 in enumerate(dims, start=1)]
     engines = config.get("engines", ["brute", "lshaped", "mcd"])
     configs = {engine: _mcd_config_from(config, engine) for engine in engines}
     chash = _config_hash(config)
@@ -210,36 +213,32 @@ def cmd_mcd_bench(config: dict, out_dir: Path) -> int:
     rows = []
     trace_rows = []
     timing_rows = []
-    case = 0
-    for n2 in facilities:
-        for k in range(n_instances):
-            case += 1
-            ctx, reward = make_bench_instance(seed + 1000 * case, int(n2), **shape)
-            results = {}
-            for engine in engines:
-                start = time.perf_counter()
-                res = select_action(ctx, reward, configs[engine])
-                elapsed = time.perf_counter() - start
-                results[engine] = (res, elapsed)
-                for it, lo, hi, action in res.trace_rows():
-                    trace_rows.append([case, engine, it, repr(lo), repr(hi),
-                                       action])
-            reference = results.get("brute")
-            for engine in engines:
-                res, elapsed = results[engine]
-                if engine == "brute":
-                    stop, gap = "-", "-"
+    for case, (n2, (ctx, reward)) in enumerate(zip(dims, instances), start=1):
+        results = {}
+        for engine in engines:
+            start = time.perf_counter()
+            res = select_action(ctx, reward, configs[engine])
+            elapsed = time.perf_counter() - start
+            results[engine] = (res, elapsed)
+            for it, lo, hi, action in res.trace_rows():
+                trace_rows.append([case, engine, it, repr(lo), repr(hi),
+                                   action])
+        reference = results.get("brute")
+        for engine in engines:
+            res, elapsed = results[engine]
+            if engine == "brute":
+                stop, gap = "-", "-"
+            else:
+                stop = configs[engine].stop_criterion_label()
+                if reference is not None:
+                    ref_obj = reference[0].objective
+                    gap = repr(100.0 * (ref_obj - res.objective)
+                               / max(abs(ref_obj), 1e-9))
                 else:
-                    stop = configs[engine].stop_criterion_label()
-                    if reference is not None:
-                        ref_obj = reference[0].objective
-                        gap = repr(100.0 * (ref_obj - res.objective)
-                                   / max(abs(ref_obj), 1e-9))
-                    else:
-                        gap = "-"
-                rows.append([case, int(n2), engine, stop, res.iterations,
-                             repr(res.objective), gap, int(res.fell_back)])
-                timing_rows.append([case, engine, repr(elapsed)])
+                    gap = "-"
+            rows.append([case, n2, engine, stop, res.iterations,
+                         repr(res.objective), gap, int(res.fell_back)])
+            timing_rows.append([case, engine, repr(elapsed)])
 
     _write_csv(out_dir / "mcd_bench.csv", header, rows, chash)
     _write_csv(out_dir / "mcd_bench_traces.csv",
@@ -260,14 +259,17 @@ def cmd_case_study(config: dict, out_dir: Path) -> int:
     if not gammas or not ratios:
         raise UsageError("case-study config needs non-empty 'gammas' and 'ratios'")
     fvi_config = _fvi_config_from(config, seed)
-    with _usage_errors():  # refuse a bad grid before the first cell's FVI
+    with _usage_errors():  # refuse a bad grid or path count before the first cell's FVI
         for gamma in gammas:
             for ratio in ratios:
                 with_parameters(instance, gamma=gamma, salvage_ratio=ratio)
+        counts = _present(config, {"n_paths": int, "n_scenarios": int})
+    for key, count in counts.items():
+        if count < 1:
+            raise UsageError(f"{key} must be at least 1, got {count}")
     chash = _config_hash(config)
 
-    cells = sensitivity_sweep(instance, gammas, ratios, fvi_config, seed=seed,
-                              **_present(config, {"n_paths": int, "n_scenarios": int}))
+    cells = sensitivity_sweep(instance, gammas, ratios, fvi_config, seed=seed, **counts)
     header = ["gamma", "salvage_expansion_ratio",
               "inflexible_enpv_currency", "inflexible_se_currency",
               "flexible_enpv_currency", "flexible_se_currency",

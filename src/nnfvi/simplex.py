@@ -19,10 +19,24 @@ reaches its opposite bound before any basic variable blocks it flips bound
 without a basis change, recorded in ``pivots`` as ``(j, j)``.  The tableau
 is rebuilt from the basis every ``REFACTOR_EVERY`` pivots to cap
 accumulated round-off.
+
+An optimal tableau also re-optimizes after its bounds tighten, which is how
+branch-and-bound solves its children (Koberstein 2005, *The dual simplex
+method, techniques for a fast and stable implementation*).  Tightening the
+bounds of a basic variable keeps the basis dual feasible, so a bounded
+dual simplex restores primal feasibility: the basic variable with the
+smallest index among those outside their bounds leaves at the bound it
+breaks, and the column entering is the one with the smallest ratio
+``|d_j / alpha_rj|`` among the columns that can move the right way, ties to
+the lowest index.  No column able to enter proves the tightened problem
+infeasible.  A tableau can also be moved to another basis by pivoting in
+the columns it lacks, so a caller may keep a node as its basis, values and
+bounds instead of the whole tableau.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -91,6 +105,8 @@ class LpSolution:
     objective: Optional[float] = None
     x: Optional[np.ndarray] = None
     pivots: list = field(default_factory=list)  # (entering, leaving); (j, j) is a bound flip
+    # the optimal tableau, from which branch-and-bound re-optimizes its nodes
+    _tableau: Optional["_Tableau"] = field(default=None, repr=False, compare=False)
 
 
 class _Tableau:
@@ -178,6 +194,83 @@ class _Tableau:
             self._pivot(row, enter)
         raise LpNumericalError("pivot limit exceeded; possible numerical cycling")
 
+    def as_base(self) -> "_Tableau":
+        """This optimal tableau as the base that nodes are rebuilt from.
+
+        Its own rows ``B0^-1 K`` and ``B0^-1 b`` stand in for ``K`` and
+        ``b`` from here on (refactoring against them gives the same
+        tableau), so the column matrix can be freed.  The base itself must
+        not pivot afterwards.
+        """
+        nonbasic = self.x.copy()
+        nonbasic[self.basis] = 0.0
+        self.b = self.x[self.basis] + self.T[: self.m] @ nonbasic
+        self.K = self.T[: self.m]
+        return self
+
+    def rebased(self, basis: np.ndarray, x: np.ndarray, lower: np.ndarray,
+                upper: np.ndarray) -> "_Tableau":
+        """Copy moved to the basis ``basis`` (as a set of columns), with
+        column values ``x`` and bounds ``lower`` and ``upper``.
+
+        Each missing column, in index order, is pivoted in on the row of
+        largest magnitude among the rows whose basic column is not wanted,
+        so no inverse is formed and the pivot sequence is deterministic.
+        ``K``, ``b``, the costs and the work buffer are shared.
+        """
+        tab = copy.copy(self)
+        tab.T, tab.basis, tab.pivots = self.T.copy(), self.basis.copy(), []
+        tab.x, tab.lower, tab.upper = x.copy(), lower.copy(), upper.copy()
+        wanted = np.zeros(self.n, dtype=bool)
+        wanted[basis] = True
+        missing = wanted.copy()
+        missing[self.basis] = False
+        for col in np.flatnonzero(missing):
+            rows = np.flatnonzero(~wanted[tab.basis])
+            tab._pivot(int(rows[np.argmax(np.abs(tab.T[rows, col]))]), int(col))
+        tab.x[:] = x  # a refactorization on the way sets basic values of its own basis
+        return tab
+
+    def reoptimize(self) -> str:
+        """Re-optimize a dual feasible basis after bound changes.
+
+        Runs the dual simplex until every basic value is within its bounds,
+        then :meth:`solve` on the same costs as a check (it takes no pivot
+        unless round-off left a reduced cost of the wrong sign).  Returns
+        'optimal', 'infeasible' or 'unbounded'; ``pivots`` holds this call's
+        pivots only.
+        """
+        self.pivots = []
+        T, m = self.T, self.m
+        for _ in range(MAX_PIVOTS):
+            xb = self.x[self.basis]
+            lb, ub = self.lower[self.basis], self.upper[self.basis]
+            below, above = xb < lb - FEASIBILITY_TOL, xb > ub + FEASIBILITY_TOL
+            out = np.flatnonzero(below | above)
+            if not out.size:
+                return self.solve(self._costs, self.n)
+            row = int(out[np.argmin(self.basis[out])])  # smallest basic index leaves
+            leave = int(self.basis[row])
+            target = lb[row] if below[row] else ub[row]
+            # x_leave falls by T[row, j] per unit rise of x_j; sign the row so
+            # that a column helps by moving against the sign of its entry.
+            # Fixed columns, artificials among them, can move neither way
+            alpha = T[row] if below[row] else -T[row]
+            eligible = (((alpha < -FEASIBILITY_TOL) & (self.x < self.upper))
+                        | ((alpha > FEASIBILITY_TOL) & (self.x > self.lower)))
+            cand = np.flatnonzero(eligible)
+            if not cand.size:
+                return "infeasible"
+            ratios = np.abs(T[m, cand] / alpha[cand])
+            # smallest dual ratio; ties go to the lowest column index
+            enter = int(cand[np.argmax(ratios <= ratios.min() + OPTIMALITY_TOL)])
+            step = (self.x[leave] - target) / T[row, enter]
+            self.x[self.basis] -= step * T[:m, enter]
+            self.x[enter] += step
+            self.x[leave] = target
+            self._pivot(row, enter)
+        raise LpNumericalError("pivot limit exceeded; possible numerical cycling")
+
     def _pivot(self, row: int, col: int):
         self.pivots.append((col, int(self.basis[row])))
         piv = self.T[row, col]
@@ -245,4 +338,4 @@ def solve_lp(p: LpProblem) -> LpSolution:
         return LpSolution(status="unbounded", pivots=tab.pivots)
     x_opt = tab.x[:n].copy()
     return LpSolution(status="optimal", objective=float(p.c @ x_opt), x=x_opt,
-                      pivots=tab.pivots)
+                      pivots=tab.pivots, _tableau=tab)

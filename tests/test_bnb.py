@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nnfvi.bnb import MilpProblem, MilpSolution, solve_milp
-from nnfvi.simplex import LEQ, LpProblem
+from nnfvi.simplex import LEQ, LpProblem, solve_lp
 
 
 def binary_milp(c, A, b, maximize=True, extra_continuous=0, cont_upper=None):
@@ -161,3 +161,34 @@ class TestRandomVsEnumeration:
                 assert sol.status == "infeasible"
             else:
                 assert sol.objective == pytest.approx(best, abs=1e-8)
+
+
+class TestWarmStartedSearch:
+    """Children re-optimize from their parent's basis; reruns repeat."""
+
+    def test_rerun_repeats_solution_nodes_trace_and_pivots(self):
+        rng = np.random.default_rng(36)
+        searched = 0
+        for _ in range(15):
+            c, A = rng.normal(size=9), rng.normal(size=(3, 9))
+            b = rng.uniform(-0.5, 4.5, size=3)
+            maximize = bool(rng.integers(0, 2))
+            first = solve_milp(binary_milp(c, A, b, maximize))
+            again = solve_milp(binary_milp(c, A, b, maximize))
+            assert first.status == again.status
+            if first.status == "optimal":
+                np.testing.assert_array_equal(first.x, again.x)
+                assert first.objective == again.objective
+            assert first.node_count == again.node_count
+            assert first.bound_trace == again.bound_trace
+            assert first.lp_pivots == again.lp_pivots
+            searched += first.node_count > 0
+        assert searched
+
+    def test_lp_pivots_count_root_and_children(self):
+        p = binary_milp([1.0, 1.0], [[1.0, 1.0]], [1.5])
+        root_pivots = len(solve_lp(p.lp).pivots)
+        sol = solve_milp(p)
+        assert sol.node_count > 0 and sol.lp_pivots > root_pivots
+        integral = binary_milp([1.0, 1.0], np.zeros((1, 2)), [5.0])
+        assert solve_milp(integral).lp_pivots == len(solve_lp(integral.lp).pivots) == 2

@@ -222,6 +222,19 @@ class TestCaseStudy:
         assert main(["case-study", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
         assert "salvage ratio" in json.loads(capsys.readouterr().err)["message"]
 
+    @pytest.mark.parametrize("key", ["n_paths", "n_scenarios"])
+    def test_path_count_below_one_is_usage_error_before_any_cell_runs(
+            self, tmp_path, capsys, monkeypatch, key):
+        def no_fvi(*args, **kwargs):
+            raise AssertionError("a cell ran before the path counts were checked")
+
+        monkeypatch.setattr(mcip, "run_nnfvi", no_fvi)
+        cfg = write_config(tmp_path, "cs.json", {**self._payload([0.9], [0.5]), key: 0})
+        out = tmp_path / "out"
+        assert main(["case-study", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+        assert key in json.loads(capsys.readouterr().err)["message"]
+        assert not (out / "case_study.csv").exists()
+
 
 class TestDpOracle:
     def test_single_period_table(self, tmp_path):
@@ -338,6 +351,22 @@ class TestErrors:
         out = tmp_path / "out"
         assert main(["mcd-bench", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
         assert "max_iterations" in json.loads(capsys.readouterr().err)["message"]
+
+    @pytest.mark.parametrize("suite, word", [
+        ({"instances": "two", "facilities": [2]}, "two"),
+        ({"instances": 1, "facilities": [2], "capacity_levels": -1}, "non-negative"),
+    ])
+    def test_refused_mcd_bench_suite_is_usage_before_any_selection(
+            self, tmp_path, capsys, monkeypatch, suite, word):
+        def no_selection(*args, **kwargs):
+            raise AssertionError("a selection ran before the suite was checked")
+
+        monkeypatch.setattr("nnfvi.cli.select_action", no_selection)
+        cfg = write_config(tmp_path, "bench.json", {"seed": 1, "suite": suite})
+        out = tmp_path / "out"
+        assert main(["mcd-bench", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+        assert word in json.loads(capsys.readouterr().err)["message"]
+        assert not (out / "mcd_bench.csv").exists()
 
     def test_bad_flag_is_usage(self, tmp_path):
         assert main(["fvi-run", "--nonsense"]) == EXIT_USAGE

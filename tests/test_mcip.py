@@ -55,12 +55,18 @@ def exact_plan_value(model, rewards, e0, x0, plan):
     return total
 
 
+def lattice_row(model, capacity):
+    """Row of ``capacity`` among the DP model's capacity levels, matched
+    exactly as ``dp-oracle`` does; an off-lattice capacity fails."""
+    (row,) = np.flatnonzero((model.endo_levels == capacity).all(axis=1))
+    return int(row)
+
+
 def exact_value_of_flexibility(instance):
     """Exact DP value at the initial state minus the best constant plan's."""
     model = dp_model(instance)
     tables = exact_dp(model)
-    e0 = model.endo_levels.tolist().index(
-        instance.initial_capacity.astype(int).tolist())
+    e0 = lattice_row(model, instance.initial_capacity)
     x0 = instance.demand.index_of(instance.initial_demand)
     rewards = reward_tables(model)
     best_plan = max(exact_plan_value(model, rewards, e0, x0, a)
@@ -514,8 +520,7 @@ class TestInflexibleDesign:
         plan, value = inflexible_two_stage(inst, paths)
         np.testing.assert_array_equal(plan, [0, 0])
         dp = exact_dp(dp_model(inst))
-        e = dp.model.endo_levels.tolist().index(
-            inst.initial_capacity.astype(int).tolist())
+        e = lattice_row(dp.model, inst.initial_capacity)
         x = inst.demand.index_of(inst.initial_demand)
         assert value == pytest.approx(dp.value(1, e, x), abs=1e-7)
 

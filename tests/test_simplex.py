@@ -1,4 +1,6 @@
 import itertools
+from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -325,3 +327,118 @@ class TestBoundKinds:
             assert sol.objective == pytest.approx(expected, abs=1e-8)
             assert np.all(sol.x >= lower - 1e-9) and np.all(sol.x <= upper + 1e-9)
             assert np.all(flip * (A @ sol.x) <= flip * b + 1e-8)
+
+
+def warm_tree(p, binaries, depth):
+    """Branch ``p`` on its most fractional binary for ``depth`` levels and
+    check every child's warm-started dual simplex against a cold solve_lp
+    with the same bounds; returns (children, infeasible children).
+
+    Every node is rebuilt from the root's optimal tableau from its basis,
+    values and bounds, as branch-and-bound does.  The primal check that
+    ends each re-optimization must find the dual simplex's basis optimal."""
+
+    def checked_solve(tab, costs, n_enter):
+        start = len(tab.pivots)
+        status = type(tab).solve(tab, costs, n_enter)
+        assert len(tab.pivots) == start, "the dual simplex stopped short of optimal"
+        return status
+
+    root = solve_lp(p)
+    assert root.status == "optimal"
+    n = p.n_vars
+    base = root._tableau.as_base()
+    open_nodes = [(base.basis, base.x, base.lower, base.upper, 0)]
+    children = infeasible = 0
+    while open_nodes:
+        basis, x, lower, upper, level = open_nodes.pop()
+        frac = [(min(x[i] - np.floor(x[i]), np.ceil(x[i]) - x[i]), -i) for i in binaries]
+        gap, neg_var = max(frac)
+        if gap <= 1e-6 or level == depth:
+            continue
+        var = -neg_var
+        for value in (0.0, 1.0):
+            tab = base.rebased(basis, x, lower, upper)
+            tab.solve = partial(checked_solve, tab)
+            tab.lower[var] = tab.upper[var] = value
+            status = tab.reoptimize()
+            cold = solve_lp(replace(p, lower=tab.lower[:n].copy(),
+                                    upper=tab.upper[:n].copy()))
+            children += 1
+            assert status == cold.status
+            if status != "optimal":
+                infeasible += 1
+                continue
+            warm_x = tab.x[:n]
+            assert float(p.c @ warm_x) == pytest.approx(cold.objective, abs=1e-9)
+            assert np.all(warm_x >= tab.lower[:n] - 1e-9)
+            assert np.all(warm_x <= tab.upper[:n] + 1e-9)
+            rows = p.A @ warm_x
+            senses = np.asarray(p.senses)
+            assert np.all(rows[senses == LEQ] <= p.b[senses == LEQ] + 1e-8)
+            assert np.all(rows[senses == GEQ] >= p.b[senses == GEQ] - 1e-8)
+            np.testing.assert_allclose(rows[senses == EQ], p.b[senses == EQ], atol=1e-8)
+            open_nodes.append((tab.basis.copy(), tab.x.copy(), tab.lower.copy(),
+                               tab.upper.copy(), level + 1))
+    return children, infeasible
+
+
+class TestWarmStartedChildren:
+    """A child's dual simplex from its parent's basis agrees with a cold solve."""
+
+    def test_random_binary_problems(self):
+        rng = np.random.default_rng(41)
+        children = infeasible = 0
+        for _ in range(30):
+            k, m = int(rng.integers(4, 9)), int(rng.integers(2, 5))
+            A = rng.normal(size=(m, k))
+            b = rng.uniform(-0.5, k * 0.4, size=m)
+            p = LpProblem(c=rng.normal(size=k), A=A, b=b, senses=[LEQ] * m,
+                          lower=np.zeros(k), upper=np.ones(k),
+                          maximize=bool(rng.integers(0, 2)))
+            if solve_lp(p).status != "optimal":
+                continue
+            got = warm_tree(p, range(k), depth=4)
+            children += got[0]
+            infeasible += got[1]
+        assert children > 100 and infeasible > 0
+
+    def test_random_mixed_problems_with_a_free_column(self):
+        # binaries, one boxed continuous column and one free column that
+        # only the rows bound, as the first-stage recourse variable is
+        rng = np.random.default_rng(42)
+        children = 0
+        for _ in range(60):
+            k, m = int(rng.integers(3, 7)), int(rng.integers(2, 5))
+            A = np.hstack([rng.normal(size=(m, k + 1)), np.ones((m, 1))])
+            b = rng.uniform(0.0, 2.0, size=m)
+            senses = [LEQ if s else GEQ for s in rng.integers(0, 3, size=m) > 0]
+            senses[0] = LEQ  # the free column's coefficient caps it from above
+            lower = np.concatenate([np.zeros(k), [-1.0, -np.inf]])
+            upper = np.concatenate([np.ones(k), [2.0, np.inf]])
+            c = np.concatenate([rng.normal(size=k + 1), [1.0]])
+            p = LpProblem(c=c, A=A, b=b, senses=senses, lower=lower, upper=upper,
+                          maximize=True)
+            if solve_lp(p).status != "optimal":
+                continue
+            children += warm_tree(p, range(k), depth=4)[0]
+        assert children > 50
+
+    def test_infeasible_child(self):
+        # x0 >= 0.5 and x0 <= 0.7 leave no binary value for x0
+        p = LpProblem(c=[1.0, 1.0], A=[[1.0, 0.0], [1.0, 1.0]], b=[0.5, 1.2],
+                      senses=[GEQ, LEQ], lower=np.zeros(2), upper=np.ones(2),
+                      maximize=False)
+        assert warm_tree(p, [0, 1], depth=1) == (2, 1)
+
+    def test_equality_rows_with_an_artificial_basic_at_zero(self):
+        # the second row repeats the first, so phase 1 leaves an artificial
+        # basic at zero; x1 is fractional at the root
+        p = LpProblem(c=[2.0, 1.0, 0.5], A=[[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]],
+                      b=[1.5, 3.0], senses=[EQ, EQ], lower=np.zeros(3),
+                      upper=[1.0, 1.0, np.inf], maximize=True)
+        root = solve_lp(p)
+        assert root.x[1] == pytest.approx(0.5)
+        assert np.any(root._tableau.basis >= p.n_vars + p.n_rows)
+        children, infeasible = warm_tree(p, [0, 1], depth=2)
+        assert (children, infeasible) == (4, 1)  # x1 = 1 leaves no room for x0 = 1
