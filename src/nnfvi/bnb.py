@@ -6,19 +6,33 @@ is solved cold, by :func:`solve_lp`.  A child fixes its parent's fractional,
 hence basic, binary to 0 or 1; the parent's optimal basis stays dual
 feasible, so the child re-optimizes from it with the dual simplex
 (``_Tableau.reoptimize``), and a child whose dual simplex finds no entering
-column is infeasible.  An open node is its basis, column values and bounds,
-O(rows + columns) numbers.  Its children are solved one after the other in
-one working tableau, each rebuilt from the root's optimal tableau by
-pivoting in the columns the root basis lacks; only the 1-child's tableau is
-kept, so that it is reused when that child is the next node expanded.  One
-working tableau besides the root's holds a MILP's memory at what a single
-cold solve needs.
+column is infeasible.  A node is its bound, basis, column values and binary
+fixings, O(rows + columns) numbers.  Its children are solved one after the
+other in one working tableau, each rebuilt from the root's optimal tableau
+(the base) by pivoting in the columns the base basis lacks; only the
+1-child's tableau is kept, so that it is reused when that child is the next
+node expanded.  One working tableau besides the base holds a MILP's memory
+at what a single cold solve needs.
+
+A search is resumable, the branch-and-cut form of a cutting-plane method
+such as Laporte & Louveaux's (1993) integer L-shaped method.  Every solution
+carries its frontier: the base and every leaf, that is every node left
+open, pruned by bound, found integral, or dropped because it could not beat
+the incumbent (infeasible nodes are gone for good).  Given that solution,
+:func:`solve_milp` solves the same problem with trailing ``<=`` rows added:
+the rows are appended to the base (``_Tableau.with_rows``), each leaf gains
+the new slacks' values, and every leaf is pushed with its old bound, which
+stays valid because rows only tighten the problem.  A popped leaf whose old
+bound still beats the incumbent is rebuilt and re-optimized by the dual
+simplex, then filed like a new child.  A cold solve is the same loop started
+from the root alone.
 
 Incumbents come only from integral relaxations: best-first order expands a
 node only while its bound beats the optimum (up to the tolerance), so
 seeding the optimum as the incumbent would save no expansion.  The solver
-proves optimality to an absolute tolerance; the global bound after each
-processed node is recorded so callers can audit monotone convergence.
+proves optimality to an absolute tolerance; the global bound after the root
+and after each processed node is recorded so callers can audit monotone
+convergence.
 """
 
 from __future__ import annotations
@@ -29,7 +43,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .simplex import LpProblem, solve_lp
+from .simplex import LEQ, LpProblem, _Tableau, solve_lp
 
 DEFAULT_TOL = 1e-6
 NODE_CAP = 100_000
@@ -62,14 +76,28 @@ class MilpProblem:
 
 
 @dataclass
+class _Frontier:
+    """Where a search stopped: the problem it solved, the root's optimal
+    tableau as a base (None when the root LP was not optimal), and the
+    leaves as (bound, basis, column values, binary fixings) tuples, the
+    fixings a tuple of (variable, value) pairs."""
+
+    problem: MilpProblem
+    base: Optional[_Tableau]
+    leaves: list
+
+
+@dataclass
 class MilpSolution:
     status: str  # 'optimal' | 'infeasible' | 'unbounded'
     objective: Optional[float] = None
     x: Optional[np.ndarray] = None
     bound: Optional[float] = None
-    node_count: int = 0
+    node_count: int = 0  # nodes processed in this call, re-solved leaves included
     bound_trace: list = field(default_factory=list)
-    lp_pivots: int = 0  # root and child simplex pivots, bound flips included
+    lp_pivots: int = 0  # root and node simplex pivots, bound flips included
+    # the search's frontier, from which a solve with appended rows resumes
+    _frontier: Optional[_Frontier] = field(default=None, repr=False, compare=False)
 
 
 def _most_fractional(x: np.ndarray, binaries: Sequence[int]) -> Optional[int]:
@@ -81,41 +109,105 @@ def _most_fractional(x: np.ndarray, binaries: Sequence[int]) -> Optional[int]:
     return best_idx
 
 
-def solve_milp(p: MilpProblem, tol: float = DEFAULT_TOL) -> MilpSolution:
-    """Globally solve the binary MILP within absolute tolerance ``tol``."""
+def _extended(frontier: _Frontier, p: MilpProblem) -> tuple[Optional[_Tableau], list]:
+    """The frontier's base and leaves with ``p``'s trailing rows appended;
+    refuses a ``p`` that is not the frontier's problem plus ``<=`` rows."""
+    old, new = frontier.problem.lp, p.lp
+    m = old.n_rows
+    same = (new.n_vars == old.n_vars and new.n_rows >= m
+            and new.maximize == old.maximize
+            and list(p.binary_indices) == list(frontier.problem.binary_indices)
+            and np.array_equal(new.c, old.c) and np.array_equal(new.lower, old.lower)
+            and np.array_equal(new.upper, old.upper)
+            and np.array_equal(new.A[:m], old.A) and np.array_equal(new.b[:m], old.b)
+            and list(new.senses[:m]) == list(old.senses)
+            and all(s == LEQ for s in new.senses[m:]))
+    if not same:
+        raise ValueError("a resumed problem must be the solved one plus trailing "
+                         "'<=' rows")
+    if frontier.base is None:
+        return None, []
+    A, b = new.A[m:], new.b[m:]
+    base = frontier.base.with_rows(A, b)
+    slacks = np.arange(frontier.base.n, base.n)
+    n = new.n_vars
+    return base, [(bound, np.concatenate([basis, slacks]),
+                   np.concatenate([x, b - A @ x[:n]]), fixings)
+                  for bound, basis, x, fixings in frontier.leaves]
+
+
+def _bounds(base: _Tableau, fixings: tuple) -> tuple[np.ndarray, np.ndarray]:
+    lower, upper = base.lower.copy(), base.upper.copy()
+    for var, value in fixings:
+        lower[var] = upper[var] = value
+    return lower, upper
+
+
+def solve_milp(p: MilpProblem, tol: float = DEFAULT_TOL,
+               resume: Optional[MilpSolution] = None) -> MilpSolution:
+    """Globally solve the binary MILP within absolute tolerance ``tol``.
+
+    With ``resume``, a solution this function returned, ``p`` must be the
+    problem ``resume`` solved with ``<=`` rows appended (else ValueError),
+    and the search continues from ``resume``'s leaves instead of the root.
+    The frontier moves on to the new solution, so that the old one's memory
+    is freed before the search runs: a solution resumes once.
+    """
     sense = 1.0 if p.lp.maximize else -1.0
+    n = p.lp.n_vars
+    binaries = p.binary_indices
 
     def better(a: float, b: float) -> bool:
         return sense * a > sense * b
 
-    root = solve_lp(p.lp)
-    pivots = len(root.pivots)
-    if root.status == "infeasible":
-        return MilpSolution(status="infeasible", lp_pivots=pivots)
-    if root.status == "unbounded":
-        return MilpSolution(status="unbounded", lp_pivots=pivots)
-
-    branch_var = _most_fractional(root.x, p.binary_indices)
-    if branch_var is None:
-        return MilpSolution(
-            status="optimal", objective=root.objective, x=root.x,
-            bound=root.objective, node_count=0, bound_trace=[root.objective],
-            lp_pivots=pivots,
-        )
+    base, stale = None, []
+    if resume is not None:
+        if resume._frontier is None:
+            raise ValueError("the solution to resume from carries no search; "
+                             "a solution resumes once")
+        base, stale = _extended(resume._frontier, p)
+        resume._frontier = None
+    pivots = 0
+    root = None
+    if base is None:
+        root = solve_lp(p.lp)
+        pivots = len(root.pivots)
+        if root.status != "optimal":
+            return MilpSolution(status=root.status, lp_pivots=pivots,
+                                _frontier=_Frontier(p, None, []))
+        base = root._tableau.as_base()
 
     incumbent_x: Optional[np.ndarray] = None
     incumbent_val = -sense * np.inf
     node_count = 0
     bound_trace: list[float] = []
-    n = p.lp.n_vars
-    root_tab = root._tableau.as_base()
-
+    leaves: list[tuple] = []  # the frontier this call leaves behind
     # heap orders by worst-case-first on the relaxation bound (max: largest
-    # first); each entry carries its node's basis, column values and bounds
-    counter = 0
-    heap: list[tuple] = [(-sense * root.objective, counter, root.objective, branch_var,
-                          root_tab.basis, root_tab.x, root_tab.lower, root_tab.upper)]
-    kept_key, kept = None, None  # the last expansion's pushed 1-child and its tableau
+    # first); an entry is (priority, key, bound, branch variable, basis,
+    # values, fixings), the branch variable None for a stale leaf, one whose
+    # LP has not been re-optimized since rows were appended
+    heap = [(-sense * bound, key, bound, None, basis, x, fixings)
+            for key, (bound, basis, x, fixings) in enumerate(stale)]
+    heapq.heapify(heap)
+    counter = len(heap)
+
+    def settle(tab: _Tableau, fixings: tuple) -> bool:
+        """File a node whose LP ``tab`` solved to optimality; True if it was
+        pushed to be branched on."""
+        nonlocal incumbent_x, incumbent_val, counter
+        sol_x = tab.x[:n].copy()
+        objective = float(p.lp.c @ sol_x)
+        var = _most_fractional(sol_x, binaries)
+        beats = incumbent_x is None or better(objective, incumbent_val)
+        if beats and var is not None:
+            counter += 1
+            heapq.heappush(heap, (-sense * objective, counter, objective, var,
+                                  tab.basis.copy(), tab.x.copy(), fixings))
+            return True
+        if beats:  # integral
+            incumbent_x, incumbent_val = sol_x, objective
+        leaves.append((objective, tab.basis.copy(), tab.x.copy(), fixings))
+        return False
 
     def global_bound() -> float:
         best_open = heap[0][2] if heap else None
@@ -125,51 +217,59 @@ def solve_milp(p: MilpProblem, tol: float = DEFAULT_TOL) -> MilpSolution:
             return best_open
         return best_open if better(best_open, incumbent_val) else incumbent_val
 
+    def count_node() -> None:
+        nonlocal node_count
+        node_count += 1
+        if node_count > NODE_CAP:
+            raise NodeLimitError(
+                f"exceeded {NODE_CAP} nodes; increase the cap or tighten the model"
+            )
+
+    if root is not None:
+        settle(root._tableau, ())
+        bound_trace.append(global_bound())
+    kept_key, kept = None, None  # the last pushed node and its tableau
     while heap:
-        _, key, parent_bound, var, basis, x, lower, upper = heapq.heappop(heap)
-        if incumbent_x is not None and not better(parent_bound, incumbent_val + sense * tol):
+        _, key, bound, var, basis, x, fixings = heapq.heappop(heap)
+        if incumbent_x is not None and not better(bound, incumbent_val + sense * tol):
+            leaves.append((bound, basis, x, fixings))
             bound_trace.append(global_bound())
             continue  # pruned by bound
-        # the 0-child works in the kept tableau when this node is the 1-child
-        # pushed last; every other child starts from a rebuild at the parent
+        # a node works in the kept tableau when it is the node pushed last;
+        # every other one starts from a rebuild at its basis
         tab = kept if key == kept_key else None
         kept_key = kept = None
-        for value in (0.0, 1.0):
-            if tab is None:
-                tab = root_tab.rebased(basis, x, lower, upper)
-            tab.lower[var] = tab.upper[var] = value
-            node_count += 1
-            if node_count > NODE_CAP:
-                raise NodeLimitError(
-                    f"exceeded {NODE_CAP} nodes; increase the cap or tighten the model"
-                )
+        if var is None:  # a stale leaf: re-optimize it under the appended rows
+            tab = base.rebased(basis, x, *_bounds(base, fixings))  # never the kept one
+            count_node()
             status = tab.reoptimize()
             pivots += len(tab.pivots)
-            if status == "optimal":
-                sol_x = tab.x[:n].copy()
-                objective = float(p.lp.c @ sol_x)
-                if incumbent_x is None or better(objective, incumbent_val):
-                    nxt = _most_fractional(sol_x, p.binary_indices)
-                    if nxt is None:
-                        incumbent_x = sol_x
-                        incumbent_val = objective
-                    else:
-                        counter += 1
-                        heapq.heappush(heap, (-sense * objective, counter, objective, nxt,
-                                              tab.basis.copy(), tab.x.copy(),
-                                              tab.lower.copy(), tab.upper.copy()))
-                        if value == 1.0:
-                            kept_key, kept = counter, tab
-            tab = None  # released before the 1-child's tableau is rebuilt
-        # both children accounted for: the open cover shrank, record the bound
+            if status == "optimal" and settle(tab, fixings):
+                kept_key, kept = counter, tab
+        else:
+            for value in (0.0, 1.0):
+                if tab is None:
+                    tab = base.rebased(basis, x, *_bounds(base, fixings))
+                tab.lower[var] = tab.upper[var] = value
+                count_node()
+                status = tab.reoptimize()
+                pivots += len(tab.pivots)
+                if (status == "optimal" and settle(tab, fixings + ((var, value),))
+                        and value == 1.0):
+                    kept_key, kept = counter, tab
+                tab = None  # released before the 1-child's tableau is rebuilt
+        # the node is accounted for: the open cover shrank, record the bound
         bound_trace.append(global_bound())
         if incumbent_x is not None and heap and not better(heap[0][2], incumbent_val + sense * tol):
             break
 
     final_bound = global_bound()
+    leaves.extend((entry[2], *entry[4:]) for entry in heap)
+    frontier = _Frontier(p, base, leaves)
     if incumbent_x is None:
         return MilpSolution(status="infeasible", node_count=node_count,
-                            bound_trace=bound_trace, lp_pivots=pivots)
+                            bound_trace=bound_trace, lp_pivots=pivots,
+                            _frontier=frontier)
     return MilpSolution(
         status="optimal",
         objective=incumbent_val,
@@ -178,4 +278,5 @@ def solve_milp(p: MilpProblem, tol: float = DEFAULT_TOL) -> MilpSolution:
         node_count=node_count,
         bound_trace=bound_trace,
         lp_pivots=pivots,
+        _frontier=frontier,
     )

@@ -193,7 +193,7 @@ def make_bench_instance(seed: int, facilities: int, neurons: int = 8,
 
 def cmd_mcd_bench(config: dict, out_dir: Path) -> int:
     """Engine comparison on seeded random instances; emits results, traces
-    and, in a separate file, wall-clock timings."""
+    and, in separate files, solver counters and wall-clock timings."""
     seed = _require_seed(config)
     suite = config.get("suite", {})
     with _usage_errors():  # refuse a bad suite block before the first selection
@@ -212,6 +212,7 @@ def cmd_mcd_bench(config: dict, out_dir: Path) -> int:
               "fell_back"]
     rows = []
     trace_rows = []
+    counter_rows = []
     timing_rows = []
     for case, (n2, (ctx, reward)) in enumerate(zip(dims, instances), start=1):
         results = {}
@@ -238,6 +239,7 @@ def cmd_mcd_bench(config: dict, out_dir: Path) -> int:
                     gap = "-"
             rows.append([case, n2, engine, stop, res.iterations,
                          repr(res.objective), gap, int(res.fell_back)])
+            counter_rows.append([case, engine, res.milp_nodes, res.lp_pivots])
             timing_rows.append([case, engine, repr(elapsed)])
 
     _write_csv(out_dir / "mcd_bench.csv", header, rows, chash)
@@ -245,6 +247,8 @@ def cmd_mcd_bench(config: dict, out_dir: Path) -> int:
                ["instance", "algorithm", "iteration",
                 "lower_bound_currency", "upper_bound_currency", "action"],
                trace_rows, chash)
+    _write_csv(out_dir / "mcd_bench_counters.csv",
+               ["instance", "algorithm", "milp_nodes", "lp_pivots"], counter_rows, chash)
     _write_csv(out_dir / "mcd_bench_timings.csv",
                ["instance", "algorithm", "wall_time_s"], timing_rows, chash)
     return EXIT_OK

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
@@ -273,9 +274,13 @@ class IntegerOptimalityCut:
 
 
 def integer_optimality_cut(ctx: RecourseContext, enc: BinaryEncoding,
-                           anchor: np.ndarray, eta_bar: float) -> IntegerOptimalityCut:
+                           anchor: np.ndarray, eta_bar: float,
+                           value: Optional[float] = None) -> IntegerOptimalityCut:
+    """The cut at ``anchor``; ``value``, the recourse there, is evaluated
+    unless the caller has it already."""
     anchor = ctx.spec.action_box.check(anchor)
-    value = recourse_value(ctx, anchor)
+    if value is None:
+        value = recourse_value(ctx, anchor)
     if eta_bar < value - 1e-9:
         raise ValueError(
             f"recourse bound {eta_bar} is below the anchor value {value}; "

@@ -22,8 +22,9 @@ MILP encodes the same pieces as rows.
 
 from __future__ import annotations
 
+import functools
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -100,23 +101,32 @@ def linear_stage_reward(gain: np.ndarray, constant: float = 0.0) -> StageReward:
     return StageReward(constant=constant, pieces=[[(float(g), 0.0)] for g in gain])
 
 
-@dataclass
+@functools.cache
+def trace_dtype(dims: int) -> np.dtype:
+    """Record type of a selection trace over a ``dims``-dimensional box."""
+    return np.dtype([("iteration", np.int64), ("lower", float), ("upper", float),
+                     ("action", np.int64, (dims,))])
+
+
+@dataclass(slots=True)
 class SelectionResult:
     action: np.ndarray
     objective: float          # exact value of ``action``, best over anchors
                               # and their unit neighbours (lower bound)
     upper_bound: float
     iterations: int
-    trace: list = field(default_factory=list)  # (iteration, lower, upper, action)
+    trace: np.ndarray         # one trace_dtype record per iteration:
+                              # iteration, lower, upper, anchor action
     fell_back: bool = False   # a decomposition engine's MILP failed, so this
                               # is the brute-force result
+    milp_nodes: int = 0       # B&B nodes and LP pivots summed over the
+    lp_pivots: int = 0        # selection's first-stage MILPs (0 for brute)
 
     def trace_rows(self) -> list:
-        """CSV-ready rows: iteration, lower bound, upper bound, action string."""
-        return [
-            (it, lo, hi, " ".join(str(int(v)) for v in act))
-            for (it, lo, hi, act) in self.trace
-        ]
+        """CSV-ready rows: iteration, lower bound, upper bound, action string,
+        the numbers as Python ``int`` and ``float``."""
+        return [(it, lo, hi, " ".join(str(v) for v in act.tolist()))
+                for it, lo, hi, act in self.trace.tolist()]
 
 
 @dataclass
@@ -140,9 +150,12 @@ def build_first_stage(ctx: RecourseContext, enc: BinaryEncoding,
     """First-stage MILP: bits, the recourse variable, and reward auxiliaries.
 
     Rows: per-dimension bound on the bit expansion, the recourse upper bound,
-    one row per integer optimality cut, one per combined cut, and one per
-    reward piece.  The objective is the discounted recourse variable plus the
-    reward auxiliaries; objective constants (reward constant and the network's
+    one row per reward piece, then the cuts in creation order: the ``k``-th
+    integer optimality cut followed by the ``k``-th combined cut, for each
+    ``k``.  Each decomposition iteration only appends rows, so a first stage
+    is the previous one plus trailing rows and its search can resume.  The
+    objective is the discounted recourse variable plus the reward
+    auxiliaries; objective constants (reward constant and the network's
     output bias) are carried in ``constant_offset``.
     """
     n2 = ctx.spec.action_box.dims
@@ -171,21 +184,23 @@ def build_first_stage(ctx: RecourseContext, enc: BinaryEncoding,
 
     add_row(np.zeros(n_bits), eta_bar, eta_coef=1.0)
 
-    for cut in integer_cuts:
-        # eta + (eta_bar - v) * (sum_ones alpha - sum_zeros alpha) <= v + (eta_bar - v)|ones|
-        spread = cut.eta_bar - cut.anchor_value
-        add_row(spread * (2 * cut.bits - 1),
-                cut.anchor_value + spread * int(cut.bits.sum()), eta_coef=1.0)
-
-    for cut in combined_cuts:
-        # eta <= coef @ a + const with a_n = sum_l 2^l alpha_{n,l}
-        add_row(enc.expand(-cut.coef), cut.const, eta_coef=1.0)
-
     for n in piece_dims:
         for slope, icept in reward.pieces[n]:
             # rho_n <= slope * a_n + icept
             add_row(enc.expand(np.where(np.arange(n2) == n, -slope, 0.0)), icept,
                     rho=rho_of_dim[n])
+
+    for k in range(max(len(integer_cuts), len(combined_cuts))):
+        if k < len(integer_cuts):
+            # eta + (eta_bar - v) * (sum_ones alpha - sum_zeros alpha) <= v + (eta_bar - v)|ones|
+            cut = integer_cuts[k]
+            spread = cut.eta_bar - cut.anchor_value
+            add_row(spread * (2 * cut.bits - 1),
+                    cut.anchor_value + spread * int(cut.bits.sum()), eta_coef=1.0)
+        if k < len(combined_cuts):
+            # eta <= coef @ a + const with a_n = sum_l 2^l alpha_{n,l}
+            add_row(enc.expand(-combined_cuts[k].coef), combined_cuts[k].const,
+                    eta_coef=1.0)
 
     c = np.zeros(n_vars)
     c[eta] = gamma
@@ -209,18 +224,20 @@ def build_first_stage(ctx: RecourseContext, enc: BinaryEncoding,
 
 
 def _objectives(ctx: RecourseContext, reward: StageReward,
-                actions: np.ndarray) -> np.ndarray:
-    """Exact objective at every row of ``actions``."""
+                actions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact objective and recourse value at every row of ``actions``."""
     gamma = ctx.spec.discount
-    return reward.values(actions) + gamma * recourse_values(ctx, actions) \
-        + gamma * ctx.net.output_bias
+    recourse = recourse_values(ctx, actions)
+    return reward.values(actions) + gamma * recourse + gamma * ctx.net.output_bias, \
+        recourse
 
 
 def select_action_bruteforce(ctx: RecourseContext,
                              reward: StageReward) -> SelectionResult:
     """Exact enumeration; ties resolve to the lexicographically smallest action."""
-    actions = enumerate_actions(ctx.spec.action_box)
-    values = _objectives(ctx, reward, actions)
+    box = ctx.spec.action_box
+    actions = enumerate_actions(box)
+    values, _ = _objectives(ctx, reward, actions)
     best = int(np.argmax(values))  # first maximum = lexicographically smallest
     top = float(values[best])
     return SelectionResult(
@@ -228,7 +245,7 @@ def select_action_bruteforce(ctx: RecourseContext,
         objective=top,
         upper_bound=top,
         iterations=len(actions),
-        trace=[(1, top, top, actions[best].copy())],
+        trace=np.array([(1, top, top, actions[best])], dtype=trace_dtype(box.dims)),
     )
 
 
@@ -240,18 +257,21 @@ def _neighbours(box: ActionBox, a: np.ndarray) -> np.ndarray:
     return cand[((cand >= 0) & (cand <= box.upper_bounds)).all(axis=1)]
 
 
-def _fall_back(ctx: RecourseContext, reward: StageReward,
-               reason: str) -> SelectionResult:
-    """Brute-force result marked ``fell_back``, with a RuntimeWarning."""
+def _fall_back(ctx: RecourseContext, reward: StageReward, reason: str,
+               milp_nodes: int, lp_pivots: int) -> SelectionResult:
+    """Brute-force result marked ``fell_back``, with a RuntimeWarning; it
+    keeps the counters of the MILPs solved before the failure."""
     warnings.warn(f"{reason}; falling back to brute force", RuntimeWarning)
-    return replace(select_action_bruteforce(ctx, reward), fell_back=True)
+    return replace(select_action_bruteforce(ctx, reward), fell_back=True,
+                   milp_nodes=milp_nodes, lp_pivots=lp_pivots)
 
 
 def _decompose(ctx: RecourseContext, reward: StageReward, config: McdConfig,
                use_combined: bool) -> SelectionResult:
     """Multi-cut decomposition (integer optimality plus combined cuts) or,
     without ``use_combined``, the integer L-shaped method; both start from
-    the zero action."""
+    the zero action.  Each iteration's first stage resumes the previous
+    one's branch-and-bound search."""
     box = ctx.spec.action_box
     a_m = np.zeros(box.dims, dtype=np.int64)
     enc = binary_encoding(box)
@@ -265,13 +285,15 @@ def _decompose(ctx: RecourseContext, reward: StageReward, config: McdConfig,
     lower, upper = -np.inf, np.inf
     trace: list = []
     m = 0
+    sol = None  # the last first-stage solution, whose search the next resumes
+    nodes = pivots = 0
 
     while True:
         m += 1
         # the anchor's unit neighbours are evaluated exactly but get no cuts;
         # every evaluated action is feasible, so the best value is a lower bound
         cands = np.vstack([a_m, _neighbours(box, a_m)])
-        values = _objectives(ctx, reward, cands)
+        values, recourse = _objectives(ctx, reward, cands)
         visited.add(tuple(int(v) for v in a_m))
         best = int(np.argmax(values))  # first maximum: ties keep the anchor
         if values[best] > lower:
@@ -279,21 +301,26 @@ def _decompose(ctx: RecourseContext, reward: StageReward, config: McdConfig,
             incumbent = tuple(int(v) for v in cands[best])
 
         if m >= config.max_iterations:
-            trace.append((m, lower, upper, a_m.copy()))
+            trace.append((m, lower, upper, a_m))
             break
 
-        integer_cuts.append(integer_optimality_cut(ctx, enc, a_m, eta_bar))
+        integer_cuts.append(integer_optimality_cut(ctx, enc, a_m, eta_bar,
+                                                   float(recourse[0])))
         if use_combined:
             combined_cuts.append(combined_cut(ctx, a_m))
 
         fp = build_first_stage(ctx, enc, reward, integer_cuts, combined_cuts,
                                eta_bar)
         try:
-            sol = solve_milp(fp.milp, tol=MILP_TOLERANCE)
+            sol = solve_milp(fp.milp, tol=MILP_TOLERANCE, resume=sol)
         except (LpNumericalError, NodeLimitError) as err:
-            return _fall_back(ctx, reward, f"first-stage MILP failed ({err})")
+            return _fall_back(ctx, reward, f"first-stage MILP failed ({err})",
+                              nodes, pivots)
+        nodes += sol.node_count
+        pivots += sol.lp_pivots
         if sol.status != "optimal":
-            return _fall_back(ctx, reward, f"first-stage MILP status {sol.status}")
+            return _fall_back(ctx, reward, f"first-stage MILP status {sol.status}",
+                              nodes, pivots)
 
         a_next = fp.decode_action(sol.x)
         key = tuple(int(v) for v in a_next)
@@ -301,11 +328,11 @@ def _decompose(ctx: RecourseContext, reward: StageReward, config: McdConfig,
             # the revisited anchor's integer cut makes its first-stage value
             # exact, so the incumbent is certified optimal
             upper = lower
-            trace.append((m, lower, upper, a_m.copy()))
+            trace.append((m, lower, upper, a_m))
             break
 
         upper = min(upper, sol.bound + fp.constant_offset)
-        trace.append((m, lower, upper, a_m.copy()))
+        trace.append((m, lower, upper, a_m))
 
         gap = upper - lower
         if gap <= config.gap_tolerance * max(abs(upper), config.gap_floor):
@@ -317,7 +344,9 @@ def _decompose(ctx: RecourseContext, reward: StageReward, config: McdConfig,
         objective=lower,
         upper_bound=upper,
         iterations=m,
-        trace=trace,
+        trace=np.array(trace, dtype=trace_dtype(box.dims)),
+        milp_nodes=nodes,
+        lp_pivots=pivots,
     )
 
 

@@ -31,7 +31,9 @@ breaks, and the column entering is the one with the smallest ratio
 the lowest index.  No column able to enter proves the tightened problem
 infeasible.  A tableau can also be moved to another basis by pivoting in
 the columns it lacks, so a caller may keep a node as its basis, values and
-bounds instead of the whole tableau.
+bounds instead of the whole tableau.  Appending ``<=`` rows to such a base,
+each with a new basic slack, keeps every stored basis dual feasible, so
+the same dual simplex re-optimizes a node after cuts are added.
 """
 
 from __future__ import annotations
@@ -199,13 +201,14 @@ class _Tableau:
 
         Its own rows ``B0^-1 K`` and ``B0^-1 b`` stand in for ``K`` and
         ``b`` from here on (refactoring against them gives the same
-        tableau), so the column matrix can be freed.  The base itself must
-        not pivot afterwards.
+        tableau), so the column matrix can be freed, and so can the pivot
+        work buffer: the base itself must not pivot afterwards.
         """
         nonbasic = self.x.copy()
         nonbasic[self.basis] = 0.0
         self.b = self.x[self.basis] + self.T[: self.m] @ nonbasic
         self.K = self.T[: self.m]
+        self._work = None
         return self
 
     def rebased(self, basis: np.ndarray, x: np.ndarray, lower: np.ndarray,
@@ -216,10 +219,11 @@ class _Tableau:
         Each missing column, in index order, is pivoted in on the row of
         largest magnitude among the rows whose basic column is not wanted,
         so no inverse is formed and the pivot sequence is deterministic.
-        ``K``, ``b``, the costs and the work buffer are shared.
+        ``K``, ``b`` and the costs are shared.
         """
         tab = copy.copy(self)
         tab.T, tab.basis, tab.pivots = self.T.copy(), self.basis.copy(), []
+        tab._work = np.empty_like(tab.T)
         tab.x, tab.lower, tab.upper = x.copy(), lower.copy(), upper.copy()
         wanted = np.zeros(self.n, dtype=bool)
         wanted[basis] = True
@@ -230,6 +234,40 @@ class _Tableau:
             tab._pivot(int(rows[np.argmax(np.abs(tab.T[rows, col]))]), int(col))
         tab.x[:] = x  # a refactorization on the way sets basic values of its own basis
         return tab
+
+    def with_rows(self, A: np.ndarray, b: np.ndarray) -> "_Tableau":
+        """This base with the rows ``A @ x[:k] <= b`` appended, ``k`` being
+        ``A``'s column count; this base is left unchanged.
+
+        Each row gets a slack with bounds ``[0, inf)``, appended as the last
+        column and basic on its row, and is reduced against the base's basic
+        columns, so the result is a base again.  The slacks cost nothing, so
+        no reduced cost changes: any dual feasible basis of this base stays
+        dual feasible with the new slacks added to it.  ``x`` gains the
+        slacks' values at this base's ``x``.
+        """
+        r, k = A.shape
+        m, n = self.m, self.n
+        rows = np.zeros((r, n + r))
+        rows[:, :k] = A
+        rows[:, n:] = np.eye(r)
+        on_basis = rows[:, self.basis]
+        rows[:, :n] -= on_basis @ self.T[:m]
+        rows[:, self.basis] = 0.0
+        ext = copy.copy(self)
+        ext.m, ext.n = m + r, n + r
+        ext.T = np.zeros((m + r + 1, n + r))
+        ext.T[:m, :n] = self.T[:m]
+        ext.T[m: m + r] = rows
+        ext.T[m + r, :n] = self.T[m]
+        ext.K, ext.b = ext.T[: m + r], np.concatenate([self.b, b - on_basis @ self.b])
+        ext.basis = np.concatenate([self.basis, n + np.arange(r)])
+        ext.lower = np.concatenate([self.lower, np.zeros(r)])
+        ext.upper = np.concatenate([self.upper, np.full(r, np.inf)])
+        ext.x = np.concatenate([self.x, b - A @ self.x[:k]])
+        ext._costs = np.concatenate([self._costs, np.zeros(r)])
+        ext.pivots = []
+        return ext
 
     def reoptimize(self) -> str:
         """Re-optimize a dual feasible basis after bound changes.

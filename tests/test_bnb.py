@@ -192,3 +192,158 @@ class TestWarmStartedSearch:
         assert sol.node_count > 0 and sol.lp_pivots > root_pivots
         integral = binary_milp([1.0, 1.0], np.zeros((1, 2)), [5.0])
         assert solve_milp(integral).lp_pivots == len(solve_lp(integral.lp).pivots) == 2
+
+
+def with_rows(p, A, b):
+    """``p`` with the rows ``A @ x <= b`` appended."""
+    lp = p.lp
+    return MilpProblem(lp=LpProblem(c=lp.c, A=np.vstack([lp.A, A]),
+                                    b=np.concatenate([lp.b, b]),
+                                    senses=list(lp.senses) + [LEQ] * len(b),
+                                    lower=lp.lower, upper=lp.upper,
+                                    maximize=lp.maximize),
+                       binary_indices=p.binary_indices)
+
+
+def mixed_milp(rng, k, m):
+    """``k`` binaries plus a free column capped only by the rows, as the
+    first-stage recourse variable is."""
+    A = np.hstack([rng.normal(size=(m, k)), np.ones((m, 1))])
+    lp = LpProblem(c=np.concatenate([rng.normal(size=k), [1.0]]), A=A,
+                   b=rng.uniform(0.0, 2.0, size=m), senses=[LEQ] * m,
+                   lower=np.concatenate([np.zeros(k), [-np.inf]]),
+                   upper=np.concatenate([np.ones(k), [np.inf]]), maximize=True)
+    return MilpProblem(lp=lp, binary_indices=list(range(k)))
+
+
+class TestResumedSearch:
+    """A search resumed after appending rows agrees with a cold solve."""
+
+    @staticmethod
+    def _cuts(rng, p, x, count):
+        # rows that cut off the current optimum ``x``
+        A = rng.normal(size=(count, p.lp.n_vars))
+        if p.lp.upper[-1] == np.inf:
+            A[:, -1] = np.abs(A[:, -1]) + 0.5  # keep the free column capped
+        return A, A @ x - rng.uniform(0.05, 0.5, size=count)
+
+    @staticmethod
+    def _infeasible_row(p):
+        # the binaries must sum past their count
+        a = np.zeros(p.lp.n_vars)
+        a[p.binary_indices] = -1.0
+        return a[None, :], np.array([-len(p.binary_indices) - 1.0])
+
+    def _rounds(self, rng, p, rounds):
+        """Solve ``p`` cold, then resume it through ``rounds`` rounds of
+        appended rows, the last one infeasible; yields (problem, resumed)."""
+        sol = solve_milp(p, tol=1e-9)
+        for round_ in range(rounds):
+            if sol.status == "optimal" and round_ < rounds - 1:
+                A, b = self._cuts(rng, p, sol.x, int(rng.integers(1, 4)))
+            else:
+                A, b = self._infeasible_row(p)
+            p = with_rows(p, A, b)
+            sol = solve_milp(p, tol=1e-9, resume=sol)
+            yield p, sol
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_rounds_match_cold_solves(self, mixed):
+        rng = np.random.default_rng(37 + mixed)
+        resumed_nodes = infeasible_rounds = 0
+        for _ in range(15):
+            k, m = int(rng.integers(5, 9)), int(rng.integers(1, 4))
+            if mixed:
+                p = mixed_milp(rng, k, m)
+            else:
+                p = binary_milp(rng.normal(size=k), rng.normal(size=(m, k)),
+                                rng.uniform(0.5, k * 0.5, size=m),
+                                maximize=bool(rng.integers(0, 2)))
+            sense = 1.0 if p.lp.maximize else -1.0
+            for q, sol in self._rounds(rng, p, rounds=5):
+                cold = solve_milp(q, tol=1e-9)
+                assert sol.status == cold.status
+                resumed_nodes += sol.node_count
+                if sol.status != "optimal":
+                    infeasible_rounds += 1
+                    continue
+                assert sol.objective == pytest.approx(cold.objective, abs=1e-9)
+                x = sol.x
+                assert np.all(np.abs(x[:k] - np.round(x[:k])) <= 1e-6)
+                assert np.all(q.lp.A @ x <= q.lp.b + 1e-8)
+                assert np.all((x >= q.lp.lower - 1e-9) & (x <= q.lp.upper + 1e-9))
+                assert q.lp.c @ x == pytest.approx(sol.objective, abs=1e-12)
+                assert sense * (sol.bound - sol.objective) <= 1e-9 + 1e-12
+                assert np.all(sense * np.diff(sol.bound_trace) <= 1e-7)
+        assert resumed_nodes > 100 and infeasible_rounds >= 15
+
+    def test_rerun_repeats_nodes_trace_and_pivots(self):
+        rng = np.random.default_rng(38)
+        searched = 0
+        for trial in range(10):
+            p = mixed_milp(rng, 7, 3)
+            one, two = ([(q, sol) for q, sol in self._rounds(np.random.default_rng(trial), p, 4)]
+                        for _ in range(2))
+            for (q, a), (_, b) in zip(one, two):
+                assert a.status == b.status
+                if a.status == "optimal":
+                    np.testing.assert_array_equal(a.x, b.x)
+                    assert a.objective == b.objective and a.bound == b.bound
+                assert a.node_count == b.node_count
+                assert a.bound_trace == b.bound_trace
+                assert a.lp_pivots == b.lp_pivots
+                searched += a.node_count > 0
+        assert searched
+
+    def test_a_solution_resumes_once(self):
+        rng = np.random.default_rng(44)
+        p = mixed_milp(rng, 6, 3)
+        sol = solve_milp(p, tol=1e-9)
+        q = with_rows(p, *self._cuts(rng, p, sol.x, 1))
+        solve_milp(q, tol=1e-9, resume=sol)
+        with pytest.raises(ValueError, match="resumes once"):
+            solve_milp(q, tol=1e-9, resume=sol)
+
+    def test_no_new_rows_re_solves_the_leaves_to_the_same_optimum(self):
+        rng = np.random.default_rng(39)
+        p = mixed_milp(rng, 7, 3)
+        sol = solve_milp(p, tol=1e-9)
+        again = solve_milp(p, tol=1e-9, resume=sol)
+        assert again.status == "optimal" and again.node_count > 0
+        assert again.objective == pytest.approx(sol.objective, abs=1e-9)
+
+    def test_refuses_a_problem_that_is_not_the_old_one_plus_leq_rows(self):
+        rng = np.random.default_rng(40)
+        p = mixed_milp(rng, 6, 3)
+        sol = solve_milp(p, tol=1e-9)
+        lp = p.lp
+        changed_row = lp.A.copy()
+        changed_row[1, 0] += 1.0
+        variants = [
+            MilpProblem(lp=LpProblem(c=lp.c, A=changed_row, b=lp.b, senses=lp.senses,
+                                     lower=lp.lower, upper=lp.upper), binary_indices=range(6)),
+            MilpProblem(lp=LpProblem(c=lp.c, A=lp.A[:2], b=lp.b[:2], senses=lp.senses[:2],
+                                     lower=lp.lower, upper=lp.upper), binary_indices=range(6)),
+            MilpProblem(lp=LpProblem(c=-lp.c, A=lp.A, b=lp.b, senses=lp.senses,
+                                     lower=lp.lower, upper=lp.upper), binary_indices=range(6)),
+            MilpProblem(lp=LpProblem(c=lp.c, A=lp.A, b=lp.b, senses=lp.senses,
+                                     lower=lp.lower, upper=lp.upper, maximize=False),
+                        binary_indices=range(6)),
+            MilpProblem(lp=lp, binary_indices=range(5)),
+            MilpProblem(lp=LpProblem(c=lp.c, A=np.vstack([lp.A, lp.A[:1]]),
+                                     b=np.append(lp.b, 1.0), senses=lp.senses + [">="],
+                                     lower=lp.lower, upper=lp.upper),
+                        binary_indices=range(6)),
+        ]
+        for q in variants:
+            with pytest.raises(ValueError, match="trailing '<=' rows"):
+                solve_milp(q, tol=1e-9, resume=sol)
+        with pytest.raises(ValueError, match="carries no search"):
+            solve_milp(p, resume=MilpSolution(status="optimal"))
+
+    def test_resuming_an_infeasible_root_stays_infeasible(self):
+        p = binary_milp([1.0, 1.0], [[1.0, 1.0]], [-0.5])
+        sol = solve_milp(p)
+        assert sol.status == "infeasible"
+        again = solve_milp(with_rows(p, np.array([[1.0, 0.0]]), np.array([0.5])), resume=sol)
+        assert again.status == "infeasible"

@@ -134,11 +134,32 @@ class TestMcdBench:
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert main(["mcd-bench", "--config", cfg, "--out", str(out1)]) == EXIT_OK
         assert main(["mcd-bench", "--config", cfg, "--out", str(out2)]) == EXIT_OK
-        for name in ("mcd_bench.csv", "mcd_bench_traces.csv"):
+        for name in ("mcd_bench.csv", "mcd_bench_traces.csv", "mcd_bench_counters.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
         header, rows = read_csv(out1 / "mcd_bench_timings.csv")
         assert header == ["instance", "algorithm", "wall_time_s"]
         assert len(rows) == 6
+
+    def test_counters_file_sums_the_selections_solver_work(self, tmp_path):
+        cfg = write_config(tmp_path, "bench.json", {
+            "seed": 4,
+            "suite": {"instances": 2, "facilities": [3], "neurons": 6,
+                      "transition_samples": 3, "capacity_levels": 3},
+            "engines": ["brute", "lshaped", "mcd"],
+            "mcd": {"max_iterations": 12, "gap_tolerance": 0.0},
+        })
+        out = tmp_path / "out"
+        assert main(["mcd-bench", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        header, rows = read_csv(out / "mcd_bench_counters.csv")
+        assert header == ["instance", "algorithm", "milp_nodes", "lp_pivots"]
+        assert [r[:2] for r in rows] == [[str(case), engine] for case in (1, 2)
+                                         for engine in ("brute", "lshaped", "mcd")]
+        for instance, engine, nodes, pivots in rows:
+            if engine == "brute":
+                assert (nodes, pivots) == ("0", "0")
+            else:
+                assert int(pivots) > 0 and int(nodes) >= 0
+        assert sum(int(r[2]) for r in rows) > 0
 
     def test_fallback_column_marks_brute_force_runs(self, tmp_path, monkeypatch):
         monkeypatch.setattr(mcd, "solve_milp",

@@ -18,6 +18,7 @@ from nnfvi.mcd import (
     linear_stage_reward,
     select_action,
     select_action_bruteforce,
+    trace_dtype,
 )
 from nnfvi import cuts, mcd
 from nnfvi.bnb import MilpSolution, solve_milp
@@ -139,32 +140,44 @@ class TestBuildFirstStage:
         assert sol.objective + fp.constant_offset >= fp_value_at_anchor - 1e-9
 
     def test_rows_reproduce_cuts_and_reward(self):
-        # rows in build order: bit bounds, eta <= eta_bar, the integer cut,
-        # the combined cut, then the reward pieces of dimensions 0 and 2.
-        # At the bits of every action, each cut row's bound on eta must be
-        # the cut's own value there, and the tightest piece rows of each
-        # dimension must add up, with the constant, to the reward.
+        # rows in build order: bit bounds, eta <= eta_bar, the reward pieces
+        # of dimensions 0 and 2, then the cuts in creation order (integer,
+        # combined, integer, combined, integer).  At the bits of every
+        # action, each bit-bound row must bound its dimension, each cut
+        # row's bound on eta must be the cut's own value there, and the
+        # tightest piece rows of each dimension must add up, with the
+        # constant, to the reward.
         ctx = random_context(15, n1=3, n2=3, a_bar=[3, 2, 4])
         reward, _ = adjustment_reward()
         enc = binary_encoding(ctx.spec.action_box)
         eta_bar = recourse_upper_bound(ctx)
-        int_cut = integer_optimality_cut(ctx, enc, np.array([1, 2, 0]), eta_bar)
-        lin_cut = combined_cut(ctx, np.array([3, 0, 4]))
-        fp = build_first_stage(ctx, enc, reward, [int_cut], [lin_cut], eta_bar)
+        int_cuts = [integer_optimality_cut(ctx, enc, np.array(a), eta_bar)
+                    for a in ([1, 2, 0], [0, 0, 3], [3, 1, 1])]
+        lin_cuts = [combined_cut(ctx, np.array(a)) for a in ([3, 0, 4], [2, 2, 2])]
+        fp = build_first_stage(ctx, enc, reward, int_cuts, lin_cuts, eta_bar)
         lp = fp.milp.lp
-        n_bits = enc.total_bits
-        first = len(enc.bound_rows()[1]) + 1
+        n_bits, n_dims = enc.total_bits, len(enc.bound_rows()[1])
+        pieces_at, cuts_at = n_dims + 1, n_dims + 1 + 4
         bits_part, b = lp.A[:, :n_bits], lp.b
-        assert len(b) == first + 2 + 4
-        np.testing.assert_array_equal(lp.A[first:first + 2, n_bits], [1.0, 1.0])
-        rho = lp.A[first + 2:, n_bits + 1:]
+        assert len(b) == cuts_at + 5
+        np.testing.assert_array_equal(lp.A[:pieces_at, n_bits], [0.0] * n_dims + [1.0])
+        np.testing.assert_array_equal(lp.A[:pieces_at, n_bits + 1:], 0.0)
+        assert b[n_dims] == eta_bar
+        rho = lp.A[pieces_at:cuts_at, n_bits + 1:]
         np.testing.assert_array_equal(rho, [[1, 0]] * 2 + [[0, 1]] * 2)
+        np.testing.assert_array_equal(lp.A[pieces_at:cuts_at, n_bits], 0.0)
+        np.testing.assert_array_equal(lp.A[cuts_at:, n_bits], 1.0)
+        np.testing.assert_array_equal(lp.A[cuts_at:, n_bits + 1:], 0.0)
         actions = enumerate_actions(ctx.spec.action_box)
-        for a, cut_value in zip(actions, lin_cut.values(actions)):
+        for a in actions:
             room = b - bits_part @ enc.encode(a)
-            assert room[first] == pytest.approx(int_cut.rhs(enc, a), abs=1e-9)
-            assert room[first + 1] == pytest.approx(cut_value, abs=1e-9)
-            pieces = room[first + 2:]
+            np.testing.assert_allclose(room[:n_dims], ctx.spec.action_box.upper_bounds - a,
+                                       atol=1e-12)
+            cut_values = [int_cuts[0].rhs(enc, a), lin_cuts[0].values(a),
+                          int_cuts[1].rhs(enc, a), lin_cuts[1].values(a),
+                          int_cuts[2].rhs(enc, a)]
+            np.testing.assert_allclose(room[cuts_at:], cut_values, atol=1e-9)
+            pieces = room[pieces_at:cuts_at]
             assert reward.constant + pieces[:2].min() + pieces[2:].min() \
                 == pytest.approx(reward.values(a[None, :])[0], abs=1e-12)
 
@@ -454,5 +467,58 @@ class TestTraceExport:
             assert isinstance(action, str)
             assert lo <= hi + 1e-9
 
+    def test_trace_is_one_record_array_of_a_shared_dtype(self):
+        # one array per selection with the dimension's dtype, built once;
+        # the CSV rows hold Python numbers, so repr prints them as before
+        ctx = random_context(14, n2=2, a_bar=[2, 2])
+        reward = make_reward(ctx, seed=10)
+        res = select_action(ctx, reward, McdConfig(max_iterations=5, gap_tolerance=0.0))
+        brute = select_action_bruteforce(ctx, reward)
+        assert res.trace.dtype is brute.trace.dtype is trace_dtype(2)
+        assert res.trace.shape == (res.iterations,)
+        np.testing.assert_array_equal(res.trace["iteration"], np.arange(1, res.iterations + 1))
+        for row in res.trace_rows() + brute.trace_rows():
+            assert [type(v) for v in row] == [int, float, float, str]
+        assert brute.trace_rows() == [(1, brute.objective, brute.objective,
+                                       " ".join(str(v) for v in brute.action))]
+
     def test_stop_criterion_label(self):
         assert McdConfig().stop_criterion_label() == "0.35%/100 steps"
+
+
+class TestResumedMasters:
+    @pytest.mark.parametrize("engine", ["mcd", "lshaped"])
+    def test_each_master_resumes_the_last_and_counters_sum_them(self, monkeypatch, engine):
+        ctx, reward = make_bench_instance(3006, facilities=3, neurons=10,
+                                          transition_samples=4, capacity_levels=3)
+        solved, resumed = [], []
+        solve = mcd.solve_milp
+
+        def recording(p, tol, resume=None):
+            resumed.append(resume)
+            solved.append(solve(p, tol, resume))
+            return solved[-1]
+
+        monkeypatch.setattr(mcd, "solve_milp", recording)
+        res = select_action(ctx, reward, McdConfig(engine=engine, max_iterations=10,
+                                                   gap_tolerance=0.0))
+        assert len(solved) == res.iterations - 1 == 9
+        assert resumed == [None] + solved[:-1]
+        assert res.milp_nodes == sum(s.node_count for s in solved) > 0
+        assert res.lp_pivots == sum(s.lp_pivots for s in solved) > 0
+        brute = select_action_bruteforce(ctx, reward)
+        assert (brute.milp_nodes, brute.lp_pivots) == (0, 0)
+
+    def test_resumed_masters_select_as_cold_ones(self, monkeypatch):
+        # the same decomposition with every master solved from its root
+        ctx, reward = make_bench_instance(3022, facilities=4, neurons=10,
+                                          transition_samples=4, capacity_levels=3)
+        cfg = McdConfig(max_iterations=25, gap_tolerance=0.0)
+        warm = select_action(ctx, reward, cfg)
+        solve = mcd.solve_milp
+        monkeypatch.setattr(mcd, "solve_milp", lambda p, tol, resume=None: solve(p, tol))
+        cold = select_action(ctx, reward, cfg)
+        np.testing.assert_array_equal(warm.trace["action"], cold.trace["action"])
+        assert warm.objective == cold.objective
+        assert warm.upper_bound == pytest.approx(cold.upper_bound, rel=1e-12)
+        assert warm.milp_nodes < cold.milp_nodes

@@ -329,6 +329,15 @@ class TestBoundKinds:
             assert np.all(flip * (A @ sol.x) <= flip * b + 1e-8)
 
 
+def closing_solve_takes_no_pivot(tab, costs, n_enter):
+    """``_Tableau.solve`` that fails a test if it pivots: the primal check
+    ending a re-optimization must find the dual simplex's basis optimal."""
+    start = len(tab.pivots)
+    status = type(tab).solve(tab, costs, n_enter)
+    assert len(tab.pivots) == start, "the dual simplex stopped short of optimal"
+    return status
+
+
 def warm_tree(p, binaries, depth):
     """Branch ``p`` on its most fractional binary for ``depth`` levels and
     check every child's warm-started dual simplex against a cold solve_lp
@@ -337,13 +346,6 @@ def warm_tree(p, binaries, depth):
     Every node is rebuilt from the root's optimal tableau from its basis,
     values and bounds, as branch-and-bound does.  The primal check that
     ends each re-optimization must find the dual simplex's basis optimal."""
-
-    def checked_solve(tab, costs, n_enter):
-        start = len(tab.pivots)
-        status = type(tab).solve(tab, costs, n_enter)
-        assert len(tab.pivots) == start, "the dual simplex stopped short of optimal"
-        return status
-
     root = solve_lp(p)
     assert root.status == "optimal"
     n = p.n_vars
@@ -359,7 +361,7 @@ def warm_tree(p, binaries, depth):
         var = -neg_var
         for value in (0.0, 1.0):
             tab = base.rebased(basis, x, lower, upper)
-            tab.solve = partial(checked_solve, tab)
+            tab.solve = partial(closing_solve_takes_no_pivot, tab)
             tab.lower[var] = tab.upper[var] = value
             status = tab.reoptimize()
             cold = solve_lp(replace(p, lower=tab.lower[:n].copy(),
@@ -442,3 +444,58 @@ class TestWarmStartedChildren:
         assert np.any(root._tableau.basis >= p.n_vars + p.n_rows)
         children, infeasible = warm_tree(p, [0, 1], depth=2)
         assert (children, infeasible) == (4, 1)  # x1 = 1 leaves no room for x0 = 1
+
+
+class TestAppendedRows:
+    """``_Tableau.with_rows`` keeps every node's basis dual feasible: a node
+    rebased on the extended base re-optimizes to a cold solve's optimum."""
+
+    def test_nodes_rebased_on_the_extended_base_match_cold_solves(self):
+        rng = np.random.default_rng(43)
+        checked = infeasible = 0
+        for _ in range(40):
+            k, m, r = int(rng.integers(4, 8)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
+            A = rng.normal(size=(m + r, k))
+            b = rng.uniform(-0.3, k * 0.4, size=m + r)
+            p = box_lp(rng.normal(size=k), A[:m], b[:m], np.ones(k),
+                       maximize=bool(rng.integers(0, 2)))
+            root = solve_lp(p)
+            if root.status != "optimal":
+                continue
+            base = root._tableau.as_base()
+            before = base.T.copy()
+            ext = base.with_rows(A[m:], b[m:])
+            np.testing.assert_array_equal(base.T, before)
+            assert ext.m == base.m + r and ext.n == base.n + r
+            np.testing.assert_allclose(ext.T[: ext.m, ext.basis], np.eye(ext.m), atol=1e-12)
+            # up to 15 nodes of a breadth-first tree that branches on
+            # fractional, hence basic, binaries, taken as a search's leaves
+            nodes, level = [(base.basis, base.x, base.lower, base.upper)], 0
+            while level < len(nodes) and len(nodes) < 15:
+                basis, x, lower, upper = nodes[level]
+                level += 1
+                fractional = np.flatnonzero(np.abs(x[:k] - np.round(x[:k])) > 1e-6)
+                for value in (0.0, 1.0) if fractional.size else ():
+                    tab = base.rebased(basis, x, lower, upper)
+                    tab.lower[fractional[0]] = tab.upper[fractional[0]] = value
+                    if tab.reoptimize() == "optimal":
+                        nodes.append((tab.basis, tab.x, tab.lower, tab.upper))
+            for basis, x, lower, upper in nodes:
+                tab = ext.rebased(np.concatenate([basis, np.arange(base.n, ext.n)]),
+                                  np.concatenate([x, b[m:] - A[m:] @ x[:k]]),
+                                  np.concatenate([lower, np.zeros(r)]),
+                                  np.concatenate([upper, np.full(r, np.inf)]))
+                tab.solve = partial(closing_solve_takes_no_pivot, tab)
+                status = tab.reoptimize()
+                cold = solve_lp(replace(p, A=A, b=b, senses=[LEQ] * (m + r),
+                                        lower=lower[:k].copy(), upper=upper[:k].copy()))
+                assert status == cold.status
+                checked += 1
+                if status != "optimal":
+                    infeasible += 1
+                    continue
+                got = tab.x[:k]
+                assert float(p.c @ got) == pytest.approx(cold.objective, abs=1e-9)
+                assert np.all(A @ got <= b + 1e-8)
+                assert np.all((got >= lower[:k] - 1e-9) & (got <= upper[:k] + 1e-9))
+        assert checked > 100 and infeasible > 0
