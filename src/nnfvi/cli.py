@@ -81,7 +81,8 @@ def _load_config(path: str) -> dict:
 def _require_seed(config: dict) -> int:
     if "seed" not in config:
         raise UsageError("config must set an explicit seed")
-    return int(config["seed"])
+    with _usage_errors():
+        return int(config["seed"])
 
 
 def _instance_from_config(config: dict) -> McipInstance:
@@ -97,7 +98,8 @@ def _instance_from_config(config: dict) -> McipInstance:
         params = dict(block["synthetic"])
         if "seed" not in params:
             raise UsageError("synthetic instance block must set a seed")
-        return synthetic_instance(**params)
+        with _usage_errors():  # an unknown key or a refused value
+            return synthetic_instance(**params)
     raise UsageError("instance block needs either 'path' or 'synthetic'")
 
 

@@ -7,7 +7,7 @@ problem is exposed three ways: as an affine-transition MDP for the fitted
 value iteration driver, as a finite tabular model for the exact DP oracle,
 and as Monte-Carlo rollouts for out-of-sample policy evaluation.  A
 two-stage "inflexible" baseline fixes one capacity plan for the whole
-horizon and is solved as a deterministic-equivalent MILP.
+horizon and is chosen by scoring every plan on the capacity lattice.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .bnb import MilpProblem, solve_milp
-from .cuts import binary_encoding
+from .bnb import solve_milp  # unused here; kept at this name, which perfbench traces
 from .fvi import FviConfig, TabularMdp, greedy_policy, run_nnfvi
 from .mcd import StageReward
 from .mdp import ActionBox, MdpSpec, enumerate_actions
@@ -390,6 +389,14 @@ def build_mcip_mdp(instance: McipInstance) -> MdpSpec:
     )
 
 
+def _profit_table(instance: McipInstance, t: int) -> np.ndarray:
+    """Period ``t``'s allocation profit, one row per capacity level in
+    ``enumerate_actions`` order and one column per demand support row."""
+    levels = enumerate_actions(ActionBox(instance.capacity_max)).astype(float)
+    return np.array([[operating_profit(instance, t, cap, d)[0]
+                      for d in instance.demand.support] for cap in levels])
+
+
 def dp_model(instance: McipInstance) -> TabularMdp:
     """Finite tabular view for the exact-DP oracle.
 
@@ -401,8 +408,7 @@ def dp_model(instance: McipInstance) -> TabularMdp:
     levels = capacity_levels.astype(float)
 
     def reward(t: int) -> np.ndarray:
-        profit = np.array([[operating_profit(instance, t, cap, d)[0]
-                            for d in instance.demand.support] for cap in levels])
+        profit = _profit_table(instance, t)
         targets = np.zeros_like(levels) if t == instance.horizon else levels
         cost = np.array([[adjustment_cost(instance, t, cap, target)
                           for target in targets] for cap in levels])
@@ -497,94 +503,26 @@ def inflexible_two_stage(instance: McipInstance,
     """Single capacity plan maximizing the scenario-averaged discounted value.
 
     The plan is installed at the end of period 1, held through period T-1,
-    and salvaged at T; allocations keep full recourse.  Solved as one
-    deterministic-equivalent MILP over a binary expansion of the plan.
-    Returns the plan and its in-sample objective estimate.
+    and salvaged at T; allocations keep full recourse.  The |lattice| plans
+    of the lattice ``build_mcip_mdp`` materialises are scored from one
+    allocation-profit table per later period, (T-1)·|lattice|·M LPs for M
+    demand rows; a deterministic-equivalent MILP scales no better, its
+    columns growing with scenarios × periods × I × N.  Returns the first
+    best plan in ``enumerate_actions`` order and its in-sample value.
     """
-    I, N, T = instance.customers, instance.facilities, instance.horizon
-    gamma = instance.discount
-    q1 = operating_profit(instance, 1, instance.initial_capacity,
-                          instance.initial_demand)[0]
-    if T == 1:
-        value = q1 - adjustment_cost(instance, 1, instance.initial_capacity,
-                                     np.zeros(N))
-        return np.zeros(N, dtype=np.int64), value
-
-    n_scen = scenario_paths.shape[0]
-    enc = binary_encoding(ActionBox(instance.capacity_max))
-    n_bits = enc.total_bits
-
-    # variables: bits | adjustment auxiliaries c_n | allocations z per (w, t, i, n)
-    n_alloc = n_scen * (T - 1) * I * N
-    n_vars = n_bits + N + n_alloc
-
-    def z_col(w, t, i, n):
-        # t runs 2..T, stored from index 0
-        base = n_bits + N
-        return base + (((w * (T - 1)) + (t - 2)) * I + i) * N + n
-
-    rows, rhs = [], []
-    # plan bounded by the capacity limits
-    for bit_coef, b in zip(*enc.bound_rows()):
-        row = np.zeros(n_vars)
-        row[:n_bits] = bit_coef
-        rows.append(row)
-        rhs.append(b)
-    # adjustment auxiliaries c_n >= q(plan_n - K0_n) for both unit prices;
-    # row n of enc.expand(np.diag(q)) holds the bits of q[n] * plan_n
-    salvage = enc.expand(np.diag(instance.salvage_values[0]))
-    expansion = enc.expand(np.diag(instance.expansion_costs[0]))
-    for n in range(N):
-        for q, bit_coef in ((instance.salvage_values[0, n], salvage[n]),
-                            (instance.expansion_costs[0, n], expansion[n])):
-            row = np.zeros(n_vars)
-            row[:n_bits] = bit_coef
-            row[n_bits + n] = -1.0
-            rows.append(row)
-            rhs.append(q * float(instance.initial_capacity[n]))
-    # allocation rows per scenario and period
-    minus_plan = enc.expand(np.diag(np.full(N, -1.0)))
-    constant = q1
-    objective = np.zeros(n_vars)
-    objective[n_bits:n_bits + N] = -1.0  # pay the period-1 adjustment
-    for w in range(n_scen):
-        for t in range(2, T + 1):
-            d = instance.demand.support[scenario_paths[w, t - 1]]
-            margin = instance.revenues[t - 1] + instance.penalties[t - 1][:, None]
-            weight = gamma ** (t - 1) / n_scen
-            constant -= weight * float(instance.penalties[t - 1] @ d)
-            for i in range(I):
-                for n in range(N):
-                    objective[z_col(w, t, i, n)] = weight * margin[i, n]
-            for n in range(N):
-                row = np.zeros(n_vars)
-                for i in range(I):
-                    row[z_col(w, t, i, n)] = 1.0
-                row[:n_bits] = minus_plan[n]
-                rows.append(row)
-                rhs.append(0.0)
-            for i in range(I):
-                row = np.zeros(n_vars)
-                for n in range(N):
-                    row[z_col(w, t, i, n)] = 1.0
-                rows.append(row)
-                rhs.append(float(d[i]))
-    # terminal salvage income on the plan
-    objective[:n_bits] += enc.expand(gamma ** (T - 1) * instance.salvage_values[T - 1])
-
-    lower = np.zeros(n_vars)
-    upper = np.concatenate([
-        np.ones(n_bits), np.full(N, np.inf), np.full(n_alloc, np.inf),
-    ])
-    lower[n_bits:n_bits + N] = -np.inf  # auxiliaries float to the active price
-    lp = LpProblem(c=objective, A=np.vstack(rows), b=np.asarray(rhs),
-                   senses=[LEQ] * len(rows), lower=lower, upper=upper,
-                   maximize=True)
-    sol = solve_milp(MilpProblem(lp=lp, binary_indices=list(range(n_bits))),
-                     tol=1e-7)
-    if sol.status != "optimal":
-        raise RuntimeError(f"inflexible design MILP reported {sol.status}")
-    return enc.decode(sol.x[:n_bits]), float(sol.objective + constant)
+    T, K0 = instance.horizon, instance.initial_capacity
+    plans = enumerate_actions(ActionBox(instance.capacity_max))
+    # capacity after each period's adjustment: the plan, all salvaged at T
+    held = [plans] * (T - 1) + [np.zeros_like(plans)]
+    # period 1 is read at K0 itself, which may lie off the lattice
+    values = operating_profit(instance, 1, K0, instance.initial_demand)[0] - np.array(
+        [adjustment_cost(instance, 1, K0, a) for a in held[0]])
+    for t in range(2, T + 1):
+        profit = _profit_table(instance, t)[:, scenario_paths[:, t - 1]].mean(axis=1)
+        cost = [adjustment_cost(instance, t, K, a) for K, a in zip(plans, held[t - 1])]
+        values += instance.discount ** (t - 1) * (profit - cost)
+    best = int(np.argmax(values))
+    return plans[best], float(values[best])
 
 
 @dataclass

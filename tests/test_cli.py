@@ -355,8 +355,13 @@ class TestErrors:
         assert main(["fvi-run", "--config", cfg,
                      "--out", str(tmp_path / "o")]) == EXIT_USAGE
 
-    @pytest.mark.parametrize("change", [{"engine": "bogus"},
-                                        {"fvi": {"state_samples": 0}}])
+    @pytest.mark.parametrize("change", [
+        {"engine": "bogus"},
+        {"fvi": {"state_samples": 0}},
+        {"instance": {"synthetic": {"seed": 1, "facilties": 2}}},
+        {"instance": {"synthetic": {"seed": 1, "capacity_max": -1}}},
+        {"seed": "x"},
+    ])
     def test_refused_fvi_config_is_usage(self, tmp_path, capsys, change):
         cfg = write_config(tmp_path, "cfg.json", {**tiny_fvi_payload(), **change})
         out = tmp_path / "out"

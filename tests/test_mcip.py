@@ -541,8 +541,8 @@ class TestInflexibleDesign:
         np.testing.assert_array_equal(plan, inst.initial_capacity.astype(int))
 
     def test_in_sample_objective_matches_rollout(self):
-        # the MILP objective on the scenario set equals the simulated value
-        # of the returned plan on those same scenarios
+        # the in-sample value scored on the scenario set equals the simulated
+        # value of the returned plan on those same scenarios
         inst = synthetic_instance(seed=27)
         paths = draw_demand_paths(inst, 8, np.random.default_rng(2))
         plan, value = inflexible_two_stage(inst, paths)
@@ -559,22 +559,30 @@ class TestInflexibleDesign:
                 inst, constant_capacity_policy(inst, np.asarray(other)), paths)
             assert value >= rolled.mean - 1e-6
 
-    def test_mixed_capacity_limits_give_best_constant_plan(self):
-        # limit 0 gets no bits and limit 4 gets bits reaching 7: the plan
-        # must stay inside the box and match exhaustive rollout on the
-        # MILP's own scenario paths
-        inst = dataclasses.replace(synthetic_instance(seed=29, facilities=3),
-                                   capacity_max=np.array([0, 1, 4]))
-        paths = draw_demand_paths(inst, 6, np.random.default_rng(4))
-        plan, value = inflexible_two_stage(inst, paths)
-        box = ActionBox(inst.capacity_max)
+    @pytest.mark.parametrize("instance", [
+        # limits 0 and 4 beside 1: the plan must stay inside the box
+        dataclasses.replace(synthetic_instance(seed=29, facilities=3),
+                            capacity_max=np.array([0, 1, 4])),
+        synthetic_instance(seed=30, horizon=2, capacity_max=6),
+        synthetic_instance(seed=30, horizon=4, capacity_max=6),
+        synthetic_instance(seed=30, markov=False, capacity_max=6),
+        # period 1 is scored at the off-lattice start, not on the lattice
+        dataclasses.replace(synthetic_instance(seed=30, capacity_max=6),
+                            initial_capacity=np.array([1.5, 0.0])),
+    ], ids=["mixed", "T2", "T4", "iid", "K0-1.5"])
+    def test_mixed_capacity_limits_give_best_constant_plan(self, instance):
+        # the plan and its value match exhaustive rollout of every constant
+        # plan on the scenario paths it was chosen on
+        paths = draw_demand_paths(instance, 6, np.random.default_rng(4))
+        plan, value = inflexible_two_stage(instance, paths)
+        box = ActionBox(instance.capacity_max)
         box.check(plan)
         means = [simulate_policy_on_paths(
-            inst, constant_capacity_policy(inst, other), paths).mean
+            instance, constant_capacity_policy(instance, other), paths).mean
             for other in enumerate_actions(box)]
         assert value == pytest.approx(max(means), abs=1e-6)
         rolled = simulate_policy_on_paths(
-            inst, constant_capacity_policy(inst, plan), paths)
+            instance, constant_capacity_policy(instance, plan), paths)
         assert rolled.mean == pytest.approx(max(means), abs=1e-6)
 
 
