@@ -23,9 +23,12 @@ the incumbent (infeasible nodes are gone for good).  Given that solution,
 the rows are appended to the base (``_Tableau.with_rows``), each leaf gains
 the new slacks' values, and every leaf is pushed with its old bound, which
 stays valid because rows only tighten the problem.  A popped leaf whose old
-bound still beats the incumbent is rebuilt and re-optimized by the dual
-simplex, then filed like a new child.  A cold solve is the same loop started
-from the root alone.
+bound still beats the incumbent and whose basic values, the new slacks
+included, all lie within their bounds is primal and dual feasible, so still
+optimal: it is filed from its stored basis and values as it stands, with no
+rebuild, no pivot and no node counted.  Any other popped leaf is rebuilt and
+re-optimized by the dual simplex, then filed like a new child.  A cold solve
+is the same loop started from the root alone.
 
 Incumbents come only from integral relaxations: best-first order expands a
 node only while its bound beats the optimum (up to the tolerance), so
@@ -43,7 +46,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .simplex import LEQ, LpProblem, _Tableau, solve_lp
+from .simplex import FEASIBILITY_TOL, LEQ, LpProblem, _Tableau, solve_lp
 
 DEFAULT_TOL = 1e-6
 NODE_CAP = 100_000
@@ -93,7 +96,7 @@ class MilpSolution:
     objective: Optional[float] = None
     x: Optional[np.ndarray] = None
     bound: Optional[float] = None
-    node_count: int = 0  # nodes processed in this call, re-solved leaves included
+    node_count: int = 0  # node LPs solved in this call, not leaves carried over unchanged
     bound_trace: list = field(default_factory=list)
     lp_pivots: int = 0  # root and node simplex pivots, bound flips included
     # the search's frontier, from which a solve with appended rows resumes
@@ -191,22 +194,22 @@ def solve_milp(p: MilpProblem, tol: float = DEFAULT_TOL,
     heapq.heapify(heap)
     counter = len(heap)
 
-    def settle(tab: _Tableau, fixings: tuple) -> bool:
-        """File a node whose LP ``tab`` solved to optimality; True if it was
-        pushed to be branched on."""
+    def settle(basis: np.ndarray, x: np.ndarray, fixings: tuple) -> bool:
+        """File a node whose LP is optimal at ``basis`` with column values
+        ``x``, both kept as given; True if it was pushed to be branched on."""
         nonlocal incumbent_x, incumbent_val, counter
-        sol_x = tab.x[:n].copy()
+        sol_x = x[:n].copy()
         objective = float(p.lp.c @ sol_x)
         var = _most_fractional(sol_x, binaries)
         beats = incumbent_x is None or better(objective, incumbent_val)
         if beats and var is not None:
             counter += 1
             heapq.heappush(heap, (-sense * objective, counter, objective, var,
-                                  tab.basis.copy(), tab.x.copy(), fixings))
+                                  basis, x, fixings))
             return True
         if beats:  # integral
             incumbent_x, incumbent_val = sol_x, objective
-        leaves.append((objective, tab.basis.copy(), tab.x.copy(), fixings))
+        leaves.append((objective, basis, x, fixings))
         return False
 
     def global_bound() -> float:
@@ -226,7 +229,7 @@ def solve_milp(p: MilpProblem, tol: float = DEFAULT_TOL,
             )
 
     if root is not None:
-        settle(root._tableau, ())
+        settle(root._tableau.basis.copy(), root._tableau.x.copy(), ())
         bound_trace.append(global_bound())
     kept_key, kept = None, None  # the last pushed node and its tableau
     while heap:
@@ -239,13 +242,19 @@ def solve_milp(p: MilpProblem, tol: float = DEFAULT_TOL,
         # every other one starts from a rebuild at its basis
         tab = kept if key == kept_key else None
         kept_key = kept = None
-        if var is None:  # a stale leaf: re-optimize it under the appended rows
-            tab = base.rebased(basis, x, *_bounds(base, fixings))  # never the kept one
-            count_node()
-            status = tab.reoptimize()
-            pivots += len(tab.pivots)
-            if status == "optimal" and settle(tab, fixings):
-                kept_key, kept = counter, tab
+        if var is None:  # a stale leaf: check it under the appended rows
+            lower, upper = _bounds(base, fixings)
+            xb = x[basis]
+            if np.all((xb >= lower[basis] - FEASIBILITY_TOL)
+                      & (xb <= upper[basis] + FEASIBILITY_TOL)):
+                settle(basis, x, fixings)  # still optimal: carried over as it is
+            else:
+                tab = base.rebased(basis, x, lower, upper)  # never the kept one
+                count_node()
+                status = tab.reoptimize()
+                pivots += len(tab.pivots)
+                if status == "optimal" and settle(tab.basis.copy(), tab.x.copy(), fixings):
+                    kept_key, kept = counter, tab
         else:
             for value in (0.0, 1.0):
                 if tab is None:
@@ -254,7 +263,8 @@ def solve_milp(p: MilpProblem, tol: float = DEFAULT_TOL,
                 count_node()
                 status = tab.reoptimize()
                 pivots += len(tab.pivots)
-                if (status == "optimal" and settle(tab, fixings + ((var, value),))
+                if (status == "optimal"
+                        and settle(tab.basis.copy(), tab.x.copy(), fixings + ((var, value),))
                         and value == 1.0):
                     kept_key, kept = counter, tab
                 tab = None  # released before the 1-child's tableau is rebuilt

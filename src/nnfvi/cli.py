@@ -78,11 +78,19 @@ def _load_config(path: str) -> dict:
         raise UsageError(f"config file {path} is not valid JSON: {err}") from err
 
 
+def _integer(value) -> int:
+    """``value`` as an int; a number with a fractional part is refused, not
+    truncated."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _require_seed(config: dict) -> int:
     if "seed" not in config:
         raise UsageError("config must set an explicit seed")
     with _usage_errors():
-        return int(config["seed"])
+        return _integer(config["seed"])
 
 
 def _instance_from_config(config: dict) -> McipInstance:
@@ -120,17 +128,17 @@ def _present(block: dict, casts: dict) -> dict:
 @_usage_errors()
 def _mcd_config_from(config: dict, engine: str) -> McdConfig:
     return McdConfig(engine=engine, **_present(
-        config.get("mcd", {}), {"max_iterations": int, "gap_tolerance": float}))
+        config.get("mcd", {}), {"max_iterations": _integer, "gap_tolerance": float}))
 
 
 @_usage_errors()
 def _fvi_config_from(config: dict, seed: int) -> FviConfig:
     fvi = config.get("fvi", {})
     train = TrainConfig(**_present(
-        fvi, {"regularization": float, "restarts": int, "max_epochs": int}))
+        fvi, {"regularization": float, "restarts": _integer, "max_epochs": _integer}))
     return FviConfig(
-        **_present(fvi, {"state_samples": int, "transition_samples": int,
-                         "neurons": int}),
+        **_present(fvi, {"state_samples": _integer, "transition_samples": _integer,
+                         "neurons": _integer}),
         train=train, mcd=_mcd_config_from(config, config.get("engine", "brute")),
         seed=seed)
 
@@ -199,10 +207,11 @@ def cmd_mcd_bench(config: dict, out_dir: Path) -> int:
     seed = _require_seed(config)
     suite = config.get("suite", {})
     with _usage_errors():  # refuse a bad suite block before the first selection
-        n_instances = int(suite.get("instances", 0))
-        shape = _present(suite, {"neurons": int, "transition_samples": int,
-                                 "capacity_levels": int})
-        dims = [int(n2) for n2 in suite.get("facilities", [3]) for _ in range(n_instances)]
+        n_instances = _integer(suite.get("instances", 0))
+        shape = _present(suite, {"neurons": _integer, "transition_samples": _integer,
+                                 "capacity_levels": _integer})
+        dims = [_integer(n2) for n2 in suite.get("facilities", [3])
+                for _ in range(n_instances)]
         instances = [make_bench_instance(seed + 1000 * case, n2, **shape)
                      for case, n2 in enumerate(dims, start=1)]
     engines = config.get("engines", ["brute", "lshaped", "mcd"])
@@ -269,7 +278,7 @@ def cmd_case_study(config: dict, out_dir: Path) -> int:
         for gamma in gammas:
             for ratio in ratios:
                 with_parameters(instance, gamma=gamma, salvage_ratio=ratio)
-        counts = _present(config, {"n_paths": int, "n_scenarios": int})
+        counts = _present(config, {"n_paths": _integer, "n_scenarios": _integer})
     for key, count in counts.items():
         if count < 1:
             raise UsageError(f"{key} must be at least 1, got {count}")

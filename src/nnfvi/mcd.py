@@ -141,6 +141,37 @@ class FirstStage:
         bits = np.round(x[: self.encoding.total_bits])
         return self.encoding.decode(bits)
 
+    def with_cuts(self, integer_cuts: Sequence[IntegerOptimalityCut],
+                  combined_cuts: Sequence[LinearCut]) -> "FirstStage":
+        """This first stage with one row per cut appended, in creation order:
+        the ``k``-th integer optimality cut followed by the ``k``-th combined
+        cut, for each ``k``.  The rows already present are not rebuilt."""
+        lp, enc = self.milp.lp, self.encoding
+        n_bits, ki, kc = enc.total_bits, len(integer_cuts), len(combined_cuts)
+        rows = np.zeros((ki + kc, lp.n_vars))
+        rhs = np.zeros(ki + kc)
+        # the k-th integer cut follows k integer and min(k, kc) combined cuts,
+        # the k-th combined cut k combined and min(k + 1, ki) integer cuts
+        at_int = [k + min(k, kc) for k in range(ki)]
+        at_comb = [k + min(k + 1, ki) for k in range(kc)]
+        if ki:
+            # eta + (eta_bar - v) * (sum_ones alpha - sum_zeros alpha) <= v + (eta_bar - v)|ones|
+            bits = np.array([cut.bits for cut in integer_cuts])
+            values = np.array([cut.anchor_value for cut in integer_cuts])
+            spread = np.array([cut.eta_bar for cut in integer_cuts]) - values
+            rows[at_int, :n_bits] = spread[:, None] * (2 * bits - 1)
+            rhs[at_int] = values + spread * bits.sum(axis=1)
+        if kc:
+            # eta <= coef @ a + const with a_n = sum_l 2^l alpha_{n,l}
+            rows[at_comb, :n_bits] = enc.expand(-np.array([cut.coef for cut in combined_cuts]))
+            rhs[at_comb] = [cut.const for cut in combined_cuts]
+        rows[:, n_bits] = 1.0  # eta
+        grown = LpProblem(c=lp.c, A=np.vstack([lp.A, rows]), b=np.concatenate([lp.b, rhs]),
+                          senses=lp.senses + [LEQ] * len(rhs), lower=lp.lower,
+                          upper=lp.upper, maximize=lp.maximize)
+        return replace(self, milp=MilpProblem(lp=grown,
+                                              binary_indices=self.milp.binary_indices))
+
 
 def build_first_stage(ctx: RecourseContext, enc: BinaryEncoding,
                       reward: StageReward,
@@ -150,13 +181,13 @@ def build_first_stage(ctx: RecourseContext, enc: BinaryEncoding,
     """First-stage MILP: bits, the recourse variable, and reward auxiliaries.
 
     Rows: per-dimension bound on the bit expansion, the recourse upper bound,
-    one row per reward piece, then the cuts in creation order: the ``k``-th
-    integer optimality cut followed by the ``k``-th combined cut, for each
-    ``k``.  Each decomposition iteration only appends rows, so a first stage
-    is the previous one plus trailing rows and its search can resume.  The
-    objective is the discounted recourse variable plus the reward
-    auxiliaries; objective constants (reward constant and the network's
-    output bias) are carried in ``constant_offset``.
+    one row per reward piece, then the cuts as :meth:`FirstStage.with_cuts`
+    appends them.  A decomposition builds its first stage once, without
+    cuts, and each iteration appends its own cut rows with ``with_cuts``, so
+    a first stage is the previous one plus trailing rows and its search can
+    resume.  The objective is the discounted recourse variable plus the
+    reward auxiliaries; objective constants (reward constant and the
+    network's output bias) are carried in ``constant_offset``.
     """
     n2 = ctx.spec.action_box.dims
     gamma = ctx.spec.discount
@@ -190,18 +221,6 @@ def build_first_stage(ctx: RecourseContext, enc: BinaryEncoding,
             add_row(enc.expand(np.where(np.arange(n2) == n, -slope, 0.0)), icept,
                     rho=rho_of_dim[n])
 
-    for k in range(max(len(integer_cuts), len(combined_cuts))):
-        if k < len(integer_cuts):
-            # eta + (eta_bar - v) * (sum_ones alpha - sum_zeros alpha) <= v + (eta_bar - v)|ones|
-            cut = integer_cuts[k]
-            spread = cut.eta_bar - cut.anchor_value
-            add_row(spread * (2 * cut.bits - 1),
-                    cut.anchor_value + spread * int(cut.bits.sum()), eta_coef=1.0)
-        if k < len(combined_cuts):
-            # eta <= coef @ a + const with a_n = sum_l 2^l alpha_{n,l}
-            add_row(enc.expand(-combined_cuts[k].coef), combined_cuts[k].const,
-                    eta_coef=1.0)
-
     c = np.zeros(n_vars)
     c[eta] = gamma
     for n in piece_dims:
@@ -211,7 +230,7 @@ def build_first_stage(ctx: RecourseContext, enc: BinaryEncoding,
     upper = np.concatenate([np.ones(n_bits), np.full(1 + len(piece_dims), np.inf)])
     lp = LpProblem(
         c=c,
-        A=np.vstack(rows) if rows else np.zeros((0, n_vars)),
+        A=np.vstack(rows),
         b=np.asarray(rhs),
         senses=[LEQ] * len(rows),
         lower=lower,
@@ -220,7 +239,10 @@ def build_first_stage(ctx: RecourseContext, enc: BinaryEncoding,
     )
     milp = MilpProblem(lp=lp, binary_indices=list(range(n_bits)))
     offset = reward.constant + gamma * ctx.net.output_bias
-    return FirstStage(milp=milp, encoding=enc, constant_offset=offset)
+    stage = FirstStage(milp=milp, encoding=enc, constant_offset=offset)
+    if integer_cuts or combined_cuts:
+        return stage.with_cuts(integer_cuts, combined_cuts)
+    return stage
 
 
 def _objectives(ctx: RecourseContext, reward: StageReward,
@@ -270,15 +292,15 @@ def _decompose(ctx: RecourseContext, reward: StageReward, config: McdConfig,
                use_combined: bool) -> SelectionResult:
     """Multi-cut decomposition (integer optimality plus combined cuts) or,
     without ``use_combined``, the integer L-shaped method; both start from
-    the zero action.  Each iteration's first stage resumes the previous
-    one's branch-and-bound search."""
+    the zero action.  The first stage is built once, without cuts; each
+    iteration appends its own cut rows and resumes the previous iteration's
+    branch-and-bound search."""
     box = ctx.spec.action_box
     a_m = np.zeros(box.dims, dtype=np.int64)
     enc = binary_encoding(box)
     eta_bar = recourse_upper_bound(ctx)
+    fp = build_first_stage(ctx, enc, reward, [], [], eta_bar)
 
-    integer_cuts: list[IntegerOptimalityCut] = []
-    combined_cuts: list[LinearCut] = []
     # anchors only: each carries an integer cut, which the revisit rule needs
     visited: set[tuple] = set()
     incumbent: tuple = ()
@@ -304,13 +326,9 @@ def _decompose(ctx: RecourseContext, reward: StageReward, config: McdConfig,
             trace.append((m, lower, upper, a_m))
             break
 
-        integer_cuts.append(integer_optimality_cut(ctx, enc, a_m, eta_bar,
-                                                   float(recourse[0])))
-        if use_combined:
-            combined_cuts.append(combined_cut(ctx, a_m))
-
-        fp = build_first_stage(ctx, enc, reward, integer_cuts, combined_cuts,
-                               eta_bar)
+        fp = fp.with_cuts(
+            [integer_optimality_cut(ctx, enc, a_m, eta_bar, float(recourse[0]))],
+            [combined_cut(ctx, a_m)] if use_combined else [])
         try:
             sol = solve_milp(fp.milp, tol=MILP_TOLERANCE, resume=sol)
         except (LpNumericalError, NodeLimitError) as err:

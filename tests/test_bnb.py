@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from nnfvi import bnb
 from nnfvi.bnb import MilpProblem, MilpSolution, solve_milp
 from nnfvi.simplex import LEQ, LpProblem, solve_lp
 
@@ -304,13 +305,45 @@ class TestResumedSearch:
         with pytest.raises(ValueError, match="resumes once"):
             solve_milp(q, tol=1e-9, resume=sol)
 
-    def test_no_new_rows_re_solves_the_leaves_to_the_same_optimum(self):
+    def test_no_new_rows_carries_every_leaf_over_without_a_node_or_pivot(self):
+        # with no rows appended every leaf is still optimal, so none is re-solved
         rng = np.random.default_rng(39)
         p = mixed_milp(rng, 7, 3)
         sol = solve_milp(p, tol=1e-9)
+        x, objective, bound = sol.x.copy(), sol.objective, sol.bound
+        assert sol.node_count > 0
         again = solve_milp(p, tol=1e-9, resume=sol)
-        assert again.status == "optimal" and again.node_count > 0
-        assert again.objective == pytest.approx(sol.objective, abs=1e-9)
+        assert again.status == "optimal"
+        assert again.node_count == 0 and again.lp_pivots == 0
+        np.testing.assert_array_equal(again.x, x)
+        assert again.objective == objective and again.bound == bound
+
+    def test_leaves_the_new_rows_leave_feasible_are_carried_over(self, monkeypatch):
+        # each appended row cuts off the optimum, and on some instances some
+        # other leaves but not all.  A re-solve counts one node and files at
+        # most one leaf (filing calls _most_fractional once), so more leaves
+        # filed than nodes counted means some leaf was carried over as it stood
+        real = bnb._most_fractional
+        filed = []
+        monkeypatch.setattr(bnb, "_most_fractional",
+                            lambda x, binaries: filed.append(1) or real(x, binaries))
+        rng = np.random.default_rng(41)
+        mixed_cut = surplus = 0
+        for _ in range(10):
+            p = mixed_milp(rng, 8, 3)
+            sol = solve_milp(p, tol=1e-9)
+            A, b = self._cuts(rng, p, sol.x, 1)
+            room = [(b - A @ x[:p.lp.n_vars]).min() for _, _, x, _ in sol._frontier.leaves]
+            mixed_cut += min(room) < 0 <= max(room)
+            q = with_rows(p, A, b)
+            filed.clear()
+            resumed = solve_milp(q, tol=1e-9, resume=sol)
+            surplus += len(filed) - resumed.node_count
+            cold = solve_milp(q, tol=1e-9)
+            assert resumed.status == cold.status == "optimal"
+            assert resumed.objective == pytest.approx(cold.objective, abs=1e-9)
+            assert np.all(q.lp.A @ resumed.x <= q.lp.b + 1e-8)
+        assert mixed_cut and surplus > 0
 
     def test_refuses_a_problem_that_is_not_the_old_one_plus_leq_rows(self):
         rng = np.random.default_rng(40)

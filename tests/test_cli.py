@@ -257,6 +257,20 @@ class TestCaseStudy:
         assert not (out / "case_study.csv").exists()
 
 
+    @pytest.mark.parametrize("key", ["n_paths", "n_scenarios"])
+    def test_fractional_path_count_is_usage_error_before_any_cell_runs(
+            self, tmp_path, capsys, monkeypatch, key):
+        def no_fvi(*args, **kwargs):
+            raise AssertionError("a cell ran before the path counts were checked")
+
+        monkeypatch.setattr(mcip, "run_nnfvi", no_fvi)
+        cfg = write_config(tmp_path, "cs.json", {**self._payload([0.9], [0.5]), key: 2.5})
+        out = tmp_path / "out"
+        assert main(["case-study", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+        assert "2.5" in json.loads(capsys.readouterr().err)["message"]
+        assert not (out / "case_study.csv").exists()
+
+
 class TestDpOracle:
     def test_single_period_table(self, tmp_path):
         cfg = write_config(tmp_path, "dp.json", {
@@ -361,6 +375,11 @@ class TestErrors:
         {"instance": {"synthetic": {"seed": 1, "facilties": 2}}},
         {"instance": {"synthetic": {"seed": 1, "capacity_max": -1}}},
         {"seed": "x"},
+        # a fractional integer is refused, not truncated
+        {"seed": 1.7},
+        {"fvi": {**tiny_fvi_payload()["fvi"], "state_samples": 30.5}},
+        {"fvi": {**tiny_fvi_payload()["fvi"], "restarts": 1.5}},
+        {"mcd": {"max_iterations": 40.5, "gap_tolerance": 0.0}},
     ])
     def test_refused_fvi_config_is_usage(self, tmp_path, capsys, change):
         cfg = write_config(tmp_path, "cfg.json", {**tiny_fvi_payload(), **change})
@@ -381,6 +400,9 @@ class TestErrors:
     @pytest.mark.parametrize("suite, word", [
         ({"instances": "two", "facilities": [2]}, "two"),
         ({"instances": 1, "facilities": [2], "capacity_levels": -1}, "non-negative"),
+        ({"instances": 1.5, "facilities": [2]}, "1.5"),
+        ({"instances": 1, "facilities": [2.5]}, "2.5"),
+        ({"instances": 1, "facilities": [2], "neurons": 4.5}, "4.5"),
     ])
     def test_refused_mcd_bench_suite_is_usage_before_any_selection(
             self, tmp_path, capsys, monkeypatch, suite, word):

@@ -181,6 +181,36 @@ class TestBuildFirstStage:
             assert reward.constant + pieces[:2].min() + pieces[2:].min() \
                 == pytest.approx(reward.values(a[None, :])[0], abs=1e-12)
 
+    @pytest.mark.parametrize("n_int, n_comb", [(3, 2), (2, 2), (1, 3), (2, 0)])
+    def test_cut_rows_equal_a_per_cut_loop(self, n_int, n_comb):
+        # the cut rows, made in one array pass, against the row-at-a-time
+        # loop they replaced: same arithmetic, so equal to the last bit
+        ctx = random_context(15, n1=3, n2=3, a_bar=[3, 2, 4])
+        reward, _ = adjustment_reward()
+        enc = binary_encoding(ctx.spec.action_box)
+        eta_bar = recourse_upper_bound(ctx)
+        anchors = ([1, 2, 0], [0, 0, 3], [3, 1, 1])
+        int_cuts = [integer_optimality_cut(ctx, enc, np.array(a), eta_bar)
+                    for a in anchors[:n_int]]
+        lin_cuts = [combined_cut(ctx, np.array(a)) for a in anchors[::-1][:n_comb]]
+        lp = build_first_stage(ctx, enc, reward, int_cuts, lin_cuts, eta_bar).milp.lp
+        n_bits = enc.total_bits
+        rows, rhs = [], []
+        for k in range(max(n_int, n_comb)):
+            if k < n_int:
+                cut = int_cuts[k]
+                spread = cut.eta_bar - cut.anchor_value
+                rows.append(spread * (2 * cut.bits - 1))
+                rhs.append(cut.anchor_value + spread * int(cut.bits.sum()))
+            if k < n_comb:
+                rows.append(enc.expand(-lin_cuts[k].coef))
+                rhs.append(lin_cuts[k].const)
+        first = lp.n_rows - len(rows)
+        np.testing.assert_array_equal(lp.A[first:, :n_bits], np.array(rows))
+        np.testing.assert_array_equal(lp.A[first:, n_bits], 1.0)
+        np.testing.assert_array_equal(lp.A[first:, n_bits + 1:], 0.0)
+        np.testing.assert_array_equal(lp.b[first:], rhs)
+
     def test_three_by_three_box_has_four_binaries(self):
         # bound 3 needs two bits per dimension
         ctx = random_context(2, n2=2, a_bar=[3, 3])
@@ -508,6 +538,47 @@ class TestResumedMasters:
         assert res.lp_pivots == sum(s.lp_pivots for s in solved) > 0
         brute = select_action_bruteforce(ctx, reward)
         assert (brute.milp_nodes, brute.lp_pivots) == (0, 0)
+
+    @pytest.mark.parametrize("engine", ["mcd", "lshaped"])
+    @pytest.mark.parametrize("seed, dims", [(2003, 2), (3006, 3)])
+    def test_each_appended_master_equals_one_built_from_all_its_cuts(
+            self, monkeypatch, engine, seed, dims):
+        # a selection builds its first stage once and appends each
+        # iteration's cut rows; the result must be the master that
+        # build_first_stage makes from every cut so far, row for row
+        ctx, reward = make_bench_instance(seed, facilities=dims, neurons=10,
+                                          transition_samples=4, capacity_levels=3)
+        int_cuts, comb_cuts, masters = [], [], []
+        make_int, make_comb, solve = (mcd.integer_optimality_cut, mcd.combined_cut,
+                                      mcd.solve_milp)
+
+        def recording_int(*args):
+            int_cuts.append(make_int(*args))
+            return int_cuts[-1]
+
+        def recording_comb(*args):
+            comb_cuts.append(make_comb(*args))
+            return comb_cuts[-1]
+
+        def recording_solve(p, tol, resume=None):
+            masters.append((p, list(int_cuts), list(comb_cuts)))
+            return solve(p, tol, resume)
+
+        monkeypatch.setattr(mcd, "integer_optimality_cut", recording_int)
+        monkeypatch.setattr(mcd, "combined_cut", recording_comb)
+        monkeypatch.setattr(mcd, "solve_milp", recording_solve)
+        res = select_action(ctx, reward, McdConfig(engine=engine, max_iterations=12,
+                                                   gap_tolerance=0.0))
+        assert res.iterations - 1 <= len(masters) <= res.iterations and len(masters) >= 3
+        enc = binary_encoding(ctx.spec.action_box)
+        eta_bar = recourse_upper_bound(ctx)
+        for k, (p, ints, combs) in enumerate(masters, start=1):
+            assert len(ints) == k and len(combs) == (k if engine == "mcd" else 0)
+            q = build_first_stage(ctx, enc, reward, ints, combs, eta_bar).milp
+            for field in ("A", "b", "c", "lower", "upper"):
+                np.testing.assert_array_equal(getattr(p.lp, field), getattr(q.lp, field))
+            assert p.lp.senses == q.lp.senses and p.lp.maximize == q.lp.maximize
+            assert p.binary_indices == q.binary_indices
 
     def test_resumed_masters_select_as_cold_ones(self, monkeypatch):
         # the same decomposition with every master solved from its root
