@@ -19,16 +19,17 @@ such as Laporte & Louveaux's (1993) integer L-shaped method.  Every solution
 carries its frontier: the base and every leaf, that is every node left
 open, pruned by bound, found integral, or dropped because it could not beat
 the incumbent (infeasible nodes are gone for good).  Given that solution,
-:func:`solve_milp` solves the same problem with trailing ``<=`` rows added:
-the rows are appended to the base (``_Tableau.with_rows``), each leaf gains
-the new slacks' values, and every leaf is pushed with its old bound, which
-stays valid because rows only tighten the problem.  A popped leaf whose old
-bound still beats the incumbent and whose basic values, the new slacks
-included, all lie within their bounds is primal and dual feasible, so still
-optimal: it is filed from its stored basis and values as it stands, with no
-rebuild, no pivot and no node counted.  Any other popped leaf is rebuilt and
-re-optimized by the dual simplex, then filed like a new child.  A cold solve
-is the same loop started from the root alone.
+:func:`solve_milp` solves the same problem or one grown from it by
+:meth:`MilpProblem.with_rows`, which refers weakly to the problem it grew
+from: the new rows are appended to the base (``_Tableau.with_rows``), each
+leaf gains the new slacks' values, and every leaf is pushed with its old
+bound, which stays valid because rows only tighten the problem.  A popped
+leaf whose old bound still beats the incumbent and whose basic values, the
+new slacks included, all lie within their bounds is primal and dual
+feasible, so still optimal: it is filed from its stored basis and values as
+it stands, with no rebuild, no pivot and no node counted.  Any other popped
+leaf is rebuilt and re-optimized by the dual simplex, then filed like a new
+child.  A cold solve is the same loop started from the root alone.
 
 Incumbents come only from integral relaxations: best-first order expands a
 node only while its bound beats the optimum (up to the tolerance), so
@@ -40,7 +41,9 @@ convergence.
 
 from __future__ import annotations
 
+import copy
 import heapq
+import weakref
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -63,6 +66,9 @@ class MilpProblem:
 
     lp: LpProblem
     binary_indices: Sequence[int]
+    # the problem this one was grown from by with_rows, if any
+    _parent: Optional[weakref.ref] = field(default=None, init=False, repr=False,
+                                           compare=False)
 
     def __post_init__(self):
         idx = sorted(int(i) for i in self.binary_indices)
@@ -76,6 +82,24 @@ class MilpProblem:
                     f"[{self.lp.lower[i]}, {self.lp.upper[i]}]"
                 )
         self.binary_indices = idx
+
+    def with_rows(self, A: np.ndarray, b: np.ndarray) -> "MilpProblem":
+        """This problem with the rows ``A @ x <= b`` appended; only the new
+        rows are validated.  The result refers to this problem weakly, so it
+        does not keep it alive, and :func:`solve_milp` may resume on it."""
+        lp = self.lp
+        A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
+        if b.ndim != 1 or A.shape != (b.size, lp.n_vars):
+            raise ValueError(f"rows {A.shape} and right-hand sides {b.shape} do not "
+                             f"fit {lp.n_vars} columns")
+        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+            raise ValueError("appended rows must be finite")
+        grown = copy.copy(self)
+        grown.lp = copy.copy(lp)  # shares c and the bounds, validated once
+        grown.lp.A, grown.lp.b = np.vstack([lp.A, A]), np.concatenate([lp.b, b])
+        grown.lp.senses = lp.senses + [LEQ] * b.size
+        grown._parent = weakref.ref(self)
+        return grown
 
 
 @dataclass
@@ -113,27 +137,14 @@ def _most_fractional(x: np.ndarray, binaries: Sequence[int]) -> Optional[int]:
 
 
 def _extended(frontier: _Frontier, p: MilpProblem) -> tuple[Optional[_Tableau], list]:
-    """The frontier's base and leaves with ``p``'s trailing rows appended;
-    refuses a ``p`` that is not the frontier's problem plus ``<=`` rows."""
-    old, new = frontier.problem.lp, p.lp
-    m = old.n_rows
-    same = (new.n_vars == old.n_vars and new.n_rows >= m
-            and new.maximize == old.maximize
-            and list(p.binary_indices) == list(frontier.problem.binary_indices)
-            and np.array_equal(new.c, old.c) and np.array_equal(new.lower, old.lower)
-            and np.array_equal(new.upper, old.upper)
-            and np.array_equal(new.A[:m], old.A) and np.array_equal(new.b[:m], old.b)
-            and list(new.senses[:m]) == list(old.senses)
-            and all(s == LEQ for s in new.senses[m:]))
-    if not same:
-        raise ValueError("a resumed problem must be the solved one plus trailing "
-                         "'<=' rows")
+    """The frontier's base and leaves with the rows ``p`` has beyond the
+    frontier's problem appended."""
     if frontier.base is None:
         return None, []
-    A, b = new.A[m:], new.b[m:]
+    m, n = frontier.problem.lp.n_rows, p.lp.n_vars
+    A, b = p.lp.A[m:], p.lp.b[m:]
     base = frontier.base.with_rows(A, b)
     slacks = np.arange(frontier.base.n, base.n)
-    n = new.n_vars
     return base, [(bound, np.concatenate([basis, slacks]),
                    np.concatenate([x, b - A @ x[:n]]), fixings)
                   for bound, basis, x, fixings in frontier.leaves]
@@ -151,8 +162,9 @@ def solve_milp(p: MilpProblem, tol: float = DEFAULT_TOL,
     """Globally solve the binary MILP within absolute tolerance ``tol``.
 
     With ``resume``, a solution this function returned, ``p`` must be the
-    problem ``resume`` solved with ``<=`` rows appended (else ValueError),
-    and the search continues from ``resume``'s leaves instead of the root.
+    problem ``resume`` solved or one grown from it by one
+    :meth:`MilpProblem.with_rows` (else ValueError), and the search
+    continues from ``resume``'s leaves instead of the root.
     The frontier moves on to the new solution, so that the old one's memory
     is freed before the search runs: a solution resumes once.
     """
@@ -165,10 +177,15 @@ def solve_milp(p: MilpProblem, tol: float = DEFAULT_TOL,
 
     base, stale = None, []
     if resume is not None:
-        if resume._frontier is None:
+        frontier = resume._frontier
+        if frontier is None:
             raise ValueError("the solution to resume from carries no search; "
                              "a solution resumes once")
-        base, stale = _extended(resume._frontier, p)
+        parent = p._parent and p._parent()
+        if frontier.problem is not p and frontier.problem is not parent:
+            raise ValueError("a resumed problem must be the solved one or grown from "
+                             "it by with_rows, which appends trailing '<=' rows")
+        base, stale = _extended(frontier, p)
         resume._frontier = None
     pivots = 0
     root = None

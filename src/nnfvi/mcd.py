@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import warnings
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -141,51 +141,33 @@ class FirstStage:
         bits = np.round(x[: self.encoding.total_bits])
         return self.encoding.decode(bits)
 
-    def with_cuts(self, integer_cuts: Sequence[IntegerOptimalityCut],
-                  combined_cuts: Sequence[LinearCut]) -> "FirstStage":
-        """This first stage with one row per cut appended, in creation order:
-        the ``k``-th integer optimality cut followed by the ``k``-th combined
-        cut, for each ``k``.  The rows already present are not rebuilt."""
-        lp, enc = self.milp.lp, self.encoding
-        n_bits, ki, kc = enc.total_bits, len(integer_cuts), len(combined_cuts)
-        rows = np.zeros((ki + kc, lp.n_vars))
-        rhs = np.zeros(ki + kc)
-        # the k-th integer cut follows k integer and min(k, kc) combined cuts,
-        # the k-th combined cut k combined and min(k + 1, ki) integer cuts
-        at_int = [k + min(k, kc) for k in range(ki)]
-        at_comb = [k + min(k + 1, ki) for k in range(kc)]
-        if ki:
-            # eta + (eta_bar - v) * (sum_ones alpha - sum_zeros alpha) <= v + (eta_bar - v)|ones|
-            bits = np.array([cut.bits for cut in integer_cuts])
-            values = np.array([cut.anchor_value for cut in integer_cuts])
-            spread = np.array([cut.eta_bar for cut in integer_cuts]) - values
-            rows[at_int, :n_bits] = spread[:, None] * (2 * bits - 1)
-            rhs[at_int] = values + spread * bits.sum(axis=1)
-        if kc:
+    def with_cuts(self, integer_cut: IntegerOptimalityCut,
+                  combined_cut: Optional[LinearCut] = None) -> "FirstStage":
+        """This first stage with one iteration's cut rows appended: the
+        integer optimality cut's, then the combined cut's if one is given."""
+        n_bits, bits = self.encoding.total_bits, integer_cut.bits
+        rows = np.zeros((1 + (combined_cut is not None), self.milp.lp.n_vars))
+        # eta + (eta_bar - v) * (sum_ones alpha - sum_zeros alpha) <= v + (eta_bar - v)|ones|
+        spread = integer_cut.eta_bar - integer_cut.anchor_value
+        rows[0, :n_bits] = spread * (2 * bits - 1)
+        rhs = [integer_cut.anchor_value + spread * bits.sum()]
+        if combined_cut is not None:
             # eta <= coef @ a + const with a_n = sum_l 2^l alpha_{n,l}
-            rows[at_comb, :n_bits] = enc.expand(-np.array([cut.coef for cut in combined_cuts]))
-            rhs[at_comb] = [cut.const for cut in combined_cuts]
+            rows[1, :n_bits] = self.encoding.expand(-combined_cut.coef)
+            rhs.append(combined_cut.const)
         rows[:, n_bits] = 1.0  # eta
-        grown = LpProblem(c=lp.c, A=np.vstack([lp.A, rows]), b=np.concatenate([lp.b, rhs]),
-                          senses=lp.senses + [LEQ] * len(rhs), lower=lp.lower,
-                          upper=lp.upper, maximize=lp.maximize)
-        return replace(self, milp=MilpProblem(lp=grown,
-                                              binary_indices=self.milp.binary_indices))
+        return replace(self, milp=self.milp.with_rows(rows, rhs))
 
 
 def build_first_stage(ctx: RecourseContext, enc: BinaryEncoding,
-                      reward: StageReward,
-                      integer_cuts: Sequence[IntegerOptimalityCut],
-                      combined_cuts: Sequence[LinearCut],
-                      eta_bar: float) -> FirstStage:
+                      reward: StageReward, eta_bar: float) -> FirstStage:
     """First-stage MILP: bits, the recourse variable, and reward auxiliaries.
 
     Rows: per-dimension bound on the bit expansion, the recourse upper bound,
-    one row per reward piece, then the cuts as :meth:`FirstStage.with_cuts`
-    appends them.  A decomposition builds its first stage once, without
-    cuts, and each iteration appends its own cut rows with ``with_cuts``, so
-    a first stage is the previous one plus trailing rows and its search can
-    resume.  The objective is the discounted recourse variable plus the
+    and one row per reward piece.  A decomposition builds its first stage
+    once, and each iteration appends its own cut rows with
+    :meth:`FirstStage.with_cuts`, so that each master resumes the previous
+    one's search.  The objective is the discounted recourse variable plus the
     reward auxiliaries; objective constants (reward constant and the
     network's output bias) are carried in ``constant_offset``.
     """
@@ -239,10 +221,7 @@ def build_first_stage(ctx: RecourseContext, enc: BinaryEncoding,
     )
     milp = MilpProblem(lp=lp, binary_indices=list(range(n_bits)))
     offset = reward.constant + gamma * ctx.net.output_bias
-    stage = FirstStage(milp=milp, encoding=enc, constant_offset=offset)
-    if integer_cuts or combined_cuts:
-        return stage.with_cuts(integer_cuts, combined_cuts)
-    return stage
+    return FirstStage(milp=milp, encoding=enc, constant_offset=offset)
 
 
 def _objectives(ctx: RecourseContext, reward: StageReward,
@@ -299,7 +278,7 @@ def _decompose(ctx: RecourseContext, reward: StageReward, config: McdConfig,
     a_m = np.zeros(box.dims, dtype=np.int64)
     enc = binary_encoding(box)
     eta_bar = recourse_upper_bound(ctx)
-    fp = build_first_stage(ctx, enc, reward, [], [], eta_bar)
+    fp = build_first_stage(ctx, enc, reward, eta_bar)
 
     # anchors only: each carries an integer cut, which the revisit rule needs
     visited: set[tuple] = set()
@@ -327,8 +306,8 @@ def _decompose(ctx: RecourseContext, reward: StageReward, config: McdConfig,
             break
 
         fp = fp.with_cuts(
-            [integer_optimality_cut(ctx, enc, a_m, eta_bar, float(recourse[0]))],
-            [combined_cut(ctx, a_m)] if use_combined else [])
+            integer_optimality_cut(ctx, enc, a_m, eta_bar, float(recourse[0])),
+            combined_cut(ctx, a_m) if use_combined else None)
         try:
             sol = solve_milp(fp.milp, tol=MILP_TOLERANCE, resume=sol)
         except (LpNumericalError, NodeLimitError) as err:

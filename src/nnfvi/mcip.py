@@ -22,7 +22,7 @@ import numpy as np
 from .bnb import solve_milp  # unused here; kept at this name, which perfbench traces
 from .fvi import FviConfig, TabularMdp, greedy_policy, run_nnfvi
 from .mcd import StageReward
-from .mdp import ActionBox, MdpSpec, enumerate_actions
+from .mdp import ActionBox, MdpSpec, as_integers, enumerate_actions
 from .simplex import LEQ, LpProblem, solve_lp
 
 
@@ -131,13 +131,15 @@ class McipInstance:
     initial_demand: np.ndarray    # (I,)
 
     def __post_init__(self):
+        for name in ("customers", "facilities", "horizon"):
+            setattr(self, name, int(as_integers(getattr(self, name), name)))
         I, N, T = self.customers, self.facilities, self.horizon
         self.revenues = np.asarray(self.revenues, dtype=float).reshape(T, I, N)
         self.penalties = np.asarray(self.penalties, dtype=float).reshape(T, I)
         self.expansion_costs = np.asarray(self.expansion_costs, dtype=float).reshape(T, N)
         self.salvage_values = np.asarray(self.salvage_values, dtype=float).reshape(T, N)
         self.initial_capacity = np.asarray(self.initial_capacity, dtype=float).ravel()
-        self.capacity_max = np.asarray(self.capacity_max, dtype=np.int64).ravel()
+        self.capacity_max = as_integers(self.capacity_max, "capacity_max").ravel()
         self.initial_demand = np.asarray(self.initial_demand, dtype=float).ravel()
         if np.any(self.salvage_values > self.expansion_costs + 1e-12):
             raise ValueError("unit salvage value may not exceed unit expansion cost")
@@ -191,16 +193,16 @@ class McipInstance:
             kind=data["demand"].get("kind", "markov-lattice"),
         )
         return McipInstance(
-            customers=int(data["customers"]),
-            facilities=int(data["facilities"]),
-            horizon=int(data["horizon"]),
+            customers=data["customers"],
+            facilities=data["facilities"],
+            horizon=data["horizon"],
             discount=float(data["discount"]),
             revenues=np.asarray(data["revenues"], dtype=float),
             penalties=np.asarray(data["penalties"], dtype=float),
             expansion_costs=np.asarray(data["expansion_costs"], dtype=float),
             salvage_values=np.asarray(data["salvage_values"], dtype=float),
             initial_capacity=np.asarray(data["initial_capacity"], dtype=float),
-            capacity_max=np.asarray(data["capacity_max"], dtype=float),
+            capacity_max=data["capacity_max"],
             demand=demand,
             initial_demand=np.asarray(data["initial_demand"], dtype=float),
         )
@@ -221,7 +223,7 @@ def synthetic_instance(customers: int = 2, facilities: int = 2, horizon: int = 3
     penalties = rng.uniform(1.0, 3.0, size=(T, I))
     expansion = rng.uniform(2.0, 5.0, size=(T, N))
     salvage = salvage_ratio * expansion
-    cap_max = np.full(N, capacity_max, dtype=np.int64)
+    cap_max = np.full(N, capacity_max)  # McipInstance refuses a fractional limit
 
     # increasing joint demand levels so the walk ordering is meaningful
     base = rng.uniform(1.0, 2.0, size=I)

@@ -33,6 +33,16 @@ class ActionSpaceTooLargeError(ValueError):
     """Exhaustive enumeration refused; use the decomposition engine instead."""
 
 
+def as_integers(values, what: str) -> np.ndarray:
+    """``values`` as an int64 array; an integral float such as ``3.0`` is
+    accepted, a non-integral one refused with ValueError, not truncated."""
+    raw = np.asarray(values)
+    ints = raw.astype(np.int64)
+    if raw.dtype.kind == "f" and not np.array_equal(ints, raw):
+        raise ValueError(f"{what} must be integral, got {raw.tolist()}")
+    return ints
+
+
 @dataclass(frozen=True)
 class ActionBox:
     """Integer action box ``{a : 0 <= a_n <= upper_bounds[n], a integer}``."""
@@ -40,7 +50,7 @@ class ActionBox:
     upper_bounds: np.ndarray
 
     def __post_init__(self):
-        ub = np.asarray(self.upper_bounds, dtype=np.int64)
+        ub = as_integers(self.upper_bounds, "upper_bounds")
         if ub.ndim != 1 or ub.size == 0:
             raise ValueError("upper_bounds must be a non-empty vector")
         if np.any(ub < 0):

@@ -1,4 +1,5 @@
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -195,17 +196,6 @@ class TestWarmStartedSearch:
         assert solve_milp(integral).lp_pivots == len(solve_lp(integral.lp).pivots) == 2
 
 
-def with_rows(p, A, b):
-    """``p`` with the rows ``A @ x <= b`` appended."""
-    lp = p.lp
-    return MilpProblem(lp=LpProblem(c=lp.c, A=np.vstack([lp.A, A]),
-                                    b=np.concatenate([lp.b, b]),
-                                    senses=list(lp.senses) + [LEQ] * len(b),
-                                    lower=lp.lower, upper=lp.upper,
-                                    maximize=lp.maximize),
-                       binary_indices=p.binary_indices)
-
-
 def mixed_milp(rng, k, m):
     """``k`` binaries plus a free column capped only by the rows, as the
     first-stage recourse variable is."""
@@ -244,7 +234,7 @@ class TestResumedSearch:
                 A, b = self._cuts(rng, p, sol.x, int(rng.integers(1, 4)))
             else:
                 A, b = self._infeasible_row(p)
-            p = with_rows(p, A, b)
+            p = p.with_rows(A, b)
             sol = solve_milp(p, tol=1e-9, resume=sol)
             yield p, sol
 
@@ -300,7 +290,7 @@ class TestResumedSearch:
         rng = np.random.default_rng(44)
         p = mixed_milp(rng, 6, 3)
         sol = solve_milp(p, tol=1e-9)
-        q = with_rows(p, *self._cuts(rng, p, sol.x, 1))
+        q = p.with_rows(*self._cuts(rng, p, sol.x, 1))
         solve_milp(q, tol=1e-9, resume=sol)
         with pytest.raises(ValueError, match="resumes once"):
             solve_milp(q, tol=1e-9, resume=sol)
@@ -335,7 +325,7 @@ class TestResumedSearch:
             A, b = self._cuts(rng, p, sol.x, 1)
             room = [(b - A @ x[:p.lp.n_vars]).min() for _, _, x, _ in sol._frontier.leaves]
             mixed_cut += min(room) < 0 <= max(room)
-            q = with_rows(p, A, b)
+            q = p.with_rows(A, b)
             filed.clear()
             resumed = solve_milp(q, tol=1e-9, resume=sol)
             surplus += len(filed) - resumed.node_count
@@ -374,9 +364,63 @@ class TestResumedSearch:
         with pytest.raises(ValueError, match="carries no search"):
             solve_milp(p, resume=MilpSolution(status="optimal"))
 
+    def test_refuses_an_equal_copy_and_a_sibling_of_the_solved_problem(self):
+        # the check is by ancestry: a copy equal to the grown problem row for
+        # row was not grown by with_rows, and a problem grown from the solved
+        # problem's parent is its sibling, not its child
+        rng = np.random.default_rng(45)
+        p = mixed_milp(rng, 6, 3)
+        first = solve_milp(p, tol=1e-9)
+        A, b = self._cuts(rng, p, first.x, 1)
+        q = p.with_rows(A, b)
+        sol = solve_milp(q, tol=1e-9, resume=first)
+        A2, b2 = self._cuts(rng, q, sol.x, 1)
+        grown = q.with_rows(A2, b2)
+        lp = grown.lp
+        twin = MilpProblem(lp=LpProblem(c=lp.c, A=lp.A, b=lp.b, senses=lp.senses,
+                                        lower=lp.lower, upper=lp.upper),
+                           binary_indices=grown.binary_indices)
+        for r in (twin, p.with_rows(A2, b2)):
+            with pytest.raises(ValueError, match="trailing '<=' rows"):
+                solve_milp(r, tol=1e-9, resume=sol)
+        assert solve_milp(grown, tol=1e-9, resume=sol).status == "optimal"
+
+    def test_with_rows_validates_only_the_new_rows_and_leaves_the_problem_as_is(self):
+        p = mixed_milp(np.random.default_rng(46), 4, 2)
+        n = p.lp.n_vars
+        for A, b in ((np.array([[1.0, np.inf] + [0.0] * (n - 2)]), [1.0]),
+                     (np.ones((1, n)), [np.nan])):
+            with pytest.raises(ValueError, match="finite"):
+                p.with_rows(A, b)
+        for A, b in ((np.ones((1, n - 1)), [1.0]), (np.ones((1, n + 1)), [1.0]),
+                     (np.ones((2, n)), [1.0]), (np.ones(n), [1.0])):
+            with pytest.raises(ValueError, match="do not fit"):
+                p.with_rows(A, b)
+        A = np.arange(2.0 * n).reshape(2, n)
+        q = p.with_rows(A, [3.0, 4.0])
+        assert p.lp.n_rows == 2 and len(p.lp.senses) == 2
+        np.testing.assert_array_equal(q.lp.A, np.vstack([p.lp.A, A]))
+        np.testing.assert_array_equal(q.lp.b, np.append(p.lp.b, [3.0, 4.0]))
+        assert q.lp.senses == ["<="] * 4 and q.binary_indices == p.binary_indices
+        assert q.lp.c is p.lp.c and q.lp.maximize == p.lp.maximize
+
+    def test_a_long_grow_and_resume_chain_frees_the_first_problem(self):
+        # a grown problem refers to its parent weakly and a solution's
+        # frontier holds only its own problem, so a chain of resumed masters
+        # keeps none of the earlier ones alive
+        p = mixed_milp(np.random.default_rng(47), 6, 3)
+        first = weakref.ref(p)
+        rounds = self._rounds(np.random.default_rng(48), p, rounds=20)
+        del p
+        solved = 0
+        for last, sol in rounds:  # only the last problem stays alive
+            solved += 1
+        assert solved == 20 and first() is None
+        assert sol._frontier.problem is last and last._parent() is None
+
     def test_resuming_an_infeasible_root_stays_infeasible(self):
         p = binary_milp([1.0, 1.0], [[1.0, 1.0]], [-0.5])
         sol = solve_milp(p)
         assert sol.status == "infeasible"
-        again = solve_milp(with_rows(p, np.array([[1.0, 0.0]]), np.array([0.5])), resume=sol)
+        again = solve_milp(p.with_rows(np.array([[1.0, 0.0]]), np.array([0.5])), resume=sol)
         assert again.status == "infeasible"

@@ -340,6 +340,27 @@ class TestDpOracle:
         assert "lattice" in err["message"]
         assert not (out / "dp_summary.csv").exists()
 
+    def test_fractional_synthetic_capacity_limit_is_usage_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "dp.json", {
+            "instance": {"synthetic": {"seed": 21, "horizon": 1, "capacity_max": 2.5}},
+        })
+        out = tmp_path / "out"
+        assert main(["dp-oracle", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "usage" and "capacity_max" in err["message"]
+        assert not (out / "dp_values.csv").exists()
+
+    def test_fractional_horizon_in_instance_file_is_domain_error(self, tmp_path, capsys):
+        data = synthetic_instance(seed=21, horizon=2).to_json_dict()
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps({**data, "horizon": 2.5}))
+        cfg = write_config(tmp_path, "dp.json", {"instance": {"path": str(path)}})
+        out = tmp_path / "out"
+        assert main(["dp-oracle", "--config", cfg, "--out", str(out)]) == EXIT_DOMAIN
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and "horizon" in err["message"]
+        assert not (out / "dp_values.csv").exists()
+
     def test_oversized_instance_refused_with_size(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "dp.json", {
             "instance": {"synthetic": {

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -21,11 +22,11 @@ from nnfvi.mcd import (
     trace_dtype,
 )
 from nnfvi import cuts, mcd
-from nnfvi.bnb import MilpSolution, solve_milp
+from nnfvi.bnb import MilpSolution, NodeLimitError, solve_milp
 from nnfvi.cli import make_bench_instance
 from nnfvi.mdp import ActionBox, enumerate_actions
 from nnfvi.neural import ReluNet
-from nnfvi.simplex import LpNumericalError
+from nnfvi.simplex import LpNumericalError, LpProblem
 
 from conftest import random_affine_spec, random_context
 
@@ -41,6 +42,15 @@ def exhaustive_optimum(ctx, reward_of):
         if val > best_val + 1e-15:
             best_val, best_a = val, a
     return best_val, best_a
+
+
+def with_all_cuts(ctx, enc, reward, eta_bar, int_cuts, comb_cuts):
+    """``build_first_stage`` plus one ``with_cuts`` per integer cut, the
+    ``k``-th given the ``k``-th combined cut too when there is one."""
+    fp = build_first_stage(ctx, enc, reward, eta_bar)
+    for int_cut, comb_cut in itertools.zip_longest(int_cuts, comb_cuts):
+        fp = fp.with_cuts(int_cut, comb_cut)
+    return fp
 
 
 def reward_terms(ctx, seed=0, scale=1.0):
@@ -110,7 +120,7 @@ class TestBuildFirstStage:
         reward = linear_stage_reward(gain)
         enc = binary_encoding(ctx.spec.action_box)
         eta_bar = recourse_upper_bound(ctx)
-        fp = build_first_stage(ctx, enc, reward, [], [], eta_bar)
+        fp = build_first_stage(ctx, enc, reward, eta_bar)
         sol = solve_milp(fp.milp, tol=1e-9)
         assert sol.status == "optimal"
         action = fp.decode_action(sol.x)
@@ -131,7 +141,7 @@ class TestBuildFirstStage:
         eta_bar = recourse_upper_bound(ctx)
         best_val, best_a = exhaustive_optimum(ctx, lambda a: 0.0)
         cut = integer_optimality_cut(ctx, enc, best_a, eta_bar)
-        fp = build_first_stage(ctx, enc, reward, [cut], [], eta_bar)
+        fp = build_first_stage(ctx, enc, reward, eta_bar).with_cuts(cut)
         sol = solve_milp(fp.milp, tol=1e-9)
         gamma = ctx.spec.discount
         # at the anchor the cut pins eta to the true recourse
@@ -154,7 +164,7 @@ class TestBuildFirstStage:
         int_cuts = [integer_optimality_cut(ctx, enc, np.array(a), eta_bar)
                     for a in ([1, 2, 0], [0, 0, 3], [3, 1, 1])]
         lin_cuts = [combined_cut(ctx, np.array(a)) for a in ([3, 0, 4], [2, 2, 2])]
-        fp = build_first_stage(ctx, enc, reward, int_cuts, lin_cuts, eta_bar)
+        fp = with_all_cuts(ctx, enc, reward, eta_bar, int_cuts, lin_cuts)
         lp = fp.milp.lp
         n_bits, n_dims = enc.total_bits, len(enc.bound_rows()[1])
         pieces_at, cuts_at = n_dims + 1, n_dims + 1 + 4
@@ -181,30 +191,36 @@ class TestBuildFirstStage:
             assert reward.constant + pieces[:2].min() + pieces[2:].min() \
                 == pytest.approx(reward.values(a[None, :])[0], abs=1e-12)
 
-    @pytest.mark.parametrize("n_int, n_comb", [(3, 2), (2, 2), (1, 3), (2, 0)])
-    def test_cut_rows_equal_a_per_cut_loop(self, n_int, n_comb):
-        # the cut rows, made in one array pass, against the row-at-a-time
-        # loop they replaced: same arithmetic, so equal to the last bit
+    @pytest.mark.parametrize("combined", [
+        pytest.param((True, True, False), id="3-2"),
+        pytest.param((True, True), id="2-2"),
+        pytest.param((False, True, True), id="3-2-late"),
+        pytest.param((False, False), id="2-0"),
+    ])
+    def test_cut_rows_equal_a_per_cut_loop(self, combined):
+        # the cut rows, made by one array per with_cuts call, against a
+        # row-at-a-time loop: same arithmetic, so equal to the last bit;
+        # ``combined`` says which iterations add a combined cut, and the id
+        # counts the integer and the combined cuts
         ctx = random_context(15, n1=3, n2=3, a_bar=[3, 2, 4])
         reward, _ = adjustment_reward()
         enc = binary_encoding(ctx.spec.action_box)
         eta_bar = recourse_upper_bound(ctx)
         anchors = ([1, 2, 0], [0, 0, 3], [3, 1, 1])
         int_cuts = [integer_optimality_cut(ctx, enc, np.array(a), eta_bar)
-                    for a in anchors[:n_int]]
-        lin_cuts = [combined_cut(ctx, np.array(a)) for a in anchors[::-1][:n_comb]]
-        lp = build_first_stage(ctx, enc, reward, int_cuts, lin_cuts, eta_bar).milp.lp
+                    for a in anchors[:len(combined)]]
+        lin_cuts = [combined_cut(ctx, np.array(a)) if made else None
+                    for a, made in zip(anchors[::-1], combined)]
+        lp = with_all_cuts(ctx, enc, reward, eta_bar, int_cuts, lin_cuts).milp.lp
         n_bits = enc.total_bits
         rows, rhs = [], []
-        for k in range(max(n_int, n_comb)):
-            if k < n_int:
-                cut = int_cuts[k]
-                spread = cut.eta_bar - cut.anchor_value
-                rows.append(spread * (2 * cut.bits - 1))
-                rhs.append(cut.anchor_value + spread * int(cut.bits.sum()))
-            if k < n_comb:
-                rows.append(enc.expand(-lin_cuts[k].coef))
-                rhs.append(lin_cuts[k].const)
+        for cut, lin_cut in zip(int_cuts, lin_cuts):
+            spread = cut.eta_bar - cut.anchor_value
+            rows.append(spread * (2 * cut.bits - 1))
+            rhs.append(cut.anchor_value + spread * int(cut.bits.sum()))
+            if lin_cut is not None:
+                rows.append(enc.expand(-lin_cut.coef))
+                rhs.append(lin_cut.const)
         first = lp.n_rows - len(rows)
         np.testing.assert_array_equal(lp.A[first:, :n_bits], np.array(rows))
         np.testing.assert_array_equal(lp.A[first:, n_bits], 1.0)
@@ -215,7 +231,7 @@ class TestBuildFirstStage:
         # bound 3 needs two bits per dimension
         ctx = random_context(2, n2=2, a_bar=[3, 3])
         enc = binary_encoding(ctx.spec.action_box)
-        fp = build_first_stage(ctx, enc, linear_stage_reward(np.ones(2)), [], [],
+        fp = build_first_stage(ctx, enc, linear_stage_reward(np.ones(2)),
                                recourse_upper_bound(ctx))
         assert fp.milp.binary_indices == [0, 1, 2, 3]
 
@@ -225,7 +241,7 @@ class TestBuildFirstStage:
         ctx = random_context(4, n2=1, a_bar=[5])
         reward = linear_stage_reward(np.array([1.0]))
         enc = binary_encoding(ctx.spec.action_box)
-        fp = build_first_stage(ctx, enc, reward, [], [], recourse_upper_bound(ctx))
+        fp = build_first_stage(ctx, enc, reward, recourse_upper_bound(ctx))
         sol = solve_milp(fp.milp, tol=1e-9)
         action = fp.decode_action(sol.x)
         assert action[0] == 5
@@ -438,6 +454,17 @@ class TestBruteForceFallback:
         np.testing.assert_array_equal(res.action, ref.action)
         assert res.objective == ref.objective
 
+    def test_an_unexpected_fallback_fails_the_suite(self, monkeypatch):
+        # the test configuration turns mcd's fallback warning into an error,
+        # so that a fallback no test expects cannot pass unnoticed
+        def failing_milp(*args, **kwargs):
+            raise NodeLimitError("node cap")
+
+        monkeypatch.setattr(mcd, "solve_milp", failing_milp)
+        ctx = random_context(14, n2=2, a_bar=[3, 2])
+        with pytest.raises(RuntimeWarning, match="falling back to brute force"):
+            select_action(ctx, make_reward(ctx, seed=9), McdConfig(engine="mcd"))
+
     def test_no_fallback_by_default(self):
         ctx = random_context(14, n2=2, a_bar=[3, 2])
         res = select_action(ctx, make_reward(ctx, seed=9), McdConfig(engine="lshaped"))
@@ -544,8 +571,10 @@ class TestResumedMasters:
     def test_each_appended_master_equals_one_built_from_all_its_cuts(
             self, monkeypatch, engine, seed, dims):
         # a selection builds its first stage once and appends each
-        # iteration's cut rows; the result must be the master that
-        # build_first_stage makes from every cut so far, row for row
+        # iteration's cut rows; each master must be the one that
+        # with_cuts makes from every cut so far, applied in creation order
+        # to a fresh build_first_stage, row for row, and must pass the
+        # validation that with_rows skips for the rows it carries over
         ctx, reward = make_bench_instance(seed, facilities=dims, neurons=10,
                                           transition_samples=4, capacity_levels=3)
         int_cuts, comb_cuts, masters = [], [], []
@@ -574,7 +603,8 @@ class TestResumedMasters:
         eta_bar = recourse_upper_bound(ctx)
         for k, (p, ints, combs) in enumerate(masters, start=1):
             assert len(ints) == k and len(combs) == (k if engine == "mcd" else 0)
-            q = build_first_stage(ctx, enc, reward, ints, combs, eta_bar).milp
+            q = with_all_cuts(ctx, enc, reward, eta_bar, ints, combs).milp
+            LpProblem(**vars(p.lp))
             for field in ("A", "b", "c", "lower", "upper"):
                 np.testing.assert_array_equal(getattr(p.lp, field), getattr(q.lp, field))
             assert p.lp.senses == q.lp.senses and p.lp.maximize == q.lp.maximize

@@ -670,6 +670,24 @@ class TestInstanceSerialization:
         np.testing.assert_allclose(clone.demand.kernel, inst.demand.kernel)
         assert clone.horizon == inst.horizon
 
+    @pytest.mark.parametrize("key, value", [("horizon", 2.5), ("customers", 1.5),
+                                            ("capacity_max", [2.7, 3])])
+    def test_fractional_integer_field_is_refused_not_truncated(self, key, value):
+        data = synthetic_instance(seed=31).to_json_dict()
+        with pytest.raises(ValueError, match=f"{key} must be integral"):
+            McipInstance.from_json_dict({**data, key: value})
+        clone = McipInstance.from_json_dict({**data, "horizon": 3.0,
+                                             "capacity_max": [3.0, 2]})
+        assert type(clone.horizon) is int and clone.horizon == 3
+        np.testing.assert_array_equal(clone.capacity_max, [3, 2])
+
+    def test_synthetic_fractional_capacity_limit_is_refused(self):
+        with pytest.raises(ValueError, match="capacity_max must be integral"):
+            synthetic_instance(seed=31, capacity_max=2.5)
+        np.testing.assert_array_equal(
+            synthetic_instance(seed=31, capacity_max=2.0).capacity_max,
+            synthetic_instance(seed=31, capacity_max=2).capacity_max)
+
     def test_salvage_above_expansion_rejected(self):
         inst = synthetic_instance(seed=32)
         with pytest.raises(ValueError, match="salvage"):

@@ -139,6 +139,13 @@ class TestEnumerateActions:
         as_tuples = [tuple(a) for a in acts]
         assert as_tuples == sorted(as_tuples)
 
+    def test_fractional_bound_is_refused_not_truncated(self):
+        with pytest.raises(ValueError, match=r"upper_bounds must be integral.*2\.5"):
+            ActionBox(np.array([2.5, 3.0]))
+        box = ActionBox(np.array([2.0, 3.0]))  # integral floats are accepted
+        assert box.upper_bounds.dtype == np.int64
+        np.testing.assert_array_equal(box.upper_bounds, [2, 3])
+
     def test_cap_refusal_mentions_decomposition(self):
         with pytest.raises(ActionSpaceTooLargeError, match="decomposition"):
             enumerate_actions(ActionBox(np.full(9, 9)))
