@@ -175,18 +175,18 @@ def make_bench_instance(seed: int, facilities: int, neurons: int = 8,
     rng = np.random.default_rng(seed)
     n2 = facilities
     n1 = n2 + 1
-    bounds = np.column_stack([np.full(n1, -1e9), np.full(n1, 1e9)])
 
     def draw_noises(r, count):
         # one row per draw: the offset A, then the linear part B row by row
         return r.normal(size=(count, n1 + n1 * n2))
 
     spec = MdpSpec(
-        horizon=2, discount=0.9, state_dim=n1, state_bounds=bounds,
+        horizon=2, discount=0.9, state_dim=n1,
         action_box=ActionBox(np.full(n2, capacity_levels)),
         draw_noises=draw_noises,
         transition=lambda x, xi: (xi[:, :n1], xi[:, n1:].reshape(-1, n1, n2)),
         stage_reward=lambda t, x: reward,  # drawn last, below, to keep the rng order
+        state_sampler=lambda r, count: r.normal(size=(count, n1)),  # the law of x
     )
     net = ReluNet(
         input_weights=rng.normal(size=(neurons, n1)),

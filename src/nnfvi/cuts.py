@@ -90,20 +90,15 @@ class RecourseContext:
         it does not depend on the anchor."""
         return positive_cut(self)
 
-    def preactivations(self, a: np.ndarray) -> np.ndarray:
-        """Per-scenario, per-neuron preactivations at one action, shape (S2, J)."""
-        return self.gamma1 @ np.asarray(a, dtype=float) + self.gamma2
-
 
 def recourse_value(ctx: RecourseContext, a: np.ndarray) -> float:
-    """Scenario-averaged hidden-layer output at action ``a`` (output bias excluded)."""
-    a = ctx.spec.action_box.check(a)
-    pre = ctx.preactivations(a)
-    return float(np.mean(np.maximum(pre, 0.0) @ ctx.net.output_weights))
+    """:func:`recourse_values` at the one action ``a``, checked against the box."""
+    return float(recourse_values(ctx, ctx.spec.action_box.check(a)[None, :])[0])
 
 
 def recourse_values(ctx: RecourseContext, actions: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`recourse_value` over rows of ``actions``."""
+    """Scenario-averaged hidden-layer output (output bias excluded) at every
+    row of ``actions``."""
     actions = np.asarray(actions, dtype=float)
     out = np.empty(actions.shape[0])
     w = ctx.net.output_weights
@@ -236,14 +231,6 @@ def binary_encoding(box: ActionBox) -> BinaryEncoding:
         int(ub).bit_length() for ub in box.upper_bounds))
 
 
-def zeta_value(enc: BinaryEncoding, anchor: np.ndarray, a: np.ndarray) -> int:
-    """Hamming distance between canonical encodings: 0 at the anchor, else >= 1."""
-    ab = enc.encode(anchor)
-    if ab.size == 0:
-        return 0
-    return int(np.sum(ab != enc.encode(a)))
-
-
 def recourse_upper_bound(ctx: RecourseContext) -> float:
     """Bound ``eta_bar >= recourse_value(a)`` for every feasible action.
 
@@ -259,18 +246,15 @@ def recourse_upper_bound(ctx: RecourseContext) -> float:
 class IntegerOptimalityCut:
     """Cut exact at one anchor action and loose (at the bound) elsewhere.
 
-    Evaluates to ``anchor_value + zeta(a) * (eta_bar - anchor_value)`` where
-    ``zeta`` counts bit flips from ``bits``, the anchor's canonical encoding.
+    Bounds the recourse by ``anchor_value + zeta(a) * (eta_bar -
+    anchor_value)``, where ``zeta`` counts bit flips from ``bits``, the
+    anchor's canonical encoding; :meth:`nnfvi.mcd.FirstStage.with_cuts`
+    writes it as a row over the bits.
     """
 
-    anchor: np.ndarray
     bits: np.ndarray
     anchor_value: float
     eta_bar: float
-
-    def rhs(self, enc: BinaryEncoding, a: np.ndarray) -> float:
-        z = zeta_value(enc, self.anchor, a)
-        return self.anchor_value + z * (self.eta_bar - self.anchor_value)
 
 
 def integer_optimality_cut(ctx: RecourseContext, enc: BinaryEncoding,
@@ -286,5 +270,5 @@ def integer_optimality_cut(ctx: RecourseContext, enc: BinaryEncoding,
             f"recourse bound {eta_bar} is below the anchor value {value}; "
             "the cut would exclude feasible points"
         )
-    return IntegerOptimalityCut(anchor=anchor, bits=enc.encode(anchor),
-                                anchor_value=value, eta_bar=eta_bar)
+    return IntegerOptimalityCut(bits=enc.encode(anchor), anchor_value=value,
+                                eta_bar=eta_bar)

@@ -49,6 +49,8 @@ class FviConfig:
     def __post_init__(self):
         if self.state_samples < 1 or self.transition_samples < 1:
             raise ValueError("sample counts must be >= 1")
+        if self.neurons < 1:
+            raise ValueError("neurons must be >= 1")
 
     def to_json_dict(self) -> dict:
         return {

@@ -42,7 +42,7 @@ from .cuts import (
     recourse_value,  # unused here; kept at this name, which perfbench traces
     recourse_values,
 )
-from .mdp import ActionBox, enumerate_actions
+from .mdp import ActionBox, as_integers, enumerate_actions
 from .simplex import LEQ, LpNumericalError, LpProblem
 
 ENGINES = ("mcd", "brute", "lshaped")
@@ -59,10 +59,13 @@ class McdConfig:
     gap_floor: float = 1e-6  # denominator floor for the relative gap
 
     def __post_init__(self):
+        object.__setattr__(self, "max_iterations",
+                           int(as_integers(self.max_iterations, "max_iterations")))
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.gap_tolerance < 0:
-            raise ValueError("gap_tolerance must be >= 0")
+        if not (np.isfinite(self.gap_tolerance) and self.gap_tolerance >= 0):
+            raise ValueError(f"gap_tolerance must be finite and >= 0, got "
+                             f"{self.gap_tolerance}")
         if self.engine not in ENGINES:
             raise ValueError(f"engine must be one of {ENGINES}")
 

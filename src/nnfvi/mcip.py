@@ -322,13 +322,6 @@ def build_mcip_mdp(instance: McipInstance) -> MdpSpec:
     I, N = instance.customers, instance.facilities
     n1 = N + I
     demand = instance.demand
-    d_lo = demand.support.min(axis=0)
-    d_hi = demand.support.max(axis=0)
-    bounds = np.zeros((n1, 2))
-    bounds[:N, 1] = instance.capacity_max
-    bounds[N:, 0] = d_lo
-    bounds[N:, 1] = d_hi
-
     linear = np.vstack([np.eye(N), np.zeros((I, N))])
 
     def transition(x, us):
@@ -380,14 +373,13 @@ def build_mcip_mdp(instance: McipInstance) -> MdpSpec:
         horizon=instance.horizon,
         discount=instance.discount,
         state_dim=n1,
-        state_bounds=bounds,
         action_box=ActionBox(instance.capacity_max),
         draw_noises=draw_noises,
         transition=transition,
         stage_reward=stage_reward,
+        state_sampler=state_sampler,
         initial_state=np.concatenate([instance.initial_capacity,
                                       instance.initial_demand]),
-        state_sampler=state_sampler,
     )
 
 
@@ -431,10 +423,6 @@ class SimulationResult:
     mean: float
     std_error: float
     npvs: np.ndarray
-
-    @property
-    def n_paths(self) -> int:
-        return self.npvs.size
 
 
 def draw_demand_paths(instance: McipInstance, n_paths: int,

@@ -100,36 +100,27 @@ class MdpSpec:
     state ``x`` as a piecewise-linear :class:`nnfvi.mcd.StageReward`, the one
     representation every action-selection engine reads.
 
-    ``state_bounds`` is the default box that :func:`sample_states` draws
-    from uniformly; ``state_sampler`` overrides that distribution.
-    ``initial_state`` is the known period-1 state used by the value-iteration
-    driver's final evaluation.
+    ``state_sampler(rng, count)`` returns ``count`` states as a ``(count,
+    state_dim)`` array: the law :func:`sample_states` draws the
+    value-iteration driver's regression states from.  ``initial_state`` is
+    the known period-1 state used by the driver's final evaluation.
     """
 
     horizon: int
     discount: float
     state_dim: int
-    state_bounds: np.ndarray  # (state_dim, 2) closed intervals
     action_box: ActionBox
     draw_noises: Callable[[np.random.Generator, int], np.ndarray]
     transition: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
     stage_reward: Callable[[int, np.ndarray], StageReward]
+    state_sampler: Callable[[np.random.Generator, int], np.ndarray]
     initial_state: Optional[np.ndarray] = None
-    state_sampler: Optional[Callable[[np.random.Generator, int], np.ndarray]] = None
 
     def __post_init__(self):
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
         if not 0.0 < self.discount < 1.0:
             raise ValueError("discount must lie in (0, 1)")
-        bounds = np.asarray(self.state_bounds, dtype=float)
-        if bounds.shape != (self.state_dim, 2):
-            raise ValueError(
-                f"state_bounds must have shape ({self.state_dim}, 2), got {bounds.shape}"
-            )
-        if np.any(bounds[:, 0] > bounds[:, 1]):
-            raise ValueError("state_bounds lower limits exceed upper limits")
-        self.state_bounds = bounds
         if self.initial_state is not None:
             self.initial_state = np.asarray(self.initial_state, dtype=float)
 
@@ -150,19 +141,14 @@ def enumerate_actions(box: ActionBox, cap: int = DEFAULT_ENUMERATION_CAP) -> np.
 
 
 def sample_states(spec: MdpSpec, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw ``count`` i.i.d. states as a ``(count, state_dim)`` array; uniform
-    over ``state_bounds`` unless the spec overrides the sampler."""
+    """Draw ``count`` states from ``spec.state_sampler`` as a ``(count,
+    state_dim)`` float array; a sampler returning another shape is refused."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    if spec.state_sampler is not None:
-        states = np.asarray(spec.state_sampler(rng, count), dtype=float)
-        if states.shape != (count, spec.state_dim):
-            raise ValueError(
-                f"state_sampler returned shape {states.shape}, expected "
-                f"({count}, {spec.state_dim})"
-            )
-    else:
-        lo = spec.state_bounds[:, 0]
-        hi = spec.state_bounds[:, 1]
-        states = rng.uniform(size=(count, spec.state_dim)) * (hi - lo) + lo
+    states = np.asarray(spec.state_sampler(rng, count), dtype=float)
+    if states.shape != (count, spec.state_dim):
+        raise ValueError(
+            f"state_sampler returned shape {states.shape}, expected "
+            f"({count}, {spec.state_dim})"
+        )
     return states

@@ -8,7 +8,6 @@ loss is mean squared error plus ``beta/2 * y @ y`` over that full stack.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -78,13 +77,6 @@ class ReluNet:
             raise ValueError("serialized dimensions disagree with weight shapes")
         return net
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @staticmethod
-    def loads(text: str) -> "ReluNet":
-        return ReluNet.from_json_dict(json.loads(text))
-
 
 # Levenberg-Marquardt damping schedule and stopping tolerance of the
 # trainer; implementation defaults, not values from the source problem
@@ -113,6 +105,8 @@ class TrainConfig:
             raise ValueError("regularization must be >= 0")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
+        if self.max_epochs < 1:
+            raise ValueError("max_epochs must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -134,14 +128,6 @@ class RegressionSet:
 
     def __len__(self) -> int:
         return self.inputs.shape[0]
-
-
-def forward(net: ReluNet, x: np.ndarray) -> float:
-    """Network output at a single state."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (net.input_dim,):
-        raise ValueError(f"input has shape {x.shape}, expected ({net.input_dim},)")
-    return float(net.forward_many(x[None, :])[0])
 
 
 def _flatten(net: ReluNet) -> np.ndarray:

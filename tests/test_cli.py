@@ -401,6 +401,10 @@ class TestErrors:
         {"fvi": {**tiny_fvi_payload()["fvi"], "state_samples": 30.5}},
         {"fvi": {**tiny_fvi_payload()["fvi"], "restarts": 1.5}},
         {"mcd": {"max_iterations": 40.5, "gap_tolerance": 0.0}},
+        # refused before the first period's targets are computed
+        {"fvi": {**tiny_fvi_payload()["fvi"], "neurons": 0}},
+        {"fvi": {**tiny_fvi_payload()["fvi"], "max_epochs": -1}},
+        {"mcd": {"max_iterations": 40, "gap_tolerance": float("nan")}},
     ])
     def test_refused_fvi_config_is_usage(self, tmp_path, capsys, change):
         cfg = write_config(tmp_path, "cfg.json", {**tiny_fvi_payload(), **change})
@@ -410,13 +414,15 @@ class TestErrors:
         assert not (out / "fvi_results.csv").exists()
 
     def test_refused_mcd_bench_config_is_usage(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, "bench.json", {
-            "seed": 1, "suite": {"instances": 1, "facilities": [2]},
-            "mcd": {"max_iterations": 0},
-        })
-        out = tmp_path / "out"
-        assert main(["mcd-bench", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
-        assert "max_iterations" in json.loads(capsys.readouterr().err)["message"]
+        for mcd_block, word in (({"max_iterations": 0}, "max_iterations"),
+                                ({"gap_tolerance": float("nan")}, "gap_tolerance")):
+            cfg = write_config(tmp_path, "bench.json", {
+                "seed": 1, "suite": {"instances": 1, "facilities": [2]},
+                "mcd": mcd_block,
+            })
+            out = tmp_path / "out"
+            assert main(["mcd-bench", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+            assert word in json.loads(capsys.readouterr().err)["message"]
 
     @pytest.mark.parametrize("suite, word", [
         ({"instances": "two", "facilities": [2]}, "two"),

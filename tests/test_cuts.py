@@ -13,28 +13,28 @@ from nnfvi.cuts import (
     recourse_upper_bound,
     recourse_value,
     recourse_values,
-    zeta_value,
 )
+from nnfvi import cuts
 from nnfvi.mcip import build_mcip_mdp, synthetic_instance
 from nnfvi.mdp import ActionBox, enumerate_actions
-from nnfvi.neural import ReluNet, forward
+from nnfvi.neural import ReluNet
 
 from conftest import (
     affine_noise,
+    integer_cut_rhs,
     negative_part_value,
     positive_part_value,
     random_affine_spec,
     random_context,
+    zeta_value,
 )
 
 
 def forward_oracle_recourse(ctx, a):
-    """Recourse via full forward passes on the transitioned states."""
-    total = 0.0
-    for s in range(ctx.s2):
-        nxt = ctx.offsets[s] + ctx.linears[s] @ np.asarray(a, dtype=float)
-        total += forward(ctx.net, nxt) - ctx.net.output_bias
-    return total / ctx.s2
+    """Recourse via the network's forward pass on the transitioned states,
+    without the cached preactivation forms."""
+    nxt = ctx.offsets + ctx.linears @ np.asarray(a, dtype=float)
+    return float(np.mean(ctx.net.forward_many(nxt) - ctx.net.output_bias))
 
 
 def assert_cache_matches_per_neuron(ctx):
@@ -198,7 +198,17 @@ class TestRecourseValue:
         actions = enumerate_actions(ctx.spec.action_box)
         vec = recourse_values(ctx, actions)
         for i, a in enumerate(actions):
-            assert vec[i] == pytest.approx(recourse_value(ctx, a), abs=1e-12)
+            assert vec[i] == pytest.approx(forward_oracle_recourse(ctx, a), abs=1e-12)
+
+    def test_values_across_chunk_boundaries(self, monkeypatch):
+        # 30 actions in blocks of 7: four full blocks and a partial one
+        monkeypatch.setattr(cuts, "_CHUNK", 7)
+        ctx = random_context(17, n2=2, a_bar=[4, 5])
+        actions = enumerate_actions(ctx.spec.action_box)
+        assert len(actions) == 30
+        np.testing.assert_allclose(
+            recourse_values(ctx, actions),
+            [forward_oracle_recourse(ctx, a) for a in actions], rtol=0, atol=1e-12)
 
 
 class TestGradientCut:
@@ -473,8 +483,8 @@ class TestIntegerOptimalityCut:
         eta_bar = recourse_upper_bound(ctx)
         anchor = np.array([2, 1])
         cut = integer_optimality_cut(ctx, enc, anchor, eta_bar)
-        assert cut.rhs(enc, anchor) == pytest.approx(
-            recourse_value(ctx, anchor), abs=1e-12)
+        assert integer_cut_rhs(cut, enc, anchor, anchor) == pytest.approx(
+            forward_oracle_recourse(ctx, anchor), abs=1e-12)
 
     def test_hamming_one_relaxes_to_bound(self):
         ctx = random_context(15, n2=2, a_bar=[3, 3])
@@ -482,7 +492,8 @@ class TestIntegerOptimalityCut:
         eta_bar = recourse_upper_bound(ctx)
         anchor = np.array([2, 1])
         cut = integer_optimality_cut(ctx, enc, anchor, eta_bar)
-        assert cut.rhs(enc, np.array([3, 1])) == pytest.approx(eta_bar, abs=1e-12)
+        assert integer_cut_rhs(cut, enc, anchor, np.array([3, 1])) == pytest.approx(
+            eta_bar, abs=1e-12)
 
     def test_validity_by_enumeration(self):
         for seed in range(20):
@@ -493,7 +504,8 @@ class TestIntegerOptimalityCut:
             anchor = actions[seed % len(actions)]
             cut = integer_optimality_cut(ctx, enc, anchor, eta_bar)
             for a in actions:
-                assert cut.rhs(enc, a) >= recourse_value(ctx, a) - 1e-9
+                assert integer_cut_rhs(cut, enc, anchor, a) \
+                    >= forward_oracle_recourse(ctx, a) - 1e-9
 
     def test_rejects_bound_below_anchor_value(self):
         ctx = random_context(16, n2=2, a_bar=[3, 3])

@@ -19,7 +19,9 @@ from nnfvi.mcd import McdConfig, StageReward, linear_stage_reward
 from nnfvi.mdp import ActionBox, MdpSpec, enumerate_actions
 from nnfvi.neural import ReluNet, TrainConfig
 
-from conftest import random_affine_spec
+from conftest import random_affine_spec, uniform_box_sampler
+
+STATE_BOX = (-2.0, 2.0)  # every coordinate of small_spec's sampled states
 
 
 def small_spec(seed=0, n1=2, n2=2, a_bar=(2, 2), horizon=3, discount=0.9,
@@ -29,7 +31,8 @@ def small_spec(seed=0, n1=2, n2=2, a_bar=(2, 2), horizon=3, discount=0.9,
     rng = np.random.default_rng(seed)
     spec = random_affine_spec(rng, n1, n2, list(a_bar), horizon=horizon,
                               discount=discount)
-    spec.state_bounds = np.column_stack([np.full(n1, -2.0), np.full(n1, 2.0)])
+    spec.state_sampler = uniform_box_sampler(np.full(n1, STATE_BOX[0]),
+                                             np.full(n1, STATE_BOX[1]))
     gain = rng.normal(size=n2) * reward_scale
 
     if constant_reward is not None:
@@ -68,6 +71,13 @@ def quick_config(seed=0, engine="brute", s1=30, s2=5, neurons=5, restarts=1,
                       gap_tolerance=mcd_gap),
         seed=seed,
     )
+
+
+class TestFviConfig:
+    @pytest.mark.parametrize("neurons", [0, -3])
+    def test_neurons_below_one_are_refused(self, neurons):
+        with pytest.raises(ValueError, match="neurons must be >= 1"):
+            FviConfig(neurons=neurons)
 
 
 class TestBellmanTarget:
@@ -144,7 +154,7 @@ class TestRunNnfvi:
         fitted, v_hat = run_nnfvi(spec, quick_config(s1=20, s2=3))
         # the reward is affine in x, so over the state box |reward| peaks
         # at one of its corners
-        corners = itertools.product(*spec.state_bounds)
+        corners = itertools.product(STATE_BOX, repeat=spec.state_dim)
         r_max = max(abs(reward(1, np.array(x), a)) for x in corners
                     for a in enumerate_actions(spec.action_box))
         horizon_bound = r_max * sum(0.9 ** (tau - 1) for tau in range(1, 4))

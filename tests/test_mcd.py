@@ -10,7 +10,6 @@ from nnfvi.cuts import (
     combined_cut,
     integer_optimality_cut,
     recourse_upper_bound,
-    recourse_value,
 )
 from nnfvi.mcd import (
     McdConfig,
@@ -28,7 +27,8 @@ from nnfvi.mdp import ActionBox, enumerate_actions
 from nnfvi.neural import ReluNet
 from nnfvi.simplex import LpNumericalError, LpProblem
 
-from conftest import random_affine_spec, random_context
+from conftest import integer_cut_rhs, random_affine_spec, random_context
+from test_cuts import forward_oracle_recourse
 
 
 def exhaustive_optimum(ctx, reward_of):
@@ -37,7 +37,7 @@ def exhaustive_optimum(ctx, reward_of):
     best_val, best_a = -np.inf, None
     gamma = ctx.spec.discount
     for a in enumerate_actions(ctx.spec.action_box):
-        val = reward_of(a) + gamma * recourse_value(ctx, a) \
+        val = reward_of(a) + gamma * forward_oracle_recourse(ctx, a) \
             + gamma * ctx.net.output_bias
         if val > best_val + 1e-15:
             best_val, best_a = val, a
@@ -145,7 +145,7 @@ class TestBuildFirstStage:
         sol = solve_milp(fp.milp, tol=1e-9)
         gamma = ctx.spec.discount
         # at the anchor the cut pins eta to the true recourse
-        fp_value_at_anchor = gamma * recourse_value(ctx, best_a) \
+        fp_value_at_anchor = gamma * forward_oracle_recourse(ctx, best_a) \
             + gamma * ctx.net.output_bias
         assert sol.objective + fp.constant_offset >= fp_value_at_anchor - 1e-9
 
@@ -161,8 +161,8 @@ class TestBuildFirstStage:
         reward, _ = adjustment_reward()
         enc = binary_encoding(ctx.spec.action_box)
         eta_bar = recourse_upper_bound(ctx)
-        int_cuts = [integer_optimality_cut(ctx, enc, np.array(a), eta_bar)
-                    for a in ([1, 2, 0], [0, 0, 3], [3, 1, 1])]
+        int_anchors = [np.array(a) for a in ([1, 2, 0], [0, 0, 3], [3, 1, 1])]
+        int_cuts = [integer_optimality_cut(ctx, enc, a, eta_bar) for a in int_anchors]
         lin_cuts = [combined_cut(ctx, np.array(a)) for a in ([3, 0, 4], [2, 2, 2])]
         fp = with_all_cuts(ctx, enc, reward, eta_bar, int_cuts, lin_cuts)
         lp = fp.milp.lp
@@ -183,9 +183,10 @@ class TestBuildFirstStage:
             room = b - bits_part @ enc.encode(a)
             np.testing.assert_allclose(room[:n_dims], ctx.spec.action_box.upper_bounds - a,
                                        atol=1e-12)
-            cut_values = [int_cuts[0].rhs(enc, a), lin_cuts[0].values(a),
-                          int_cuts[1].rhs(enc, a), lin_cuts[1].values(a),
-                          int_cuts[2].rhs(enc, a)]
+            int_values = [integer_cut_rhs(cut, enc, anchor, a)
+                          for cut, anchor in zip(int_cuts, int_anchors)]
+            cut_values = [int_values[0], lin_cuts[0].values(a),
+                          int_values[1], lin_cuts[1].values(a), int_values[2]]
             np.testing.assert_allclose(room[cuts_at:], cut_values, atol=1e-9)
             pieces = room[pieces_at:cuts_at]
             assert reward.constant + pieces[:2].min() + pieces[2:].min() \
@@ -541,6 +542,21 @@ class TestTraceExport:
 
     def test_stop_criterion_label(self):
         assert McdConfig().stop_criterion_label() == "0.35%/100 steps"
+
+
+class TestMcdConfig:
+    @pytest.mark.parametrize("gap", [float("nan"), float("inf")])
+    def test_non_finite_gap_tolerance_is_refused(self, gap):
+        # a NaN gap would never pass the stop test, and label as nan%
+        with pytest.raises(ValueError, match="gap_tolerance must be finite"):
+            McdConfig(gap_tolerance=gap)
+
+    def test_fractional_max_iterations_is_refused_not_truncated(self):
+        with pytest.raises(ValueError, match=r"max_iterations must be integral.*2\.5"):
+            McdConfig(max_iterations=2.5)
+        config = McdConfig(max_iterations=2.0)  # an integral float is accepted
+        assert config.max_iterations == 2 and type(config.max_iterations) is int
+        assert config.stop_criterion_label() == "0.35%/2 steps"
 
 
 class TestResumedMasters:

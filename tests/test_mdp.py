@@ -15,7 +15,6 @@ from nnfvi.mdp import (
 def make_spec(n1=2, n2=2, horizon=3, seed=0):
     """Synthetic affine MDP: each noise row holds ``A`` and then ``B`` row by
     row, and the next state is ``A + 0.5 x + B a``."""
-    bounds = np.column_stack([np.full(n1, -1e6), np.full(n1, 1e6)])
 
     def transition(x, xi):
         return xi[:, :n1] + 0.5 * x, xi[:, n1:].reshape(-1, n1, n2)
@@ -24,12 +23,12 @@ def make_spec(n1=2, n2=2, horizon=3, seed=0):
         horizon=horizon,
         discount=0.9,
         state_dim=n1,
-        state_bounds=bounds,
         action_box=ActionBox(np.full(n2, 3)),
         draw_noises=lambda rng, count: rng.normal(size=(count, n1 + n1 * n2)),
         transition=transition,
         stage_reward=lambda t, x: linear_stage_reward(-np.ones(n2),
                                                       constant=float(np.sum(x))),
+        state_sampler=lambda rng, count: rng.normal(size=(count, n1)),
     )
 
 
@@ -152,21 +151,15 @@ class TestEnumerateActions:
 
 
 class TestSampleStates:
-    def test_degenerate_bounds(self):
-        spec = make_spec()
-        spec.state_bounds = np.array([[2.5, 2.5], [2.5, 2.5]])
-        states = sample_states(spec, 1, np.random.default_rng(0))
-        assert states.shape == (1, 2)
-        np.testing.assert_allclose(states[0], [2.5, 2.5])
-
     def test_seeded_determinism(self):
         spec = make_spec()
         a = sample_states(spec, 5, np.random.default_rng(42))
         b = sample_states(spec, 5, np.random.default_rng(42))
         np.testing.assert_array_equal(a, b)
 
-    def test_uniform_mean_on_unit_square(self):
+    @pytest.mark.parametrize("shape", [(4,), (4, 3), (3, 2)])
+    def test_wrong_sampler_shape_is_refused(self, shape):
         spec = make_spec()
-        spec.state_bounds = np.array([[0.0, 1.0], [0.0, 1.0]])
-        states = sample_states(spec, 10_000, np.random.default_rng(9))
-        np.testing.assert_allclose(states.mean(axis=0), [0.5, 0.5], atol=0.02)
+        spec.state_sampler = lambda rng, count: np.zeros(shape)
+        with pytest.raises(ValueError, match=r"returned shape .*expected \(4, 2\)"):
+            sample_states(spec, 4, np.random.default_rng(0))

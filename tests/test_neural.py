@@ -1,12 +1,14 @@
+import json
+
 import numpy as np
 import pytest
 
+from nnfvi import neural
 from nnfvi.neural import (
     RegressionSet,
     ReluNet,
     TrainConfig,
     fit,
-    forward,
     gradient,
     loss,
     split_neurons,
@@ -36,25 +38,25 @@ def naive_forward(net, x):
 class TestForward:
     def test_single_neuron_hand_value(self):
         net = ReluNet(np.array([[1.0, 0.0]]), np.array([-1.0]), np.array([2.0]), 3.0)
-        assert forward(net, np.array([2.0, 5.0])) == pytest.approx(5.0)
+        assert net.forward_many(np.array([[2.0, 5.0]]))[0] == pytest.approx(5.0)
 
     def test_dead_output_layer(self):
         rng = np.random.default_rng(0)
         net = ReluNet(rng.normal(size=(3, 2)), rng.normal(size=3), np.zeros(3), 1.25)
-        for _ in range(5):
-            assert forward(net, rng.normal(size=2)) == pytest.approx(1.25)
+        np.testing.assert_allclose(net.forward_many(rng.normal(size=(5, 2))), 1.25)
 
     def test_matches_scalar_loop_oracle(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
             net = random_net(rng)
             x = rng.normal(size=3)
-            assert forward(net, x) == pytest.approx(naive_forward(net, x), rel=1e-12)
+            assert net.forward_many(x[None, :])[0] == pytest.approx(
+                naive_forward(net, x), rel=1e-12)
 
     def test_dimension_mismatch(self):
         net = random_net(np.random.default_rng(0))
         with pytest.raises(ValueError):
-            forward(net, np.zeros(5))
+            net.forward_many(np.zeros((1, 5)))
 
     def test_piecewise_linear_along_segments(self):
         # restricted to a line, the net has at most J kinks; a kink between
@@ -218,6 +220,35 @@ class TestFit:
             losses.append(loss(net, data, 0.0))
         assert all(l2 <= l1 + 1e-15 for l1, l2 in zip(losses, losses[1:]))
 
+    def test_diverged_restart_is_discarded_with_a_warning(self, monkeypatch):
+        # the first of three descents fails: fit warns and returns the best
+        # of the other two, which a two-restart fit reproduces from the
+        # generator state after the discarded restart's starting draws
+        rng = np.random.default_rng(13)
+        X = rng.normal(size=(40, 2))
+        data = RegressionSet(X, np.sin(X[:, 0]) + X[:, 1] ** 2)
+        descend, calls = neural._descend, []
+
+        def first_diverges(*args):
+            calls.append(args)
+            if len(calls) == 1:
+                raise FloatingPointError("non-finite residuals during training")
+            return descend(*args)
+
+        monkeypatch.setattr(neural, "_descend", first_diverges)
+        with pytest.warns(RuntimeWarning, match="restart 0 discarded"):
+            net = fit(data, J=4, config=TrainConfig(restarts=3, max_epochs=100),
+                      rng=np.random.default_rng(14))
+        monkeypatch.undo()
+        assert len(calls) == 3
+        rest = np.random.default_rng(14)
+        neural._initial_net(data, 4, rest)  # draws as many numbers as restart 0's start
+        expected = fit(data, J=4, config=TrainConfig(restarts=2, max_epochs=100),
+                       rng=rest)
+        for field in ("input_weights", "input_biases", "output_weights", "output_bias"):
+            np.testing.assert_array_equal(getattr(net, field), getattr(expected, field))
+        assert loss(net, data, 0.0) < np.var(data.targets)  # not the constant fit
+
     def test_approximation_improves_with_width(self):
         # fixed Lipschitz target; best-of-3 held-out MSE should not increase
         # as the hidden layer widens
@@ -238,6 +269,14 @@ class TestFit:
             best_mse.append(min(trials))
         assert best_mse[1] <= best_mse[0] + 1e-12
         assert best_mse[2] <= best_mse[1] + 1e-12
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("field", ["restarts", "max_epochs"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_counts_below_one_are_refused(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+            TrainConfig(**{field: value})
 
 
 class TestSplitNeurons:
@@ -265,7 +304,7 @@ class TestSplitNeurons:
 class TestSerialization:
     def test_round_trip(self):
         net = random_net(np.random.default_rng(17))
-        clone = ReluNet.loads(net.dumps())
+        clone = ReluNet.from_json_dict(json.loads(json.dumps(net.to_json_dict())))
         np.testing.assert_array_equal(net.input_weights, clone.input_weights)
         np.testing.assert_array_equal(net.input_biases, clone.input_biases)
         np.testing.assert_array_equal(net.output_weights, clone.output_weights)
