@@ -1,0 +1,144 @@
+"""Paired benchmark runs of this checkout against a parent checkout, folded
+into ``BENCH_<label>.json`` at the root of this checkout.
+
+    python3 scripts/bench_pairs.py PARENT_DIR LABEL select=10 fvi=3 sweep=3 [--seed 0]
+
+``PARENT_DIR`` is a checkout of the commit to compare against, made with
+``git clone`` or ``git archive``.  Each ``WORKLOAD=N`` asks for N pairs on
+that workload.  A pair runs
+
+    python3 perfbench/run.py --workload W --seed S --seconds R --trace 0
+
+once in each checkout, one after the other, from that checkout's root; R is
+``run_seconds`` from ``BENCHMARK.json``.  The side that runs first alternates
+from pair to pair, the change first in the first pair.  Run nothing else on
+the machine meanwhile: both sides share its cores.
+
+For each workload and each end-to-end metric of ``BENCHMARK.json`` the JSON
+holds each side's runs, median and quartiles (``statistics.quantiles``,
+inclusive method), and the pairs the change won, ties counting for neither
+side.  It also holds every run's check result and its operations attempted
+and failed, the core count, the Python and numpy versions and both commit
+ids (with a ``dirty`` flag when the working tree differs from the commit).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _commit(checkout: Path) -> dict:
+    def git(*args):
+        done = subprocess.run(["git", "-C", str(checkout), *args],
+                              capture_output=True, text=True)
+        return done.stdout.strip() if done.returncode == 0 else None
+
+    status = git("status", "--porcelain", "--untracked-files=no")
+    return {"commit": git("rev-parse", "HEAD"),
+            "dirty": None if status is None else bool(status)}
+
+
+def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One untraced benchmark run; its report's last line, parsed."""
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", f"{seconds:g}", "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True)
+    lines = done.stdout.strip().splitlines()
+    if not lines:
+        raise RuntimeError(f"no report from {checkout} on {workload}:\n{done.stderr}")
+    return json.loads(lines[-1])
+
+
+def _summary(values: list) -> dict:
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"runs": values, "median": statistics.median(values), "q1": q1, "q3": q3}
+
+
+def _parse_pairs(spec: str) -> tuple[str, int]:
+    workload, _, count = spec.partition("=")
+    if not workload or not count.isdigit() or int(count) < 1:
+        raise argparse.ArgumentTypeError(f"expected WORKLOAD=PAIRS, got {spec!r}")
+    return workload, int(count)
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("parent", type=Path, help="checkout of the commit to compare against")
+    p.add_argument("label", help="the output is BENCH_<label>.json")
+    p.add_argument("pairs", nargs="+", type=_parse_pairs, metavar="WORKLOAD=PAIRS")
+    p.add_argument("--seed", type=int, default=0)
+    args = p.parse_args(argv)
+
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    known = {w["name"] for w in bench["workloads"]}
+    unknown = [w for w, _ in args.pairs if w not in known]
+    if unknown:
+        p.error(f"unknown workloads {unknown}; BENCHMARK.json lists {sorted(known)}")
+    if not (args.parent / "perfbench" / "run.py").is_file():
+        p.error(f"{args.parent} holds no perfbench/run.py")
+    seconds = bench["run_seconds"]
+    sides = {"parent": args.parent.resolve(), "change": ROOT}
+
+    out = {
+        "label": args.label,
+        "command": f"python3 perfbench/run.py --workload W --seed {args.seed} "
+                   f"--seconds {seconds:g} --trace 0",
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "parent": _commit(sides["parent"]),
+        "change": _commit(ROOT),
+        "workloads": {},
+    }
+    for workload, count in args.pairs:
+        runs = {"parent": [], "change": []}
+        for pair in range(count):
+            order = ("change", "parent") if pair % 2 == 0 else ("parent", "change")
+            for side in order:
+                runs[side].append(_run(sides[side], workload, args.seed, seconds))
+                print(f"{workload} pair {pair + 1}/{count} {side}: "
+                      f"pass_s {runs[side][-1]['metrics']['pass_s']['value']:.4f}",
+                      file=sys.stderr)
+        metrics = {}
+        for spec in bench["end_to_end"]:
+            name, sign = spec["name"], 1.0 if spec["better"] == "lower" else -1.0
+            values = {side: [r["metrics"][name]["value"] for r in runs[side]]
+                      for side in runs}
+            metrics[name] = {
+                "unit": spec["unit"], "better": spec["better"], "bound": spec["bound"],
+                "parent": _summary(values["parent"]),
+                "change": _summary(values["change"]),
+                "change_won": sum(sign * (c - q) < 0 for c, q in
+                                  zip(values["change"], values["parent"])),
+                "parent_won": sum(sign * (c - q) > 0 for c, q in
+                                  zip(values["change"], values["parent"])),
+            }
+        out["workloads"][workload] = {
+            "pairs": count,
+            "first": ["change" if pair % 2 == 0 else "parent" for pair in range(count)],
+            "correct": {side: [r["correct"] for r in runs[side]] for side in runs},
+            "attempted": {side: [r["attempted"] for r in runs[side]] for side in runs},
+            "failed": {side: [r["failed"] for r in runs[side]] for side in runs},
+            "metrics": metrics,
+        }
+        # written after each workload, so that a later failure keeps the rest
+        path = ROOT / f"BENCH_{args.label}.json"
+        path.write_text(json.dumps(out, indent=1) + "\n")
+        print(f"wrote {path.name}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

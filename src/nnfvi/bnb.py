@@ -7,12 +7,15 @@ hence basic, binary to 0 or 1; the parent's optimal basis stays dual
 feasible, so the child re-optimizes from it with the dual simplex
 (``_Tableau.reoptimize``), and a child whose dual simplex finds no entering
 column is infeasible.  A node is its bound, basis, column values and binary
-fixings, O(rows + columns) numbers.  Its children are solved one after the
-other in one working tableau, each rebuilt from the root's optimal tableau
-(the base) by pivoting in the columns the base basis lacks; only the
+fixings, O(rows + columns) numbers.  A node's tableau is rebuilt from the
+root's optimal tableau (the base) by pivoting in the columns the base basis
+lacks, and copied before the 0-child fixes its bound, so that the 1-child
+starts from the copy, the very tableau a second rebuild would give.  Only the
 1-child's tableau is kept, so that it is reused when that child is the next
-node expanded.  One working tableau besides the base holds a MILP's memory
-at what a single cold solve needs.
+node expanded; the 0-child then works in it and the 1-child is rebuilt,
+since a kept tableau rounds differently from a rebuild.  At most two working
+tableaus besides the base hold a MILP's memory at about what two cold solves
+need.
 
 A search is resumable, the branch-and-cut form of a cutting-plane method
 such as Laporte & Louveaux's (1993) integer L-shaped method.  Every solution
@@ -43,6 +46,7 @@ from __future__ import annotations
 
 import copy
 import heapq
+import math
 import weakref
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -129,8 +133,9 @@ class MilpSolution:
 
 def _most_fractional(x: np.ndarray, binaries: Sequence[int]) -> Optional[int]:
     best_idx, best_frac = None, INTEGRALITY_TOL
-    for i in binaries:  # ascending order makes the tie-break lowest-index
-        frac = min(x[i] - np.floor(x[i]), np.ceil(x[i]) - x[i])
+    # ascending order makes the tie-break lowest-index
+    for i, v in zip(binaries, x[binaries].tolist()):
+        frac = min(v - math.floor(v), math.ceil(v) - v)
         if frac > best_frac + 1e-15:
             best_idx, best_frac = i, frac
     return best_idx
@@ -262,8 +267,8 @@ def solve_milp(p: MilpProblem, tol: float = DEFAULT_TOL,
         if var is None:  # a stale leaf: check it under the appended rows
             lower, upper = _bounds(base, fixings)
             xb = x[basis]
-            if np.all((xb >= lower[basis] - FEASIBILITY_TOL)
-                      & (xb <= upper[basis] + FEASIBILITY_TOL)):
+            if ((xb >= lower[basis] - FEASIBILITY_TOL)
+                    & (xb <= upper[basis] + FEASIBILITY_TOL)).all():
                 settle(basis, x, fixings)  # still optimal: carried over as it is
             else:
                 tab = base.rebased(basis, x, lower, upper)  # never the kept one
@@ -273,9 +278,15 @@ def solve_milp(p: MilpProblem, tol: float = DEFAULT_TOL,
                 if status == "optimal" and settle(tab.basis.copy(), tab.x.copy(), fixings):
                     kept_key, kept = counter, tab
         else:
+            spare = None  # the 1-child's start, when it is a copy of a rebuild
+            if tab is None:
+                tab = base.rebased(basis, x, *_bounds(base, fixings))
+                spare = tab.copy()
             for value in (0.0, 1.0):
                 if tab is None:
-                    tab = base.rebased(basis, x, *_bounds(base, fixings))
+                    tab = (spare if spare is not None
+                           else base.rebased(basis, x, *_bounds(base, fixings)))
+                    spare = None
                 tab.lower[var] = tab.upper[var] = value
                 count_node()
                 status = tab.reoptimize()
@@ -284,7 +295,7 @@ def solve_milp(p: MilpProblem, tol: float = DEFAULT_TOL,
                         and settle(tab.basis.copy(), tab.x.copy(), fixings + ((var, value),))
                         and value == 1.0):
                     kept_key, kept = counter, tab
-                tab = None  # released before the 1-child's tableau is rebuilt
+                tab = None  # released before the 1-child's turn
         # the node is accounted for: the open cover shrank, record the bound
         bound_trace.append(global_bound())
         if incumbent_x is not None and heap and not better(heap[0][2], incumbent_val + sense * tol):

@@ -261,14 +261,14 @@ def integer_optimality_cut(ctx: RecourseContext, enc: BinaryEncoding,
                            anchor: np.ndarray, eta_bar: float,
                            value: Optional[float] = None) -> IntegerOptimalityCut:
     """The cut at ``anchor``; ``value``, the recourse there, is evaluated
-    unless the caller has it already."""
-    anchor = ctx.spec.action_box.check(anchor)
+    unless the caller has it already.  The anchor is checked against the
+    box once, by ``enc.encode``."""
+    bits = enc.encode(anchor)
     if value is None:
-        value = recourse_value(ctx, anchor)
+        value = float(recourse_values(ctx, enc.decode(bits)[None, :])[0])
     if eta_bar < value - 1e-9:
         raise ValueError(
             f"recourse bound {eta_bar} is below the anchor value {value}; "
             "the cut would exclude feasible points"
         )
-    return IntegerOptimalityCut(bits=enc.encode(anchor), anchor_value=value,
-                                eta_bar=eta_bar)
+    return IntegerOptimalityCut(bits=bits, anchor_value=value, eta_bar=eta_bar)

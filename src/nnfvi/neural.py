@@ -101,8 +101,9 @@ class TrainConfig:
     max_epochs: int = 200
 
     def __post_init__(self):
-        if self.regularization < 0:
-            raise ValueError("regularization must be >= 0")
+        if not (np.isfinite(self.regularization) and self.regularization >= 0):
+            raise ValueError(f"regularization must be finite and >= 0, got "
+                             f"{self.regularization!r}")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
         if self.max_epochs < 1:

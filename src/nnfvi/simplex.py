@@ -166,7 +166,7 @@ class _Tableau:
         for _ in range(MAX_PIVOTS):
             eligible = (((d < -OPTIMALITY_TOL) & (x < upper))
                         | ((d > OPTIMALITY_TOL) & (x > lower)))
-            enter = int(np.argmax(eligible))  # Bland: first eligible index
+            enter = int(eligible.argmax())  # Bland: first eligible index
             if not eligible[enter]:
                 return "optimal"
             direction = 1.0 if d[enter] < 0.0 else -1.0
@@ -186,9 +186,9 @@ class _Tableau:
                 self.x[enter] = self.upper[enter] if direction > 0 else self.lower[enter]
                 self.pivots.append((enter, enter))
                 continue
-            tied = np.flatnonzero(ratios <= best + FEASIBILITY_TOL)
+            tied = (ratios <= best + FEASIBILITY_TOL).nonzero()[0]
             # Bland: among ties, leave the basic variable with the smallest index
-            row = int(tied[np.argmin(self.basis[tied])])
+            row = int(tied[self.basis[tied].argmin()])
             leave = int(self.basis[row])
             self.x[self.basis] -= best * alpha
             self.x[enter] += direction * best
@@ -211,6 +211,15 @@ class _Tableau:
         self._work = None
         return self
 
+    def copy(self) -> "_Tableau":
+        """A copy that this tableau's pivots and bound changes leave alone,
+        and the reverse; ``K``, ``b`` and the costs are shared."""
+        tab = copy.copy(self)
+        tab.T, tab.basis, tab.pivots = self.T.copy(), self.basis.copy(), []
+        tab._work = np.empty_like(tab.T)
+        tab.x, tab.lower, tab.upper = self.x.copy(), self.lower.copy(), self.upper.copy()
+        return tab
+
     def rebased(self, basis: np.ndarray, x: np.ndarray, lower: np.ndarray,
                 upper: np.ndarray) -> "_Tableau":
         """Copy moved to the basis ``basis`` (as a set of columns), with
@@ -222,16 +231,15 @@ class _Tableau:
         ``K``, ``b`` and the costs are shared.
         """
         tab = copy.copy(self)
-        tab.T, tab.basis, tab.pivots = self.T.copy(), self.basis.copy(), []
-        tab._work = np.empty_like(tab.T)
-        tab.x, tab.lower, tab.upper = x.copy(), lower.copy(), upper.copy()
+        tab.x, tab.lower, tab.upper = x, lower, upper
+        tab = tab.copy()
         wanted = np.zeros(self.n, dtype=bool)
         wanted[basis] = True
         missing = wanted.copy()
         missing[self.basis] = False
-        for col in np.flatnonzero(missing):
-            rows = np.flatnonzero(~wanted[tab.basis])
-            tab._pivot(int(rows[np.argmax(np.abs(tab.T[rows, col]))]), int(col))
+        for col in missing.nonzero()[0]:
+            rows = (~wanted[tab.basis]).nonzero()[0]
+            tab._pivot(int(rows[np.abs(tab.T[rows, col]).argmax()]), int(col))
         tab.x[:] = x  # a refactorization on the way sets basic values of its own basis
         return tab
 
@@ -284,10 +292,10 @@ class _Tableau:
             xb = self.x[self.basis]
             lb, ub = self.lower[self.basis], self.upper[self.basis]
             below, above = xb < lb - FEASIBILITY_TOL, xb > ub + FEASIBILITY_TOL
-            out = np.flatnonzero(below | above)
+            out = (below | above).nonzero()[0]
             if not out.size:
                 return self.solve(self._costs, self.n)
-            row = int(out[np.argmin(self.basis[out])])  # smallest basic index leaves
+            row = int(out[self.basis[out].argmin()])  # smallest basic index leaves
             leave = int(self.basis[row])
             target = lb[row] if below[row] else ub[row]
             # x_leave falls by T[row, j] per unit rise of x_j; sign the row so
@@ -296,12 +304,12 @@ class _Tableau:
             alpha = T[row] if below[row] else -T[row]
             eligible = (((alpha < -FEASIBILITY_TOL) & (self.x < self.upper))
                         | ((alpha > FEASIBILITY_TOL) & (self.x > self.lower)))
-            cand = np.flatnonzero(eligible)
+            cand = eligible.nonzero()[0]
             if not cand.size:
                 return "infeasible"
             ratios = np.abs(T[m, cand] / alpha[cand])
             # smallest dual ratio; ties go to the lowest column index
-            enter = int(cand[np.argmax(ratios <= ratios.min() + OPTIMALITY_TOL)])
+            enter = int(cand[(ratios <= ratios.min() + OPTIMALITY_TOL).argmax()])
             step = (self.x[leave] - target) / T[row, enter]
             self.x[self.basis] -= step * T[:m, enter]
             self.x[enter] += step

@@ -6,7 +6,7 @@ import pytest
 
 from nnfvi import bnb
 from nnfvi.bnb import MilpProblem, MilpSolution, solve_milp
-from nnfvi.simplex import LEQ, LpProblem, solve_lp
+from nnfvi.simplex import LEQ, LpProblem, _Tableau, solve_lp
 
 
 def binary_milp(c, A, b, maximize=True, extra_continuous=0, cont_upper=None):
@@ -194,6 +194,126 @@ class TestWarmStartedSearch:
         assert sol.node_count > 0 and sol.lp_pivots > root_pivots
         integral = binary_milp([1.0, 1.0], np.zeros((1, 2)), [5.0])
         assert solve_milp(integral).lp_pivots == len(solve_lp(integral.lp).pivots) == 2
+
+
+def most_fractional_reference(x, binaries):
+    """The per-element form of the branching rule: the first binary, in
+    ascending order, whose distance to the nearest integer beats the best so
+    far by more than 1e-15, starting from the integrality tolerance."""
+    best_idx, best_frac = None, bnb.INTEGRALITY_TOL
+    for i in binaries:
+        frac = min(x[i] - np.floor(x[i]), np.ceil(x[i]) - x[i])
+        if frac > best_frac + 1e-15:
+            best_idx, best_frac = i, frac
+    return best_idx
+
+
+class TestMostFractional:
+    TOL = bnb.INTEGRALITY_TOL
+    SPECIAL = [0.0, 1.0, -0.0, 0.5, 0.25, 0.75, 0.3, 0.7, 0.4, 0.4 + 4e-16,
+               0.4 - 4e-16, 0.6, 0.6 + 1e-15, TOL, 1.0 - TOL, TOL * (1 + 1e-12),
+               1.0 - TOL * (1 + 1e-12), TOL + 1e-15, TOL + 2e-15, -1e-12,
+               1.0 + 1e-12, 1.0 + 2 * TOL, -2 * TOL]
+
+    def test_agrees_with_the_per_element_form(self):
+        rng = np.random.default_rng(71)
+        special = np.array(self.SPECIAL)
+        for trial in range(400):
+            size = int(rng.integers(1, 30))
+            if trial % 2:  # drawn from values with exact and near ties
+                x = rng.choice(special, size=size)
+            else:
+                x = rng.uniform(-0.2, 1.2, size=size)
+                x[rng.random(size) < 0.3] = rng.choice(special)
+            binaries = sorted(rng.choice(size, size=int(rng.integers(0, size + 1)),
+                                         replace=False).tolist())
+            assert bnb._most_fractional(x, binaries) == \
+                most_fractional_reference(x, binaries)
+
+    def test_ties_go_to_the_lowest_index(self):
+        x = np.array([0.5, 0.25, 0.5, 0.5 + 4e-16, 0.5])
+        assert bnb._most_fractional(x, [1, 2, 3, 4]) == 2
+        assert bnb._most_fractional(x, [0, 1, 2, 3, 4]) == 0
+
+    def test_within_the_integrality_tolerance_is_integral(self):
+        x = np.array([self.TOL, 1.0 - self.TOL, 0.0, 1.0, self.TOL + 1e-15])
+        assert bnb._most_fractional(x, [0, 1, 2, 3, 4]) is None
+        assert bnb._most_fractional(x, []) is None
+
+
+def bitwise_equal(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestOneRebuildPerExpansion:
+    """A rebuilt node's tableau is copied for its 1-child instead of being
+    rebuilt a second time; the copy must be exactly that second rebuild."""
+
+    def test_the_1_childs_copy_is_a_fresh_rebuild_that_the_0_child_leaves_alone(
+            self, monkeypatch):
+        rebased, copy, reoptimize = _Tableau.rebased, _Tableau.copy, _Tableau.reoptimize
+        last = {"rebuild": None, "inside": False}
+        pending = {}  # id -> (copy, its arrays when made), kept alive until used
+        checked = []
+
+        def arrays(tab):
+            return [a.copy() for a in (tab.T, tab.x, tab.basis, tab.lower, tab.upper)]
+
+        def unrecorded_rebased(self, *node):
+            last["inside"] = True
+            try:
+                return rebased(self, *node)
+            finally:
+                last["inside"] = False
+
+        def recording_rebased(self, basis, x, lower, upper):
+            last["rebuild"] = (self, basis.copy(), x.copy(), lower.copy(), upper.copy())
+            return unrecorded_rebased(self, basis, x, lower, upper)
+
+        def checking_copy(self):
+            dup = copy(self)
+            if not last["inside"]:  # a copy that search makes, not rebased's own
+                base, *node = last["rebuild"]
+                fresh = unrecorded_rebased(base, *node)
+                assert all(bitwise_equal(a, b) for a, b in zip(arrays(dup), arrays(fresh)))
+                pending[id(dup)] = dup, arrays(dup)
+            return dup
+
+        def checking_reoptimize(self):
+            if id(self) in pending:  # the 1-child: only its branch bound moved
+                _, (T, x, basis, lower, upper) = pending.pop(id(self))
+                assert bitwise_equal(self.T, T) and bitwise_equal(self.x, x)
+                assert bitwise_equal(self.basis, basis)
+                moved = np.flatnonzero((self.lower != lower) | (self.upper != upper))
+                assert moved.size == 1
+                assert self.lower[moved[0]] == self.upper[moved[0]] == 1.0
+                checked.append(int(moved[0]))
+            return reoptimize(self)
+
+        monkeypatch.setattr(_Tableau, "rebased", recording_rebased)
+        monkeypatch.setattr(_Tableau, "copy", checking_copy)
+        monkeypatch.setattr(_Tableau, "reoptimize", checking_reoptimize)
+        rng = np.random.default_rng(72)
+        for _ in range(10):
+            solve_milp(mixed_milp(rng, 8, 4))
+        assert checked and not pending
+
+    def test_at_most_one_rebuild_per_expanded_node(self, monkeypatch):
+        rebuilds = []
+        rebased = _Tableau.rebased
+
+        def counting_rebased(self, *args):
+            rebuilds.append(1)
+            return rebased(self, *args)
+
+        monkeypatch.setattr(_Tableau, "rebased", counting_rebased)
+        rng = np.random.default_rng(73)
+        for _ in range(10):
+            sol = solve_milp(mixed_milp(rng, 8, 4))
+            # each expansion solves two children, so node_count is twice the
+            # expansions, and each rebuilds at most once
+            assert len(rebuilds) <= sol.node_count // 2
+            rebuilds.clear()
 
 
 def mixed_milp(rng, k, m):

@@ -405,8 +405,14 @@ class TestErrors:
         {"fvi": {**tiny_fvi_payload()["fvi"], "neurons": 0}},
         {"fvi": {**tiny_fvi_payload()["fvi"], "max_epochs": -1}},
         {"mcd": {"max_iterations": 40, "gap_tolerance": float("nan")}},
+        {"fvi": {**tiny_fvi_payload()["fvi"], "regularization": float("nan")}},
+        {"fvi": {**tiny_fvi_payload()["fvi"], "regularization": float("inf")}},
     ])
-    def test_refused_fvi_config_is_usage(self, tmp_path, capsys, change):
+    def test_refused_fvi_config_is_usage(self, tmp_path, capsys, monkeypatch, change):
+        def no_selection(*args, **kwargs):
+            raise AssertionError("a selection ran before the config was checked")
+
+        monkeypatch.setattr("nnfvi.fvi.select_action", no_selection)
         cfg = write_config(tmp_path, "cfg.json", {**tiny_fvi_payload(), **change})
         out = tmp_path / "out"
         assert main(["fvi-run", "--config", cfg, "--out", str(out)]) == EXIT_USAGE

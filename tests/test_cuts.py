@@ -16,7 +16,7 @@ from nnfvi.cuts import (
 )
 from nnfvi import cuts
 from nnfvi.mcip import build_mcip_mdp, synthetic_instance
-from nnfvi.mdp import ActionBox, enumerate_actions
+from nnfvi.mdp import ActionBox, InfeasibleActionError, enumerate_actions
 from nnfvi.neural import ReluNet
 
 from conftest import (
@@ -506,6 +506,27 @@ class TestIntegerOptimalityCut:
             for a in actions:
                 assert integer_cut_rhs(cut, enc, anchor, a) \
                     >= forward_oracle_recourse(ctx, a) - 1e-9
+
+    def test_anchor_checked_once_and_refused_outside_the_box(self, monkeypatch):
+        ctx = random_context(17, n2=2, a_bar=[3, 3])
+        enc = binary_encoding(ctx.spec.action_box)
+        eta_bar = recourse_upper_bound(ctx)
+        anchor = np.array([2, 1])
+        expected = integer_optimality_cut(ctx, enc, anchor, eta_bar)
+        checks = []
+        check = ActionBox.check
+
+        def counting_check(box, a):
+            checks.append(a)
+            return check(box, a)
+
+        monkeypatch.setattr(ActionBox, "check", counting_check)
+        cut = integer_optimality_cut(ctx, enc, anchor, eta_bar)
+        assert len(checks) == 1
+        np.testing.assert_array_equal(cut.bits, expected.bits)
+        assert cut.anchor_value == recourse_value(ctx, anchor)
+        with pytest.raises(InfeasibleActionError, match="above upper bound 3"):
+            integer_optimality_cut(ctx, enc, np.array([4, 1]), eta_bar)
 
     def test_rejects_bound_below_anchor_value(self):
         ctx = random_context(16, n2=2, a_bar=[3, 3])

@@ -427,6 +427,32 @@ class TestCutReuse:
         assert len(made) == 9
         assert len(encoded) == len(made)
 
+    def test_anchor_checked_once_per_integer_cut(self, monkeypatch):
+        # the encoding's check is the cut's only one; the box is not asked
+        # twice about the same anchor
+        ctx, reward = make_bench_instance(3006, facilities=3, neurons=10,
+                                          transition_samples=4,
+                                          capacity_levels=3)
+        checks, per_cut = [0], []
+        check = ActionBox.check
+        make_cut = mcd.integer_optimality_cut
+
+        def counting_check(box, a):
+            checks[0] += 1
+            return check(box, a)
+
+        def counting_cut(*args):
+            before = checks[0]
+            cut = make_cut(*args)
+            per_cut.append(checks[0] - before)
+            return cut
+
+        monkeypatch.setattr(ActionBox, "check", counting_check)
+        monkeypatch.setattr(mcd, "integer_optimality_cut", counting_cut)
+        res = select_action(ctx, reward, McdConfig(max_iterations=10, gap_tolerance=0.0))
+        assert res.iterations == 10
+        assert per_cut == [1] * 9
+
     def test_combined_cut_bit_identical_to_fresh_sum(self):
         ctx = random_context(13, j=8, n2=3, a_bar=[3, 2, 4])
         for anchor in enumerate_actions(ctx.spec.action_box)[::5]:

@@ -278,6 +278,12 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=f"{field} must be >= 1"):
             TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("value", [-1e-12, float("nan"), float("inf")])
+    def test_negative_or_non_finite_regularization_is_refused(self, value):
+        # NaN slipped past the old check `regularization < 0`
+        with pytest.raises(ValueError, match="regularization must be finite"):
+            TrainConfig(regularization=value)
+
 
 class TestSplitNeurons:
     def test_sign_rule_zero_goes_negative(self):
