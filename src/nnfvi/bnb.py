@@ -9,13 +9,9 @@ feasible, so the child re-optimizes from it with the dual simplex
 column is infeasible.  A node is its bound, basis, column values and binary
 fixings, O(rows + columns) numbers.  A node's tableau is rebuilt from the
 root's optimal tableau (the base) by pivoting in the columns the base basis
-lacks, and copied before the 0-child fixes its bound, so that the 1-child
-starts from the copy, the very tableau a second rebuild would give.  Only the
-1-child's tableau is kept, so that it is reused when that child is the next
-node expanded; the 0-child then works in it and the 1-child is rebuilt,
-since a kept tableau rounds differently from a rebuild.  At most two working
-tableaus besides the base hold a MILP's memory at about what two cold solves
-need.
+lacks: each expanded node is rebuilt once; its 1-child starts from a copy.
+No working tableau outlives its node, so at most two besides the base hold a
+MILP's memory at about what two cold solves need.
 
 A search is resumable, the branch-and-cut form of a cutting-plane method
 such as Laporte & Louveaux's (1993) integer L-shaped method.  Every solution
@@ -216,9 +212,10 @@ def solve_milp(p: MilpProblem, tol: float = DEFAULT_TOL,
     heapq.heapify(heap)
     counter = len(heap)
 
-    def settle(basis: np.ndarray, x: np.ndarray, fixings: tuple) -> bool:
+    def settle(basis: np.ndarray, x: np.ndarray, fixings: tuple) -> None:
         """File a node whose LP is optimal at ``basis`` with column values
-        ``x``, both kept as given; True if it was pushed to be branched on."""
+        ``x``, both kept as given: push it to be branched on, or record it
+        as a leaf (integral, and the incumbent if it beats it, or dominated)."""
         nonlocal incumbent_x, incumbent_val, counter
         sol_x = x[:n].copy()
         objective = float(p.lp.c @ sol_x)
@@ -228,11 +225,10 @@ def solve_milp(p: MilpProblem, tol: float = DEFAULT_TOL,
             counter += 1
             heapq.heappush(heap, (-sense * objective, counter, objective, var,
                                   basis, x, fixings))
-            return True
+            return
         if beats:  # integral
             incumbent_x, incumbent_val = sol_x, objective
         leaves.append((objective, basis, x, fixings))
-        return False
 
     def global_bound() -> float:
         best_open = heap[0][2] if heap else None
@@ -253,49 +249,35 @@ def solve_milp(p: MilpProblem, tol: float = DEFAULT_TOL,
     if root is not None:
         settle(root._tableau.basis.copy(), root._tableau.x.copy(), ())
         bound_trace.append(global_bound())
-    kept_key, kept = None, None  # the last pushed node and its tableau
     while heap:
-        _, key, bound, var, basis, x, fixings = heapq.heappop(heap)
+        _, _, bound, var, basis, x, fixings = heapq.heappop(heap)
         if incumbent_x is not None and not better(bound, incumbent_val + sense * tol):
             leaves.append((bound, basis, x, fixings))
             bound_trace.append(global_bound())
             continue  # pruned by bound
-        # a node works in the kept tableau when it is the node pushed last;
-        # every other one starts from a rebuild at its basis
-        tab = kept if key == kept_key else None
-        kept_key = kept = None
-        if var is None:  # a stale leaf: check it under the appended rows
-            lower, upper = _bounds(base, fixings)
+        lower, upper = _bounds(base, fixings)
+        if var is not None:
+            children = (((var, 0.0),), ((var, 1.0),))
+        else:  # a stale leaf: check it under the appended rows
             xb = x[basis]
             if ((xb >= lower[basis] - FEASIBILITY_TOL)
                     & (xb <= upper[basis] + FEASIBILITY_TOL)).all():
                 settle(basis, x, fixings)  # still optimal: carried over as it is
+                children = ()
             else:
-                tab = base.rebased(basis, x, lower, upper)  # never the kept one
+                children = ((),)  # re-optimized under its own fixings
+        if children:
+            tab = base.rebased(basis, x, lower, upper)
+            spare = tab.copy() if var is not None else None  # the 1-child's start
+            for fixed in children:
+                for v, value in fixed:
+                    tab.lower[v] = tab.upper[v] = value
                 count_node()
                 status = tab.reoptimize()
                 pivots += len(tab.pivots)
-                if status == "optimal" and settle(tab.basis.copy(), tab.x.copy(), fixings):
-                    kept_key, kept = counter, tab
-        else:
-            spare = None  # the 1-child's start, when it is a copy of a rebuild
-            if tab is None:
-                tab = base.rebased(basis, x, *_bounds(base, fixings))
-                spare = tab.copy()
-            for value in (0.0, 1.0):
-                if tab is None:
-                    tab = (spare if spare is not None
-                           else base.rebased(basis, x, *_bounds(base, fixings)))
-                    spare = None
-                tab.lower[var] = tab.upper[var] = value
-                count_node()
-                status = tab.reoptimize()
-                pivots += len(tab.pivots)
-                if (status == "optimal"
-                        and settle(tab.basis.copy(), tab.x.copy(), fixings + ((var, value),))
-                        and value == 1.0):
-                    kept_key, kept = counter, tab
-                tab = None  # released before the 1-child's turn
+                if status == "optimal":
+                    settle(tab.basis.copy(), tab.x.copy(), fixings + fixed)
+                tab = spare
         # the node is accounted for: the open cover shrank, record the bound
         bound_trace.append(global_bound())
         if incumbent_x is not None and heap and not better(heap[0][2], incumbent_val + sense * tol):

@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import warnings
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -56,7 +56,7 @@ class McdConfig:
     max_iterations: int = 100
     gap_tolerance: float = 0.0035
     engine: str = "mcd"
-    gap_floor: float = 1e-6  # denominator floor for the relative gap
+    gap_floor: ClassVar[float] = 1e-6  # denominator floor for the relative gap
 
     def __post_init__(self):
         object.__setattr__(self, "max_iterations",

@@ -298,6 +298,26 @@ class TestOneRebuildPerExpansion:
             solve_milp(mixed_milp(rng, 8, 4))
         assert checked and not pending
 
+    def test_no_tableau_is_reoptimized_twice_in_one_search(self, monkeypatch):
+        # every child starts from a rebuild or its copy; none works in a
+        # tableau that an earlier child has already re-optimized
+        reoptimize = _Tableau.reoptimize
+        seen = []
+
+        def recording_reoptimize(self):
+            assert not any(tab is self for tab in seen)
+            seen.append(self)
+            return reoptimize(self)
+
+        monkeypatch.setattr(_Tableau, "reoptimize", recording_reoptimize)
+        rng = np.random.default_rng(72)
+        children = 0
+        for _ in range(10):
+            solve_milp(mixed_milp(rng, 8, 4))
+            children += len(seen)
+            seen.clear()
+        assert children
+
     def test_at_most_one_rebuild_per_expanded_node(self, monkeypatch):
         rebuilds = []
         rebased = _Tableau.rebased

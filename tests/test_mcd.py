@@ -584,6 +584,13 @@ class TestMcdConfig:
         assert config.max_iterations == 2 and type(config.max_iterations) is int
         assert config.stop_criterion_label() == "0.35%/2 steps"
 
+    def test_gap_floor_is_a_constant_not_a_setting(self):
+        with pytest.raises(TypeError, match="gap_floor"):
+            McdConfig(gap_floor=1e-3)
+        assert [f.name for f in dataclasses.fields(McdConfig)] == [
+            "max_iterations", "gap_tolerance", "engine"]
+        assert McdConfig().gap_floor == McdConfig.gap_floor == 1e-6
+
 
 class TestResumedMasters:
     @pytest.mark.parametrize("engine", ["mcd", "lshaped"])

@@ -7,6 +7,11 @@ instance seed, action, objective and upper bound (``float.hex``, compared
 exactly), iterations, B&B nodes and LP pivots.  A change meant to leave
 every pivot alone must leave every row alone; one that moves a row on
 purpose says which and why, and records the new values.
+
+Moved on purpose: box 2022's upper bound, by one ulp (it was
+``-0x1.1beabf8baf83dp+6``), when each expanded node began to be rebuilt
+from the base instead of some 0-children working in the tableau kept from
+the node pushed last; that tableau rounded differently from a rebuild.
 """
 
 import pytest
@@ -37,7 +42,7 @@ PINNED = [
     (2, 2019, (0, 3), '0x1.002577a029f15p+6', '0x1.002577a029f15p+6', 2, 9, 18),
     (2, 2020, (3, 0), '-0x1.542fafbef24fdp+3', '-0x1.542fafbef24fdp+3', 5, 16, 37),
     (2, 2021, (0, 0), '0x1.5d0aa96eb722ep+2', '0x1.5d0aa96eb722ep+2', 4, 15, 36),
-    (2, 2022, (0, 3), '-0x1.1ce8b47e2ec19p+6', '-0x1.1beabf8baf83dp+6', 9, 35, 67),
+    (2, 2022, (0, 3), '-0x1.1ce8b47e2ec19p+6', '-0x1.1beabf8baf83ep+6', 9, 35, 67),
     (2, 2023, (3, 2), '0x1.d81028fb78110p+6', '0x1.d81028fb78110p+6', 4, 22, 42),
     (2, 2024, (1, 3), '0x1.8994ab4ef663dp+4', '0x1.8994ab4ef663dp+4', 4, 11, 35),
     (2, 2025, (0, 0), '-0x1.cfaf66e5166b4p+4', '-0x1.cfaf66e5166b4p+4', 2, 16, 24),
