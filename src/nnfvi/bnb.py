@@ -123,6 +123,7 @@ class MilpSolution:
     node_count: int = 0  # node LPs solved in this call, not leaves carried over unchanged
     bound_trace: list = field(default_factory=list)
     lp_pivots: int = 0  # root and node simplex pivots, bound flips included
+    bound_flips: int = 0  # the pivots that were bound flips, (j, j) entries
     # the search's frontier, from which a solve with appended rows resumes
     _frontier: Optional[_Frontier] = field(default=None, repr=False, compare=False)
 
@@ -135,6 +136,11 @@ def _most_fractional(x: np.ndarray, binaries: Sequence[int]) -> Optional[int]:
         if frac > best_frac + 1e-15:
             best_idx, best_frac = i, frac
     return best_idx
+
+
+def _flips(pivots: list) -> int:
+    """How many of the ``(entering, leaving)`` pivots are bound flips."""
+    return sum(enter == leave for enter, leave in pivots)
 
 
 def _extended(frontier: _Frontier, p: MilpProblem) -> tuple[Optional[_Tableau], list]:
@@ -188,14 +194,14 @@ def solve_milp(p: MilpProblem, tol: float = DEFAULT_TOL,
                              "it by with_rows, which appends trailing '<=' rows")
         base, stale = _extended(frontier, p)
         resume._frontier = None
-    pivots = 0
+    pivots = flips = 0
     root = None
     if base is None:
         root = solve_lp(p.lp)
-        pivots = len(root.pivots)
+        pivots, flips = len(root.pivots), _flips(root.pivots)
         if root.status != "optimal":
             return MilpSolution(status=root.status, lp_pivots=pivots,
-                                _frontier=_Frontier(p, None, []))
+                                bound_flips=flips, _frontier=_Frontier(p, None, []))
         base = root._tableau.as_base()
 
     incumbent_x: Optional[np.ndarray] = None
@@ -214,8 +220,9 @@ def solve_milp(p: MilpProblem, tol: float = DEFAULT_TOL,
 
     def settle(basis: np.ndarray, x: np.ndarray, fixings: tuple) -> None:
         """File a node whose LP is optimal at ``basis`` with column values
-        ``x``, both kept as given: push it to be branched on, or record it
-        as a leaf (integral, and the incumbent if it beats it, or dominated)."""
+        ``x``, both kept as given, so the caller hands over arrays nothing
+        else changes: push it to be branched on, or record it as a leaf
+        (integral, and the incumbent if it beats it, or dominated)."""
         nonlocal incumbent_x, incumbent_val, counter
         sol_x = x[:n].copy()
         objective = float(p.lp.c @ sol_x)
@@ -247,6 +254,7 @@ def solve_milp(p: MilpProblem, tol: float = DEFAULT_TOL,
             )
 
     if root is not None:
+        # copies: the root's tableau lives on as the base
         settle(root._tableau.basis.copy(), root._tableau.x.copy(), ())
         bound_trace.append(global_bound())
     while heap:
@@ -275,8 +283,9 @@ def solve_milp(p: MilpProblem, tol: float = DEFAULT_TOL,
                 count_node()
                 status = tab.reoptimize()
                 pivots += len(tab.pivots)
-                if status == "optimal":
-                    settle(tab.basis.copy(), tab.x.copy(), fixings + fixed)
+                flips += _flips(tab.pivots)
+                if status == "optimal":  # the child's tableau is dropped next
+                    settle(tab.basis, tab.x, fixings + fixed)
                 tab = spare
         # the node is accounted for: the open cover shrank, record the bound
         bound_trace.append(global_bound())
@@ -289,7 +298,7 @@ def solve_milp(p: MilpProblem, tol: float = DEFAULT_TOL,
     if incumbent_x is None:
         return MilpSolution(status="infeasible", node_count=node_count,
                             bound_trace=bound_trace, lp_pivots=pivots,
-                            _frontier=frontier)
+                            bound_flips=flips, _frontier=frontier)
     return MilpSolution(
         status="optimal",
         objective=incumbent_val,
@@ -298,5 +307,6 @@ def solve_milp(p: MilpProblem, tol: float = DEFAULT_TOL,
         node_count=node_count,
         bound_trace=bound_trace,
         lp_pivots=pivots,
+        bound_flips=flips,
         _frontier=frontier,
     )

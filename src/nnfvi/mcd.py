@@ -14,6 +14,16 @@ the distance-1 solutions of Laporte & Louveaux's (1993) integer L-shaped
 method, which evaluate the recourse one step from the current first-stage
 solution to strengthen its cuts, and uses them here as incumbents only.
 
+The upper bound starts at the box bound before any cut: the stage reward's
+maximum over the real box plus the discounted recourse bound and output
+bias (:meth:`StageReward.box_maximum`), the first-stage bound that Laporte
+& Louveaux's method starts from.  The stop rule is tested whenever a bound
+moves: after each anchor's exact evaluation (the lower bound) and after each
+master (the upper bound).  The first-stage MILP is built only when the first
+master is needed, so a selection that the box bound already certifies at the
+zero action, such as a terminal period's with its zero continuation, solves
+no MILP.
+
 The stage reward has one representation, :class:`StageReward`: separable
 concave pieces per action dimension.  Brute force and the exact anchor
 evaluations compute it with :meth:`StageReward.values`, and the first-stage
@@ -69,6 +79,11 @@ class McdConfig:
         if self.engine not in ENGINES:
             raise ValueError(f"engine must be one of {ENGINES}")
 
+    def gap_closed(self, lower: float, upper: float) -> bool:
+        """The stop rule: the relative gap between the bounds is within
+        ``gap_tolerance``."""
+        return upper - lower <= self.gap_tolerance * max(abs(upper), self.gap_floor)
+
     def stop_criterion_label(self) -> str:
         return f"{self.gap_tolerance * 100:g}%/{self.max_iterations} steps"
 
@@ -97,6 +112,30 @@ class StageReward:
                           + icepts).min(axis=1)
         return total
 
+    def box_maximum(self, upper_bounds: np.ndarray) -> float:
+        """Bound ``>= values(a)`` for every action ``a`` in the box
+        ``[0, upper_bounds]``, exact when no dimension has pieces.
+
+        Each dimension's concave contribution peaks over the real interval
+        ``[0, upper_bounds[n]]`` at an end or where two pieces cross, so no
+        level is enumerated.  The crossings' floors and ceilings join the
+        candidates, so that the bound is not short of the best integer
+        level by the rounding of a crossing computed off an integer.
+        """
+        total = float(self.constant)
+        for dim_pieces, top in zip(self.pieces, np.asarray(upper_bounds, dtype=float)):
+            if dim_pieces:
+                slopes, icepts = np.asarray(dim_pieces, dtype=float).T
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    # pieces i and j cross at (icept_j - icept_i) / (slope_i - slope_j)
+                    cross = ((icepts - icepts[:, None])
+                             / (slopes[:, None] - slopes)).ravel()
+                cross = cross[(cross > 0) & (cross < top)]
+                points = np.concatenate([[0.0, top], cross, np.floor(cross),
+                                         np.ceil(cross)])
+                total += (np.multiply.outer(points, slopes) + icepts).min(axis=1).max()
+        return total
+
 
 def linear_stage_reward(gain: np.ndarray, constant: float = 0.0) -> StageReward:
     """Purely linear reward ``constant + gain @ a`` as a one-piece StageReward."""
@@ -116,7 +155,10 @@ class SelectionResult:
     action: np.ndarray
     objective: float          # exact value of ``action``, best over anchors
                               # and their unit neighbours (lower bound)
-    upper_bound: float
+    upper_bound: float        # bound on the optimum: the box bound (reward's
+                              # box_maximum plus the discounted recourse
+                              # bound and output bias) tightened by each
+                              # master solved; brute's is its objective
     iterations: int
     trace: np.ndarray         # one trace_dtype record per iteration:
                               # iteration, lower, upper, anchor action
@@ -253,11 +295,18 @@ def select_action_bruteforce(ctx: RecourseContext,
     )
 
 
+@functools.cache
+def _unit_steps(dims: int) -> np.ndarray:
+    """The ``+e_n`` steps, then the ``-e_n`` steps, as read-only rows."""
+    eye = np.eye(dims, dtype=np.int64)
+    steps = np.vstack([eye, -eye])
+    steps.flags.writeable = False
+    return steps
+
+
 def _neighbours(box: ActionBox, a: np.ndarray) -> np.ndarray:
     """Actions one unit away from ``a`` in one coordinate, inside the box."""
-    steps = np.vstack([np.eye(box.dims, dtype=np.int64),
-                       -np.eye(box.dims, dtype=np.int64)])
-    cand = a + steps
+    cand = a + _unit_steps(box.dims)
     return cand[((cand >= 0) & (cand <= box.upper_bounds)).all(axis=1)]
 
 
@@ -274,19 +323,23 @@ def _decompose(ctx: RecourseContext, reward: StageReward, config: McdConfig,
                use_combined: bool) -> SelectionResult:
     """Multi-cut decomposition (integer optimality plus combined cuts) or,
     without ``use_combined``, the integer L-shaped method; both start from
-    the zero action.  The first stage is built once, without cuts; each
+    the zero action and from the box bound as the upper bound.  The stop
+    rule is tested after each anchor and after each master.  The first
+    stage is built, without cuts, when the first master is needed; each
     iteration appends its own cut rows and resumes the previous iteration's
     branch-and-bound search."""
     box = ctx.spec.action_box
+    gamma = ctx.spec.discount
     a_m = np.zeros(box.dims, dtype=np.int64)
-    enc = binary_encoding(box)
     eta_bar = recourse_upper_bound(ctx)
-    fp = build_first_stage(ctx, enc, reward, eta_bar)
+    fp = None  # the first stage, built when the first master is needed
 
     # anchors only: each carries an integer cut, which the revisit rule needs
     visited: set[tuple] = set()
     incumbent: tuple = ()
-    lower, upper = -np.inf, np.inf
+    lower = -np.inf
+    upper = (reward.box_maximum(box.upper_bounds) + gamma * eta_bar
+             + gamma * ctx.net.output_bias)
     trace: list = []
     m = 0
     sol = None  # the last first-stage solution, whose search the next resumes
@@ -304,12 +357,14 @@ def _decompose(ctx: RecourseContext, reward: StageReward, config: McdConfig,
             lower = float(values[best])
             incumbent = tuple(int(v) for v in cands[best])
 
-        if m >= config.max_iterations:
+        if config.gap_closed(lower, upper) or m >= config.max_iterations:
             trace.append((m, lower, upper, a_m))
             break
 
+        if fp is None:
+            fp = build_first_stage(ctx, binary_encoding(box), reward, eta_bar)
         fp = fp.with_cuts(
-            integer_optimality_cut(ctx, enc, a_m, eta_bar, float(recourse[0])),
+            integer_optimality_cut(ctx, fp.encoding, a_m, eta_bar, float(recourse[0])),
             combined_cut(ctx, a_m) if use_combined else None)
         try:
             sol = solve_milp(fp.milp, tol=MILP_TOLERANCE, resume=sol)
@@ -331,11 +386,12 @@ def _decompose(ctx: RecourseContext, reward: StageReward, config: McdConfig,
             trace.append((m, lower, upper, a_m))
             break
 
-        upper = min(upper, sol.bound + fp.constant_offset)
+        # the first master's bound replaces the box bound, which it can
+        # exceed by round-off alone: the bits' relaxation spans the same box
+        bound = sol.bound + fp.constant_offset
+        upper = bound if m == 1 else min(upper, bound)
         trace.append((m, lower, upper, a_m))
-
-        gap = upper - lower
-        if gap <= config.gap_tolerance * max(abs(upper), config.gap_floor):
+        if config.gap_closed(lower, upper):
             break
         a_m = np.asarray(key, dtype=np.int64)
 

@@ -196,6 +196,75 @@ class TestWarmStartedSearch:
         assert solve_milp(integral).lp_pivots == len(solve_lp(integral.lp).pivots) == 2
 
 
+class TestBoundFlips:
+    """``bound_flips`` counts the ``(j, j)`` pivots among ``lp_pivots``."""
+
+    def test_an_optimum_reached_by_flips_alone(self):
+        # each binary enters and meets its upper bound before any row blocks it
+        integral = binary_milp([1.0, 1.0], np.zeros((1, 2)), [5.0])
+        sol = solve_milp(integral)
+        assert sol.node_count == 0
+        assert sol.bound_flips == sol.lp_pivots == 2
+        assert solve_lp(integral.lp).pivots == [(0, 0), (1, 1)]
+
+    def test_root_and_node_flips_are_counted_apart_from_basis_changes(self, monkeypatch):
+        # the oracle: the (j, j) entries of the root's and every node's pivots
+        recorded = []
+        reoptimize, lp = _Tableau.reoptimize, bnb.solve_lp
+
+        def recording_reoptimize(self):
+            status = reoptimize(self)
+            recorded.extend(self.pivots)
+            return status
+
+        def recording_solve_lp(p):
+            root = lp(p)
+            recorded.extend(root.pivots)
+            return root
+
+        monkeypatch.setattr(_Tableau, "reoptimize", recording_reoptimize)
+        monkeypatch.setattr(bnb, "solve_lp", recording_solve_lp)
+        rng = np.random.default_rng(74)
+        flipped = 0
+        for _ in range(10):
+            recorded.clear()
+            sol = solve_milp(mixed_milp(rng, 8, 4))
+            assert sol.lp_pivots == len(recorded)
+            assert sol.bound_flips == sum(enter == leave for enter, leave in recorded)
+            flipped += 0 < sol.bound_flips < sol.lp_pivots
+        assert flipped
+
+
+class TestChildrenHandOverTheirArrays:
+    def test_a_childs_basis_and_values_are_its_tableaus_and_stay_as_solved(
+            self, monkeypatch):
+        # a solved child's basis and column values go to the frontier without
+        # a copy, and nothing in the rest of the search changes them
+        solved = {}
+        reoptimize = _Tableau.reoptimize
+
+        def recording_reoptimize(self):
+            status = reoptimize(self)
+            if status == "optimal":
+                solved[id(self.basis)] = (self.basis, self.basis.copy(), self.x,
+                                          self.x.copy())
+            return status
+
+        monkeypatch.setattr(_Tableau, "reoptimize", recording_reoptimize)
+        rng = np.random.default_rng(75)
+        handed = 0
+        for _ in range(10):
+            solved.clear()
+            sol = solve_milp(mixed_milp(rng, 8, 4))
+            for _, basis, x, _ in sol._frontier.leaves:
+                if id(basis) in solved:
+                    own_basis, basis_then, own_x, x_then = solved[id(basis)]
+                    assert basis is own_basis and x is own_x
+                    assert bitwise_equal(basis, basis_then) and bitwise_equal(x, x_then)
+                    handed += 1
+        assert handed
+
+
 def most_fractional_reference(x, binaries):
     """The per-element form of the branching rule: the first binary, in
     ascending order, whose distance to the nearest integer beats the best so

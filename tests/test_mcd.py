@@ -20,11 +20,12 @@ from nnfvi.mcd import (
     select_action_bruteforce,
     trace_dtype,
 )
-from nnfvi import cuts, mcd
+from nnfvi import cuts, fvi, mcd
 from nnfvi.bnb import MilpSolution, NodeLimitError, solve_milp
 from nnfvi.cli import make_bench_instance
-from nnfvi.mdp import ActionBox, enumerate_actions
-from nnfvi.neural import ReluNet
+from nnfvi.mcip import build_mcip_mdp, synthetic_instance
+from nnfvi.mdp import ActionBox, enumerate_actions, sample_states
+from nnfvi.neural import ReluNet, TrainConfig
 from nnfvi.simplex import LpNumericalError, LpProblem
 
 from conftest import integer_cut_rhs, random_affine_spec, random_context
@@ -109,6 +110,84 @@ class TestStageReward:
         expected = [reward_of(a) for a in actions]
         np.testing.assert_allclose(reward.values(actions), expected,
                                    rtol=1e-14, atol=1e-14)
+
+
+class TestBoxMaximum:
+    """``StageReward.box_maximum`` against enumeration of the integer box."""
+
+    @staticmethod
+    def integer_max(reward, upper_bounds):
+        box = ActionBox(np.asarray(upper_bounds, dtype=np.int64))
+        return float(reward.values(enumerate_actions(box)).max())
+
+    @staticmethod
+    def real_max(reward, upper_bounds, points=20_001):
+        """The reward's maximum over a fine grid of the real box, dimension
+        by dimension, and the most the grid can miss it by."""
+        total, slack = reward.constant, 0.0
+        for dim_pieces, top in zip(reward.pieces, upper_bounds):
+            if dim_pieces:
+                slopes, icepts = np.asarray(dim_pieces, dtype=float).T
+                grid = np.linspace(0.0, top, points)
+                total += (np.multiply.outer(grid, slopes) + icepts).min(axis=1).max()
+                slack += np.abs(slopes).max() * top / (points - 1)
+        return total, slack
+
+    def test_random_concave_pieces_bound_the_integer_maximum(self):
+        rng = np.random.default_rng(91)
+        for _ in range(200):
+            dims = int(rng.integers(1, 4))
+            upper_bounds = rng.integers(0, 6, size=dims)
+            pieces = [[(float(rng.normal()), float(rng.normal() * 3))
+                       for _ in range(int(rng.integers(0, 5)))] for _ in range(dims)]
+            reward = StageReward(constant=float(rng.normal()), pieces=pieces)
+            bound = reward.box_maximum(upper_bounds)
+            assert bound >= self.integer_max(reward, upper_bounds)
+            # the real box's maximum, not a looser bound
+            top, slack = self.real_max(reward, upper_bounds)
+            assert top - 1e-12 <= bound <= top + slack + 1e-12
+
+    @pytest.mark.parametrize("capacity", [0.5, 1.5, 2.25, 2.0])
+    def test_mcip_two_piece_shape(self, capacity):
+        # -max(q_minus (a - K), q_plus (a - K)) with the pieces crossing at K,
+        # a fractional K between levels or an integral one on a level
+        upper_bounds = np.array([3, 0, 4])
+        for q_minus, q_plus in ((0.5, 3.0), (-1.0, 2.0), (-2.0, -0.5)):
+            reward = StageReward(constant=1.5, pieces=[
+                [(-q_minus, q_minus * capacity), (-q_plus, q_plus * capacity)]] * 3)
+            bound = reward.box_maximum(upper_bounds)
+            assert bound >= self.integer_max(reward, upper_bounds)
+            top, slack = self.real_max(reward, upper_bounds)
+            assert top - 1e-12 <= bound <= top + slack + 1e-12
+
+    def test_pieces_crossing_on_a_level_are_not_undercut_by_round_off(self):
+        # a rising and a falling piece peak where they cross, on a level;
+        # the crossing, computed off the level by round-off, often evaluates
+        # a few ulps below the level's value as values() computes it
+        rng = np.random.default_rng(93)
+        for _ in range(500):
+            level = float(rng.integers(1, 5))
+            rise, fall = abs(rng.normal()), -abs(rng.normal())
+            top = rng.normal()
+            reward = StageReward(constant=0.0, pieces=[
+                [(rise, top - rise * level), (fall, top - fall * level)]])
+            assert reward.box_maximum([6]) >= self.integer_max(reward, [6])
+
+    def test_one_piece_and_piece_free_rewards_are_exact(self):
+        rng = np.random.default_rng(92)
+        for _ in range(20):
+            upper_bounds = rng.integers(0, 5, size=3)
+            linear = linear_stage_reward(rng.normal(size=3), constant=float(rng.normal()))
+            assert linear.box_maximum(upper_bounds) == \
+                self.integer_max(linear, upper_bounds)
+            flat = StageReward(constant=float(rng.normal()), pieces=[[], [], []])
+            assert flat.box_maximum(upper_bounds) == \
+                self.integer_max(flat, upper_bounds) == flat.constant
+
+    def test_zero_bounds_evaluate_the_zero_action(self):
+        reward, _ = adjustment_reward()
+        zero = np.zeros(3, dtype=np.int64)
+        assert reward.box_maximum(zero) == reward.values(zero[None, :])[0]
 
 
 class TestBuildFirstStage:
@@ -672,3 +751,102 @@ class TestResumedMasters:
         assert warm.objective == cold.objective
         assert warm.upper_bound == pytest.approx(cold.upper_bound, rel=1e-12)
         assert warm.milp_nodes < cold.milp_nodes
+
+
+def criterion_4_spec():
+    return build_mcip_mdp(synthetic_instance(seed=42, customers=2, facilities=2,
+                                             horizon=3, capacity_max=3,
+                                             demand_points=3))
+
+
+def forbid(monkeypatch, *names):
+    """Make each named ``mcd`` function fail the test if it is called."""
+    for name in names:
+        def refuse(*args, name=name, **kwargs):
+            raise AssertionError(f"{name} called")
+        monkeypatch.setattr(mcd, name, refuse)
+
+
+class TestCertifiedBeforeSolving:
+    """The upper bound starts at the box bound and the stop rule is tested
+    after each anchor, so a selection whose gap the box bound already closes
+    builds and solves no master."""
+
+    @pytest.mark.parametrize("engine", ["mcd", "lshaped"])
+    def test_terminal_selection_solves_no_master(self, monkeypatch, engine):
+        # at the horizon the continuation is zero and the reward piece-free,
+        # so the box bound is the zero action's value
+        spec = criterion_4_spec()
+        rng = np.random.default_rng(5)
+        cases = [(x, spec.draw_noises(rng, 20)) for x in sample_states(spec, 6, rng)]
+        brute = [fvi._decide(spec, {}, spec.horizon, x, noises, McdConfig(engine="brute"))
+                 for x, noises in cases]
+        forbid(monkeypatch, "solve_milp", "build_first_stage")
+        for (x, noises), ref in zip(cases, brute):
+            res = fvi._decide(spec, {}, spec.horizon, x, noises, McdConfig(engine=engine))
+            assert res.iterations == 1 and not res.fell_back
+            assert res.upper_bound == res.objective == ref.objective
+            assert res.milp_nodes == res.lp_pivots == 0
+            np.testing.assert_array_equal(res.action, np.zeros(spec.action_box.dims))
+
+    def test_period_2_selections_that_stop_at_an_anchor(self, monkeypatch):
+        # criterion 4's run with engine mcd: a period-2 selection whose gap
+        # closes when an anchor raises the lower bound solves one master
+        # fewer than it has iterations, and still picks brute force's action
+        spec = criterion_4_spec()
+        config = fvi.FviConfig(state_samples=200, transition_samples=20, neurons=20,
+                               train=TrainConfig(restarts=5, max_epochs=200),
+                               mcd=McdConfig(engine="mcd"), seed=0)
+        masters, stopped = [0], []
+        solve, decide = mcd.solve_milp, fvi._decide
+
+        def counting_solve(*args, **kwargs):
+            masters[0] += 1
+            return solve(*args, **kwargs)
+
+        def recording_decide(spec, nets, t, x, noises, cfg):
+            before = masters[0]
+            res = decide(spec, nets, t, x, noises, cfg)
+            if t == 2 and masters[0] - before == res.iterations - 1:
+                stopped.append((nets[3], x, noises, res))
+            return res
+
+        monkeypatch.setattr(mcd, "solve_milp", counting_solve)
+        monkeypatch.setattr(fvi, "_decide", recording_decide)
+        fvi.run_nnfvi(spec, config)
+        assert stopped  # 21 of the 200 period-2 selections
+        for net, x, noises, res in stopped:
+            assert 1 < res.iterations < config.mcd.max_iterations
+            assert res.trace["upper"][-1] == res.upper_bound == res.trace["upper"][-2]
+            assert config.mcd.gap_closed(res.objective, res.upper_bound)
+            ctx = RecourseContext(net, spec, x, noises)
+            ref = select_action_bruteforce(ctx, spec.stage_reward(2, x))
+            np.testing.assert_array_equal(res.action, ref.action)
+            assert res.objective == ref.objective
+
+    @pytest.mark.parametrize("engine", ["mcd", "lshaped"])
+    def test_one_iteration_reports_the_box_bound(self, monkeypatch, engine):
+        forbid(monkeypatch, "solve_milp", "build_first_stage")
+        for seed in range(5):
+            ctx = random_context(seed + 1300, n2=3, a_bar=[3, 2, 4])
+            reward, _ = adjustment_reward()
+            res = select_action(ctx, reward, McdConfig(engine=engine, max_iterations=1))
+            gamma = ctx.spec.discount
+            box_bound = (reward.box_maximum(ctx.spec.action_box.upper_bounds)
+                         + gamma * recourse_upper_bound(ctx)
+                         + gamma * ctx.net.output_bias)
+            assert res.upper_bound == box_bound < np.inf
+            assert res.upper_bound >= select_action_bruteforce(ctx, reward).objective
+            assert (res.iterations, res.milp_nodes, res.lp_pivots) == (1, 0, 0)
+
+
+class TestNeighbours:
+    def test_plus_steps_then_minus_steps_inside_the_box(self):
+        box = ActionBox(np.array([2, 0, 3]))
+        np.testing.assert_array_equal(mcd._neighbours(box, np.array([2, 0, 1])),
+                                      [[2, 0, 2], [1, 0, 1], [2, 0, 0]])
+
+    def test_steps_are_made_once_per_dimension_count_and_read_only(self):
+        steps = mcd._unit_steps(3)
+        assert mcd._unit_steps(3) is steps and not steps.flags.writeable
+        np.testing.assert_array_equal(steps, np.vstack([np.eye(3), -np.eye(3)]))
