@@ -17,9 +17,12 @@ the machine meanwhile: both sides share its cores.
 For each workload and each end-to-end metric of ``BENCHMARK.json`` the JSON
 holds each side's runs, median and quartiles (``statistics.quantiles``,
 inclusive method), and the pairs the change won, ties counting for neither
-side.  It also holds every run's check result and its operations attempted
-and failed, the core count, the Python and numpy versions and both commit
-ids (with a ``dirty`` flag when the working tree differs from the commit).
+side.  It also holds every run's check result, its operations attempted
+and failed, and its untraced pass count with each side's median: perfbench
+keeps every pass's latency spans, so a side that runs more passes in the
+same time ends with a higher ``peak_rss_mb``.  Last come the core count,
+the Python and numpy versions and both commit ids (with a ``dirty`` flag
+when the working tree differs from the commit).
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -36,6 +40,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
+PASSES = re.compile(r"^# passes: (\d+) untraced", re.MULTILINE)
 
 
 def _commit(checkout: Path) -> dict:
@@ -50,7 +55,8 @@ def _commit(checkout: Path) -> dict:
 
 
 def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced benchmark run; its report's last line, parsed."""
+    """One untraced benchmark run: its report's last line, parsed, with the
+    report's untraced pass count as ``passes``."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", f"{seconds:g}", "--trace", "0"],
@@ -58,7 +64,10 @@ def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     lines = done.stdout.strip().splitlines()
     if not lines:
         raise RuntimeError(f"no report from {checkout} on {workload}:\n{done.stderr}")
-    return json.loads(lines[-1])
+    passes = PASSES.search(done.stdout)
+    if passes is None:
+        raise RuntimeError(f"no pass count in the report from {checkout} on {workload}")
+    return json.loads(lines[-1]) | {"passes": int(passes.group(1))}
 
 
 def _summary(values: list) -> dict:
@@ -131,6 +140,9 @@ def main(argv=None) -> int:
             "correct": {side: [r["correct"] for r in runs[side]] for side in runs},
             "attempted": {side: [r["attempted"] for r in runs[side]] for side in runs},
             "failed": {side: [r["failed"] for r in runs[side]] for side in runs},
+            "passes": {side: {"runs": [r["passes"] for r in runs[side]],
+                              "median": statistics.median(r["passes"] for r in runs[side])}
+                       for side in runs},
             "metrics": metrics,
         }
         # written after each workload, so that a later failure keeps the rest

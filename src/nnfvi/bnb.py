@@ -92,7 +92,7 @@ class MilpProblem:
         if b.ndim != 1 or A.shape != (b.size, lp.n_vars):
             raise ValueError(f"rows {A.shape} and right-hand sides {b.shape} do not "
                              f"fit {lp.n_vars} columns")
-        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+        if not (np.isfinite(A).all() and np.isfinite(b).all()):
             raise ValueError("appended rows must be finite")
         grown = copy.copy(self)
         grown.lp = copy.copy(lp)  # shares c and the bounds, validated once

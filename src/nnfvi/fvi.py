@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .cuts import RecourseContext
-from .mcd import McdConfig, SelectionResult, select_action
+from .mcd import McdConfig, SelectionResult, StageReward, select_action
 from .mdp import MdpSpec, sample_states
 from .neural import RegressionSet, ReluNet, TrainConfig, fit, loss
 
@@ -67,14 +67,30 @@ class FviConfig:
         }
 
 
+@dataclass(frozen=True)
+class PeriodWork:
+    """What :func:`run_nnfvi` did in one period: the states it sampled, how
+    many of them are distinct, and the stage rewards and selections it made."""
+
+    sampled: int
+    distinct: int
+    rewards: int
+    selections: int
+
+
 @dataclass
 class FittedValueSet:
-    """Fitted networks for periods 2..T plus the returned initial value."""
+    """Fitted networks for periods 2..T plus the returned initial value.
+
+    ``work`` holds each period's :class:`PeriodWork`; it is left out of the
+    JSON form and of comparisons.
+    """
 
     nets: dict                    # period -> ReluNet
     value_estimate: float
     training_losses: dict         # period -> final regression loss
     config: dict                  # config snapshot for provenance
+    work: dict = field(default_factory=dict, compare=False)  # period -> PeriodWork
 
     def to_json_dict(self) -> dict:
         return {
@@ -106,32 +122,33 @@ def _substream(seed: int, period: int, sample: int, tag: int) -> np.random.Gener
     return np.random.default_rng(np.random.SeedSequence((seed, period, sample, tag)))
 
 
-def _zero_net(state_dim: int) -> ReluNet:
-    return ReluNet(np.zeros((1, state_dim)), np.zeros(1), np.zeros(1), 0.0)
+def _with_terminal(spec: MdpSpec, nets: dict) -> dict:
+    """``nets`` plus the zero network at period ``T+1``, the continuation at
+    the horizon."""
+    zero = ReluNet(np.zeros((1, spec.state_dim)), np.zeros(1), np.zeros(1), 0.0)
+    return {**nets, spec.horizon + 1: zero}
 
 
-def _decide(spec: MdpSpec, nets: dict, t: int, x: np.ndarray,
-            noises: np.ndarray, config: McdConfig) -> SelectionResult:
-    """Best action at ``(t, x)`` against the period ``t+1`` network.
+def _decide(spec: MdpSpec, nets: dict, t: int, x: np.ndarray, noises: np.ndarray,
+            reward: StageReward, config: McdConfig) -> SelectionResult:
+    """Best action at ``(t, x)``, whose stage reward is ``reward``, against
+    the period ``t+1`` network.
 
-    At the terminal period the continuation is zero; otherwise the fitted
-    period ``t+1`` network is averaged over the supplied noise draws, which
-    are shared across candidate actions.
+    ``nets`` holds the zero network at ``T+1`` (:func:`_with_terminal`).
+    The continuation network is averaged over the supplied noise draws,
+    which are shared across candidate actions.
     """
-    if t < spec.horizon:
-        if (t + 1) not in nets:
-            raise ValueError(f"no fitted network for period {t + 1}")
-        net = nets[t + 1]
-    else:
-        net = _zero_net(spec.state_dim)
-    ctx = RecourseContext(net, spec, x, noises)
-    return select_action(ctx, spec.stage_reward(t, x), config)
+    if (t + 1) not in nets:
+        raise ValueError(f"no fitted network for period {t + 1}")
+    ctx = RecourseContext(nets[t + 1], spec, x, noises)
+    return select_action(ctx, reward, config)
 
 
 def bellman_target(spec: MdpSpec, nets: dict, t: int, x: np.ndarray,
                    noises: np.ndarray, config: McdConfig) -> float:
     """One-step lookahead value at ``(t, x)`` under the chosen engine."""
-    return _decide(spec, nets, t, x, noises, config).objective
+    return _decide(spec, _with_terminal(spec, nets), t, x, noises,
+                   spec.stage_reward(t, x), config).objective
 
 
 def run_nnfvi(spec: MdpSpec, config: FviConfig) -> tuple[FittedValueSet, float]:
@@ -140,23 +157,41 @@ def run_nnfvi(spec: MdpSpec, config: FviConfig) -> tuple[FittedValueSet, float]:
     Periods T down to 2 each get a fresh state sample, Monte-Carlo lookahead
     targets, and a network fit; period 1 is evaluated directly at the known
     initial state with its own noise draws.
+
+    Sampled states repeat on a finite state space.  The stage reward depends
+    on ``(t, x)`` alone, so it is built once per distinct state, from the
+    state's first sample.  Before the horizon each sample is selected with
+    its own noises; at the horizon the continuation is zero whatever the
+    noises, so the samples of a distinct state share one selection, made
+    with the first sample's noises.  Each sample's noises come from its own
+    substream, so a draw skipped moves no other draw, and every target is
+    what a selection per sample would give.
     """
     if spec.initial_state is None:
         raise ValueError("the MDP needs an initial_state for the final evaluation")
     T = spec.horizon
     s1, s2 = config.state_samples, config.transition_samples
-    nets: dict = {}
+    nets = _with_terminal(spec, {})
     losses: dict = {}
+    work: dict = {}
+
+    def decide(t, x, sample, reward):
+        noises = spec.draw_noises(_substream(config.seed, t, sample, _NOISE), s2)
+        return _decide(spec, nets, t, x, noises, reward, config.mcd).objective
 
     for t in range(T, 1, -1):
         state_rng = _substream(config.seed, t, 0, _STATES)
         states = sample_states(spec, s1, state_rng)
-        targets = np.empty(s1)
-        for s in range(s1):
-            noise_rng = _substream(config.seed, t, s + 1, _NOISE)
-            noises = spec.draw_noises(noise_rng, s2)
-            targets[s] = bellman_target(spec, nets, t, states[s], noises,
-                                        config.mcd)
+        _, first, group = np.unique(states, axis=0, return_index=True,
+                                    return_inverse=True)
+        group = group.reshape(-1)  # numpy 2.0.0 returns the inverse 2-D
+        rewards = [spec.stage_reward(t, states[s]) for s in first]
+        # the samples selected, and which selection gives each sample its target
+        chosen, share = (first, group) if t == T else (np.arange(s1), np.arange(s1))
+        targets = np.array([decide(t, states[s], s + 1, rewards[group[s]])
+                            for s in chosen])[share]
+        work[t] = PeriodWork(sampled=s1, distinct=len(first), rewards=len(rewards),
+                             selections=len(chosen))
         data = RegressionSet(states, targets)
         try:
             net = fit(data, config.neurons, config.train,
@@ -166,15 +201,17 @@ def run_nnfvi(spec: MdpSpec, config: FviConfig) -> tuple[FittedValueSet, float]:
         nets[t] = net
         losses[t] = loss(net, data, config.train.regularization)
 
-    noise_rng = _substream(config.seed, 1, 0, _NOISE)
-    noises = spec.draw_noises(noise_rng, s2)
-    v_hat = bellman_target(spec, nets, 1, spec.initial_state, noises, config.mcd)
+    x1 = spec.initial_state
+    v_hat = decide(1, x1, 0, spec.stage_reward(1, x1))
+    work[1] = PeriodWork(sampled=1, distinct=1, rewards=1, selections=1)
+    del nets[T + 1]  # the zero network is no fit
 
     fitted = FittedValueSet(
         nets=nets,
         value_estimate=v_hat,
         training_losses=losses,
         config=config.to_json_dict(),
+        work=work,
     )
     return fitted, v_hat
 
@@ -190,9 +227,11 @@ def greedy_policy(spec: MdpSpec, nets: dict, config: McdConfig,
     """
     noises = {t: spec.draw_noises(_substream(seed, t, 0, _NOISE), transition_samples)
               for t in range(1, spec.horizon + 1)}
+    nets = _with_terminal(spec, nets)
 
     def policy(t: int, x: np.ndarray) -> np.ndarray:
-        return _decide(spec, nets, t, x, noises[t], config).action
+        return _decide(spec, nets, t, x, noises[t], spec.stage_reward(t, x),
+                       config).action
 
     return policy
 

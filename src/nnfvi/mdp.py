@@ -72,11 +72,11 @@ class ActionBox:
             raise InfeasibleActionError(
                 f"action has shape {a.shape}, expected ({self.dims},)"
             )
-        rounded = np.round(a)
-        if not np.all(np.abs(a - rounded) <= 1e-9):
+        rounded = a.round()
+        if not (np.abs(a - rounded) <= 1e-9).all():
             raise InfeasibleActionError(f"action {a} is not integer-valued")
         a = rounded.astype(np.int64)
-        outside = np.flatnonzero((a < 0) | (a > self.upper_bounds))
+        outside = ((a < 0) | (a > self.upper_bounds)).nonzero()[0]
         if outside.size:
             n = outside[0]
             bound = ("below lower bound 0" if a[n] < 0
@@ -98,7 +98,9 @@ class MdpSpec:
     draw ``s`` action ``a`` leads to ``offsets[s] + linears[s] @ a``, with no
     clamping.  ``stage_reward(t, x)`` returns the period-``t`` reward at
     state ``x`` as a piecewise-linear :class:`nnfvi.mcd.StageReward`, the one
-    representation every action-selection engine reads.
+    representation every action-selection engine reads.  It must depend on
+    ``(t, x)`` alone: the value-iteration driver builds it once per distinct
+    sampled state and makes one terminal selection per distinct state.
 
     ``state_sampler(rng, count)`` returns ``count`` states as a ``(count,
     state_dim)`` array: the law :func:`sample_states` draws the

@@ -1,14 +1,17 @@
+import collections
 import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
+from nnfvi import fvi
 from nnfvi.fvi import (
     DpSizeError,
     DpTables,
     FittedValueSet,
     FviConfig,
+    PeriodWork,
     TabularMdp,
     bellman_target,
     exact_dp,
@@ -16,10 +19,11 @@ from nnfvi.fvi import (
     run_nnfvi,
 )
 from nnfvi.mcd import McdConfig, StageReward, linear_stage_reward
-from nnfvi.mdp import ActionBox, MdpSpec, enumerate_actions
-from nnfvi.neural import ReluNet, TrainConfig
+from nnfvi.mdp import ActionBox, MdpSpec, enumerate_actions, sample_states
+from nnfvi.neural import RegressionSet, ReluNet, TrainConfig, fit, loss
 
 from conftest import random_affine_spec, uniform_box_sampler
+from test_mcd import criterion_4_spec
 
 STATE_BOX = (-2.0, 2.0)  # every coordinate of small_spec's sampled states
 
@@ -191,6 +195,97 @@ class TestRunNnfvi:
         for t in fitted.nets:
             np.testing.assert_array_equal(
                 clone.nets[t].input_weights, fitted.nets[t].input_weights)
+
+
+def per_sample_oracle(spec, config):
+    """``run_nnfvi`` as one ``bellman_target`` per sampled state, each
+    building its own stage reward, with the driver's substreams."""
+    T, s1, s2 = spec.horizon, config.state_samples, config.transition_samples
+
+    def noises(t, sample):
+        rng = fvi._substream(config.seed, t, sample, fvi._NOISE)
+        return spec.draw_noises(rng, s2)
+
+    nets, losses = {}, {}
+    for t in range(T, 1, -1):
+        states = sample_states(spec, s1, fvi._substream(config.seed, t, 0, fvi._STATES))
+        targets = np.array([bellman_target(spec, nets, t, x, noises(t, s + 1), config.mcd)
+                            for s, x in enumerate(states)])
+        data = RegressionSet(states, targets)
+        nets[t] = fit(data, config.neurons, config.train,
+                      fvi._substream(config.seed, t, 0, fvi._FIT))
+        losses[t] = loss(nets[t], data, config.train.regularization)
+    v_hat = bellman_target(spec, nets, 1, spec.initial_state, noises(1, 0), config.mcd)
+    return FittedValueSet(nets, v_hat, losses, config.to_json_dict()), v_hat
+
+
+def criterion_4_config(restarts=5, max_epochs=200):
+    return FviConfig(state_samples=200, transition_samples=20, neurons=20,
+                     train=TrainConfig(restarts=restarts, max_epochs=max_epochs),
+                     mcd=McdConfig(engine="brute"), seed=0)
+
+
+def record_selections(monkeypatch):
+    """The state of every selection ``run_nnfvi`` makes, in order."""
+    states, select = [], fvi.select_action
+
+    def recording_select(ctx, reward, config):
+        states.append(tuple(ctx.x))
+        return select(ctx, reward, config)
+
+    monkeypatch.setattr(fvi, "select_action", recording_select)
+    return states
+
+
+class TestPerStateWork:
+    """The driver builds one stage reward per distinct sampled state and one
+    terminal selection per distinct state, and still returns what a
+    selection per sample returns."""
+
+    @pytest.mark.parametrize("config", [
+        criterion_4_config(),
+        FviConfig(state_samples=60, transition_samples=6, neurons=6,
+                  train=TrainConfig(restarts=1, max_epochs=60),
+                  mcd=McdConfig(engine="mcd"), seed=3),
+    ], ids=["criterion-4-brute", "small-mcd"])
+    def test_matches_a_selection_per_sample(self, config):
+        spec = criterion_4_spec()
+        fitted, v_hat = run_nnfvi(spec, config)
+        ref, ref_v = per_sample_oracle(spec, config)
+        assert v_hat == ref_v
+        assert fitted.dumps() == ref.dumps()
+
+    def test_counts_on_criterion_4(self, monkeypatch):
+        # 48 lattice states, each sampled about 4 times per period
+        spec = criterion_4_spec()
+        periods, stage_reward = [], spec.stage_reward
+
+        def counting_reward(t, x):
+            periods.append(t)
+            return stage_reward(t, x)
+
+        spec.stage_reward = counting_reward
+        selections = record_selections(monkeypatch)
+        fitted, _ = run_nnfvi(spec, criterion_4_config(restarts=1, max_epochs=20))
+        assert len(periods) == 97
+        assert collections.Counter(periods) == {3: 48, 2: 48, 1: 1}
+        assert len(selections) == 48 + 200 + 1
+        assert len(set(selections[:48])) == 48
+        assert fitted.work == {
+            3: PeriodWork(sampled=200, distinct=48, rewards=48, selections=48),
+            2: PeriodWork(sampled=200, distinct=48, rewards=48, selections=200),
+            1: PeriodWork(sampled=1, distinct=1, rewards=1, selections=1),
+        }
+        assert "work" not in fitted.to_json_dict()
+
+    def test_states_that_never_repeat_get_a_selection_each(self, monkeypatch):
+        spec, _ = small_spec(seed=14)
+        selections = record_selections(monkeypatch)
+        fitted, _ = run_nnfvi(spec, quick_config(s1=12, s2=3, neurons=3, epochs=40))
+        assert len(selections) == 12 + 12 + 1
+        for t in (2, 3):
+            assert fitted.work[t] == PeriodWork(sampled=12, distinct=12, rewards=12,
+                                                selections=12)
 
 
 class TestGreedyPolicy:

@@ -777,13 +777,16 @@ class TestCertifiedBeforeSolving:
         # at the horizon the continuation is zero and the reward piece-free,
         # so the box bound is the zero action's value
         spec = criterion_4_spec()
+        T, nets = spec.horizon, fvi._with_terminal(spec, {})
         rng = np.random.default_rng(5)
         cases = [(x, spec.draw_noises(rng, 20)) for x in sample_states(spec, 6, rng)]
-        brute = [fvi._decide(spec, {}, spec.horizon, x, noises, McdConfig(engine="brute"))
+        brute = [fvi._decide(spec, nets, T, x, noises, spec.stage_reward(T, x),
+                             McdConfig(engine="brute"))
                  for x, noises in cases]
         forbid(monkeypatch, "solve_milp", "build_first_stage")
         for (x, noises), ref in zip(cases, brute):
-            res = fvi._decide(spec, {}, spec.horizon, x, noises, McdConfig(engine=engine))
+            res = fvi._decide(spec, nets, T, x, noises, spec.stage_reward(T, x),
+                              McdConfig(engine=engine))
             assert res.iterations == 1 and not res.fell_back
             assert res.upper_bound == res.objective == ref.objective
             assert res.milp_nodes == res.lp_pivots == 0
@@ -804,9 +807,9 @@ class TestCertifiedBeforeSolving:
             masters[0] += 1
             return solve(*args, **kwargs)
 
-        def recording_decide(spec, nets, t, x, noises, cfg):
+        def recording_decide(spec, nets, t, x, noises, reward, cfg):
             before = masters[0]
-            res = decide(spec, nets, t, x, noises, cfg)
+            res = decide(spec, nets, t, x, noises, reward, cfg)
             if t == 2 and masters[0] - before == res.iterations - 1:
                 stopped.append((nets[3], x, noises, res))
             return res
