@@ -17,12 +17,17 @@ the machine meanwhile: both sides share its cores.
 For each workload and each end-to-end metric of ``BENCHMARK.json`` the JSON
 holds each side's runs, median and quartiles (``statistics.quantiles``,
 inclusive method), and the pairs the change won, ties counting for neither
-side.  It also holds every run's check result, its operations attempted
-and failed, and its untraced pass count with each side's median: perfbench
-keeps every pass's latency spans, so a side that runs more passes in the
-same time ends with a higher ``peak_rss_mb``.  Last come the core count,
-the Python and numpy versions and both commit ids (with a ``dirty`` flag
-when the working tree differs from the commit).
+side.  It also holds two verdicts: ``gain_rule_met``, that the change won at
+least nine in ten pairs and its median beats the parent's by more than the
+parent's interquartile range; and ``within_bound``, that the change's median
+is worse than the parent's by no more than the metric's ``bound`` (a
+fraction of the parent's median).  Each workload and metric also gets one
+summary line on stderr.  The JSON also holds every run's check result, its
+operations attempted and failed, and its untraced pass count with each
+side's median: perfbench keeps every pass's latency spans, so a side that
+runs more passes in the same time ends with a higher ``peak_rss_mb``.
+Last come the core count, the Python and numpy versions and both commit
+ids (with a ``dirty`` flag when the working tree differs from the commit).
 """
 
 from __future__ import annotations
@@ -75,6 +80,26 @@ def _summary(values: list) -> dict:
     return {"runs": values, "median": statistics.median(values), "q1": q1, "q3": q3}
 
 
+def compare(spec: dict, parent_values: list, change_values: list) -> dict:
+    """One end-to-end metric's summaries, pair wins and verdicts; ``spec`` is
+    the metric's entry in ``BENCHMARK.json`` and the runs are paired by
+    index."""
+    sign = 1.0 if spec["better"] == "lower" else -1.0
+    parent, change = _summary(parent_values), _summary(change_values)
+    won = sum(sign * (c - q) < 0 for c, q in zip(change_values, parent_values))
+    gain = sign * (parent["median"] - change["median"])  # > 0: the change is better
+    return {
+        "unit": spec["unit"], "better": spec["better"], "bound": spec["bound"],
+        "parent": parent,
+        "change": change,
+        "change_won": won,
+        "parent_won": sum(sign * (c - q) > 0 for c, q in zip(change_values, parent_values)),
+        "gain_rule_met": won >= 0.9 * len(parent_values)
+                         and gain > parent["q3"] - parent["q1"],
+        "within_bound": -gain <= spec["bound"] * abs(parent["median"]),
+    }
+
+
 def _parse_pairs(spec: str) -> tuple[str, int]:
     workload, _, count = spec.partition("=")
     if not workload or not count.isdigit() or int(count) < 1:
@@ -122,18 +147,16 @@ def main(argv=None) -> int:
                       file=sys.stderr)
         metrics = {}
         for spec in bench["end_to_end"]:
-            name, sign = spec["name"], 1.0 if spec["better"] == "lower" else -1.0
-            values = {side: [r["metrics"][name]["value"] for r in runs[side]]
-                      for side in runs}
-            metrics[name] = {
-                "unit": spec["unit"], "better": spec["better"], "bound": spec["bound"],
-                "parent": _summary(values["parent"]),
-                "change": _summary(values["change"]),
-                "change_won": sum(sign * (c - q) < 0 for c, q in
-                                  zip(values["change"], values["parent"])),
-                "parent_won": sum(sign * (c - q) > 0 for c, q in
-                                  zip(values["change"], values["parent"])),
-            }
+            name = spec["name"]
+            verdict = metrics[name] = compare(
+                spec, *([r["metrics"][name]["value"] for r in runs[side]]
+                        for side in ("parent", "change")))
+            print(f"{workload} {name}: median {verdict['parent']['median']:.6g} -> "
+                  f"{verdict['change']['median']:.6g} {spec['unit']}, change won "
+                  f"{verdict['change_won']}/{count}, gain rule "
+                  f"{'met' if verdict['gain_rule_met'] else 'not met'}, "
+                  f"{'within' if verdict['within_bound'] else 'beyond'} bound "
+                  f"{spec['bound']:g}", file=sys.stderr)
         out["workloads"][workload] = {
             "pairs": count,
             "first": ["change" if pair % 2 == 0 else "parent" for pair in range(count)],

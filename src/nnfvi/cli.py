@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -29,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .cuts import RecourseContext
-from .fvi import FittedValueSet, FviConfig, exact_dp, run_nnfvi
+from .fvi import FittedValueSet, FviConfig, PeriodWork, exact_dp, run_nnfvi
 from .mcd import (
     ENGINES,
     McdConfig,
@@ -144,7 +145,8 @@ def _fvi_config_from(config: dict, seed: int) -> FviConfig:
 
 
 def cmd_fvi_run(config: dict, out_dir: Path) -> int:
-    """Train the fitted value iteration and record losses, value, and nets."""
+    """Train the fitted value iteration and record losses, value, nets, and
+    each period's work counts."""
     seed = _require_seed(config)
     instance = _instance_from_config(config)
     spec = build_mcip_mdp(instance)
@@ -163,6 +165,10 @@ def cmd_fvi_run(config: dict, out_dir: Path) -> int:
     _write_csv(out_dir / "fvi_timings.csv",
                ["record", "wall_time_s"],
                [["run_nnfvi", repr(elapsed)]], chash)
+    _write_csv(out_dir / "fvi_work.csv",
+               ["period", *(f.name for f in dataclasses.fields(PeriodWork))],
+               [[t, *dataclasses.astuple(fitted.work[t])] for t in sorted(fitted.work)],
+               chash)
     (out_dir / "fitted_nets.json").write_text(fitted.dumps())
     return EXIT_OK
 
@@ -250,7 +256,8 @@ def cmd_mcd_bench(config: dict, out_dir: Path) -> int:
                     gap = "-"
             rows.append([case, n2, engine, stop, res.iterations,
                          repr(res.objective), gap, int(res.fell_back)])
-            counter_rows.append([case, engine, res.milp_nodes, res.lp_pivots])
+            counter_rows.append([case, engine, res.milp_nodes, res.lp_pivots,
+                                 res.bound_flips])
             timing_rows.append([case, engine, repr(elapsed)])
 
     _write_csv(out_dir / "mcd_bench.csv", header, rows, chash)
@@ -259,7 +266,8 @@ def cmd_mcd_bench(config: dict, out_dir: Path) -> int:
                 "lower_bound_currency", "upper_bound_currency", "action"],
                trace_rows, chash)
     _write_csv(out_dir / "mcd_bench_counters.csv",
-               ["instance", "algorithm", "milp_nodes", "lp_pivots"], counter_rows, chash)
+               ["instance", "algorithm", "milp_nodes", "lp_pivots", "bound_flips"],
+               counter_rows, chash)
     _write_csv(out_dir / "mcd_bench_timings.csv",
                ["instance", "algorithm", "wall_time_s"], timing_rows, chash)
     return EXIT_OK

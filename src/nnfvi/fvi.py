@@ -70,12 +70,29 @@ class FviConfig:
 @dataclass(frozen=True)
 class PeriodWork:
     """What :func:`run_nnfvi` did in one period: the states it sampled, how
-    many of them are distinct, and the stage rewards and selections it made."""
+    many of them are distinct, the stage rewards and selections it made, and
+    the selections' totals of iterations, B&B nodes, LP pivots and
+    fallbacks to brute force."""
 
     sampled: int
     distinct: int
     rewards: int
     selections: int
+    iterations: int
+    milp_nodes: int
+    lp_pivots: int
+    fallbacks: int
+
+    @staticmethod
+    def of(sampled: int, distinct: int, rewards: int,
+           results: list) -> "PeriodWork":
+        """The work of a period whose selections returned ``results``."""
+        return PeriodWork(sampled=sampled, distinct=distinct, rewards=rewards,
+                          selections=len(results),
+                          iterations=sum(r.iterations for r in results),
+                          milp_nodes=sum(r.milp_nodes for r in results),
+                          lp_pivots=sum(r.lp_pivots for r in results),
+                          fallbacks=sum(r.fell_back for r in results))
 
 
 @dataclass
@@ -177,7 +194,7 @@ def run_nnfvi(spec: MdpSpec, config: FviConfig) -> tuple[FittedValueSet, float]:
 
     def decide(t, x, sample, reward):
         noises = spec.draw_noises(_substream(config.seed, t, sample, _NOISE), s2)
-        return _decide(spec, nets, t, x, noises, reward, config.mcd).objective
+        return _decide(spec, nets, t, x, noises, reward, config.mcd)
 
     for t in range(T, 1, -1):
         state_rng = _substream(config.seed, t, 0, _STATES)
@@ -188,10 +205,9 @@ def run_nnfvi(spec: MdpSpec, config: FviConfig) -> tuple[FittedValueSet, float]:
         rewards = [spec.stage_reward(t, states[s]) for s in first]
         # the samples selected, and which selection gives each sample its target
         chosen, share = (first, group) if t == T else (np.arange(s1), np.arange(s1))
-        targets = np.array([decide(t, states[s], s + 1, rewards[group[s]])
-                            for s in chosen])[share]
-        work[t] = PeriodWork(sampled=s1, distinct=len(first), rewards=len(rewards),
-                             selections=len(chosen))
+        results = [decide(t, states[s], s + 1, rewards[group[s]]) for s in chosen]
+        targets = np.array([r.objective for r in results])[share]
+        work[t] = PeriodWork.of(s1, len(first), len(rewards), results)
         data = RegressionSet(states, targets)
         try:
             net = fit(data, config.neurons, config.train,
@@ -202,8 +218,9 @@ def run_nnfvi(spec: MdpSpec, config: FviConfig) -> tuple[FittedValueSet, float]:
         losses[t] = loss(net, data, config.train.regularization)
 
     x1 = spec.initial_state
-    v_hat = decide(1, x1, 0, spec.stage_reward(1, x1))
-    work[1] = PeriodWork(sampled=1, distinct=1, rewards=1, selections=1)
+    initial = decide(1, x1, 0, spec.stage_reward(1, x1))
+    v_hat = initial.objective
+    work[1] = PeriodWork.of(1, 1, 1, [initial])
     del nets[T + 1]  # the zero network is no fit
 
     fitted = FittedValueSet(

@@ -164,8 +164,9 @@ class SelectionResult:
                               # iteration, lower, upper, anchor action
     fell_back: bool = False   # a decomposition engine's MILP failed, so this
                               # is the brute-force result
-    milp_nodes: int = 0       # B&B nodes and LP pivots summed over the
-    lp_pivots: int = 0        # selection's first-stage MILPs (0 for brute)
+    milp_nodes: int = 0       # B&B nodes, LP pivots and the bound flips
+    lp_pivots: int = 0        # among those pivots, summed over the
+    bound_flips: int = 0      # selection's first-stage MILPs (0 for brute)
 
     def trace_rows(self) -> list:
         """CSV-ready rows: iteration, lower bound, upper bound, action string,
@@ -311,12 +312,12 @@ def _neighbours(box: ActionBox, a: np.ndarray) -> np.ndarray:
 
 
 def _fall_back(ctx: RecourseContext, reward: StageReward, reason: str,
-               milp_nodes: int, lp_pivots: int) -> SelectionResult:
+               milp_nodes: int, lp_pivots: int, bound_flips: int) -> SelectionResult:
     """Brute-force result marked ``fell_back``, with a RuntimeWarning; it
     keeps the counters of the MILPs solved before the failure."""
     warnings.warn(f"{reason}; falling back to brute force", RuntimeWarning)
     return replace(select_action_bruteforce(ctx, reward), fell_back=True,
-                   milp_nodes=milp_nodes, lp_pivots=lp_pivots)
+                   milp_nodes=milp_nodes, lp_pivots=lp_pivots, bound_flips=bound_flips)
 
 
 def _decompose(ctx: RecourseContext, reward: StageReward, config: McdConfig,
@@ -343,7 +344,7 @@ def _decompose(ctx: RecourseContext, reward: StageReward, config: McdConfig,
     trace: list = []
     m = 0
     sol = None  # the last first-stage solution, whose search the next resumes
-    nodes = pivots = 0
+    nodes = pivots = flips = 0
 
     while True:
         m += 1
@@ -370,12 +371,13 @@ def _decompose(ctx: RecourseContext, reward: StageReward, config: McdConfig,
             sol = solve_milp(fp.milp, tol=MILP_TOLERANCE, resume=sol)
         except (LpNumericalError, NodeLimitError) as err:
             return _fall_back(ctx, reward, f"first-stage MILP failed ({err})",
-                              nodes, pivots)
+                              nodes, pivots, flips)
         nodes += sol.node_count
         pivots += sol.lp_pivots
+        flips += sol.bound_flips
         if sol.status != "optimal":
             return _fall_back(ctx, reward, f"first-stage MILP status {sol.status}",
-                              nodes, pivots)
+                              nodes, pivots, flips)
 
         a_next = fp.decode_action(sol.x)
         key = tuple(int(v) for v in a_next)
@@ -403,6 +405,7 @@ def _decompose(ctx: RecourseContext, reward: StageReward, config: McdConfig,
         trace=np.array(trace, dtype=trace_dtype(box.dims)),
         milp_nodes=nodes,
         lp_pivots=pivots,
+        bound_flips=flips,
     )
 
 

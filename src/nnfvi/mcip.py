@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -115,7 +115,15 @@ class CapacityState:
 
 @dataclass
 class McipInstance:
-    """Problem data; arrays are period-major with period index ``t - 1``."""
+    """Problem data; arrays are period-major with period index ``t - 1``.
+
+    ``_profits`` memoises the allocation profit per ``(t, capacity,
+    demand)`` for :func:`_profit`.  It lives as long as the instance; every
+    copy (``with_parameters``, ``dataclasses.replace``, ``from_json_dict``)
+    starts empty, and equality, ``repr`` and the JSON form leave it out.
+    Change the data by making such a copy, never in place, or the memo
+    goes stale.
+    """
 
     customers: int
     facilities: int
@@ -129,6 +137,7 @@ class McipInstance:
     capacity_max: np.ndarray      # (N,) integer limits
     demand: DemandModel
     initial_demand: np.ndarray    # (I,)
+    _profits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("customers", "facilities", "horizon"):
@@ -284,6 +293,21 @@ def operating_profit(instance: McipInstance, t: int, capacity: np.ndarray,
     return value, sol.x.reshape(I, N)
 
 
+def _profit(instance: McipInstance, t: int, capacity: np.ndarray,
+            demand: np.ndarray) -> float:
+    """``operating_profit(instance, t, capacity, demand)[0]``, solved once
+    per instance and exact key: the key holds the arrays' bytes, so a value
+    read back is the value solved, bit for bit."""
+    capacity = np.asarray(capacity, dtype=float)
+    demand = np.asarray(demand, dtype=float)
+    key = (t, capacity.tobytes(), demand.tobytes())
+    value = instance._profits.get(key)
+    if value is None:
+        value = instance._profits[key] = operating_profit(instance, t, capacity,
+                                                          demand)[0]
+    return value
+
+
 def adjustment_cost(instance: McipInstance, t: int, capacity_from: np.ndarray,
                     capacity_to: np.ndarray) -> float:
     """Cost of moving capacity: expansion paid, contraction recovered."""
@@ -302,7 +326,7 @@ def mcip_reward(instance: McipInstance, t: int, state: CapacityState,
     """
     target = np.zeros(instance.facilities) if t == instance.horizon \
         else np.asarray(action, dtype=float)
-    profit, _ = operating_profit(instance, t, state.capacity, state.demand)
+    profit = _profit(instance, t, state.capacity, state.demand)
     return profit - adjustment_cost(instance, t, state.capacity, target)
 
 
@@ -350,8 +374,7 @@ def build_mcip_mdp(instance: McipInstance) -> MdpSpec:
 
     def stage_reward(t, x):
         capacity = np.asarray(x[:N], dtype=float)
-        profit, _ = operating_profit(instance, t, capacity,
-                                     np.asarray(x[N:], dtype=float))
+        profit = _profit(instance, t, capacity, x[N:])
         if t == instance.horizon:
             # all capacity is salvaged, whatever the action
             constant = profit - adjustment_cost(instance, t, capacity, np.zeros(N))
@@ -387,16 +410,16 @@ def _profit_table(instance: McipInstance, t: int) -> np.ndarray:
     """Period ``t``'s allocation profit, one row per capacity level in
     ``enumerate_actions`` order and one column per demand support row."""
     levels = enumerate_actions(ActionBox(instance.capacity_max)).astype(float)
-    return np.array([[operating_profit(instance, t, cap, d)[0]
+    return np.array([[_profit(instance, t, cap, d)
                       for d in instance.demand.support] for cap in levels])
 
 
 def dp_model(instance: McipInstance) -> TabularMdp:
     """Finite tabular view for the exact-DP oracle.
 
-    A period's table solves one allocation LP per (capacity, demand) pair
-    and subtracts the adjustment cost of every (capacity, target) pair,
-    broadcast over demand.
+    A period's table reads one allocation profit per (capacity, demand)
+    pair from the instance's memo and subtracts the adjustment cost of
+    every (capacity, target) pair, broadcast over demand.
     """
     capacity_levels = enumerate_actions(ActionBox(instance.capacity_max))
     levels = capacity_levels.astype(float)
@@ -495,17 +518,19 @@ def inflexible_two_stage(instance: McipInstance,
     The plan is installed at the end of period 1, held through period T-1,
     and salvaged at T; allocations keep full recourse.  The |lattice| plans
     of the lattice ``build_mcip_mdp`` materialises are scored from one
-    allocation-profit table per later period, (T-1)·|lattice|·M LPs for M
-    demand rows; a deterministic-equivalent MILP scales no better, its
-    columns growing with scenarios × periods × I × N.  Returns the first
-    best plan in ``enumerate_actions`` order and its in-sample value.
+    allocation-profit table per later period, (T-1)·|lattice|·M lookups in
+    the instance's memo for M demand rows, which solve only the LPs that
+    the instance has not solved yet (after ``run_nnfvi`` on it, often none);
+    a deterministic-equivalent MILP scales no better, its columns growing
+    with scenarios × periods × I × N.  Returns the first best plan in
+    ``enumerate_actions`` order and its in-sample value.
     """
     T, K0 = instance.horizon, instance.initial_capacity
     plans = enumerate_actions(ActionBox(instance.capacity_max))
     # capacity after each period's adjustment: the plan, all salvaged at T
     held = [plans] * (T - 1) + [np.zeros_like(plans)]
     # period 1 is read at K0 itself, which may lie off the lattice
-    values = operating_profit(instance, 1, K0, instance.initial_demand)[0] - np.array(
+    values = _profit(instance, 1, K0, instance.initial_demand) - np.array(
         [adjustment_cost(instance, 1, K0, a) for a in held[0]])
     for t in range(2, T + 1):
         profit = _profit_table(instance, t)[:, scenario_paths[:, t - 1]].mean(axis=1)

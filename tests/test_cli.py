@@ -57,13 +57,28 @@ class TestFviRun:
         assert (out / "fitted_nets.json").exists()
         assert (out / "fvi_timings.csv").exists()
 
+    def test_work_file_counts_each_period(self, tmp_path):
+        cfg = write_config(tmp_path, "cfg.json", tiny_fvi_payload(engine="mcd"))
+        out = tmp_path / "out"
+        assert main(["fvi-run", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        header, rows = read_csv(out / "fvi_work.csv")
+        assert header == ["period", "sampled", "distinct", "rewards", "selections",
+                          "iterations", "milp_nodes", "lp_pivots", "fallbacks"]
+        assert [r[0] for r in rows] == ["1", "2", "3"]
+        counts = {int(r[0]): dict(zip(header[1:], map(int, r[1:]))) for r in rows}
+        assert counts[1]["sampled"] == counts[1]["selections"] == 1
+        # before the horizon every sample is selected, and mcd solves masters
+        assert counts[2]["selections"] == counts[2]["sampled"] == 30
+        assert counts[2]["milp_nodes"] > 0 and counts[2]["lp_pivots"] > 0
+        assert counts[3]["selections"] == counts[3]["distinct"] <= 30
+
     def test_rerun_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, "cfg.json", tiny_fvi_payload())
         out1, out2 = tmp_path / "a", tmp_path / "b"
         main(["fvi-run", "--config", cfg, "--out", str(out1)])
         main(["fvi-run", "--config", cfg, "--out", str(out2)])
-        assert (out1 / "fvi_results.csv").read_bytes() == \
-            (out2 / "fvi_results.csv").read_bytes()
+        for name in ("fvi_results.csv", "fvi_work.csv"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_engines_agree_on_tiny_instance(self, tmp_path):
         vals = {}
@@ -151,14 +166,16 @@ class TestMcdBench:
         out = tmp_path / "out"
         assert main(["mcd-bench", "--config", cfg, "--out", str(out)]) == EXIT_OK
         header, rows = read_csv(out / "mcd_bench_counters.csv")
-        assert header == ["instance", "algorithm", "milp_nodes", "lp_pivots"]
+        assert header == ["instance", "algorithm", "milp_nodes", "lp_pivots",
+                          "bound_flips"]
         assert [r[:2] for r in rows] == [[str(case), engine] for case in (1, 2)
                                          for engine in ("brute", "lshaped", "mcd")]
-        for instance, engine, nodes, pivots in rows:
+        for instance, engine, nodes, pivots, flips in rows:
             if engine == "brute":
-                assert (nodes, pivots) == ("0", "0")
+                assert (nodes, pivots, flips) == ("0", "0", "0")
             else:
                 assert int(pivots) > 0 and int(nodes) >= 0
+                assert 0 <= int(flips) <= int(pivots)
         assert sum(int(r[2]) for r in rows) > 0
 
     def test_fallback_column_marks_brute_force_runs(self, tmp_path, monkeypatch):

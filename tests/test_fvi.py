@@ -5,7 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
-from nnfvi import fvi
+from nnfvi import fvi, mcd
+from nnfvi.bnb import MilpSolution
 from nnfvi.fvi import (
     DpSizeError,
     DpTables,
@@ -237,6 +238,24 @@ def record_selections(monkeypatch):
     return states
 
 
+def record_results(monkeypatch):
+    """The result of every selection ``run_nnfvi`` makes, in order."""
+    results, select = [], fvi.select_action
+
+    def recording_select(ctx, reward, config):
+        results.append(select(ctx, reward, config))
+        return results[-1]
+
+    monkeypatch.setattr(fvi, "select_action", recording_select)
+    return results
+
+
+def recount(results) -> tuple:
+    """Totals of iterations, B&B nodes, LP pivots and fallbacks."""
+    return (sum(r.iterations for r in results), sum(r.milp_nodes for r in results),
+            sum(r.lp_pivots for r in results), sum(r.fell_back for r in results))
+
+
 class TestPerStateWork:
     """The driver builds one stage reward per distinct sampled state and one
     terminal selection per distinct state, and still returns what a
@@ -271,12 +290,42 @@ class TestPerStateWork:
         assert collections.Counter(periods) == {3: 48, 2: 48, 1: 1}
         assert len(selections) == 48 + 200 + 1
         assert len(set(selections[:48])) == 48
+        # brute force: 16 actions, so 16 iterations, per selection
         assert fitted.work == {
-            3: PeriodWork(sampled=200, distinct=48, rewards=48, selections=48),
-            2: PeriodWork(sampled=200, distinct=48, rewards=48, selections=200),
-            1: PeriodWork(sampled=1, distinct=1, rewards=1, selections=1),
+            3: PeriodWork(sampled=200, distinct=48, rewards=48, selections=48,
+                          iterations=48 * 16, milp_nodes=0, lp_pivots=0, fallbacks=0),
+            2: PeriodWork(sampled=200, distinct=48, rewards=48, selections=200,
+                          iterations=200 * 16, milp_nodes=0, lp_pivots=0, fallbacks=0),
+            1: PeriodWork(sampled=1, distinct=1, rewards=1, selections=1,
+                          iterations=16, milp_nodes=0, lp_pivots=0, fallbacks=0),
         }
         assert "work" not in fitted.to_json_dict()
+
+    def test_selection_totals_on_criterion_4_match_a_recount(self, monkeypatch):
+        results = record_results(monkeypatch)
+        config = dataclasses.replace(criterion_4_config(restarts=1, max_epochs=20),
+                                     mcd=McdConfig(engine="mcd"))
+        fitted, _ = run_nnfvi(criterion_4_spec(), config)
+        # the periods select in the order T, ..., 1
+        counts = [fitted.work[t].selections for t in (3, 2, 1)]
+        assert counts == [48, 200, 1] and sum(counts) == len(results)
+        chunks = np.split(np.arange(len(results)), np.cumsum(counts)[:-1])
+        for t, chunk in zip((3, 2, 1), chunks):
+            work = fitted.work[t]
+            assert (work.iterations, work.milp_nodes, work.lp_pivots,
+                    work.fallbacks) == recount([results[k] for k in chunk])
+        assert fitted.work[2].milp_nodes > 0 and fitted.work[2].lp_pivots > 0
+
+    def test_fallbacks_are_counted(self, monkeypatch):
+        monkeypatch.setattr(mcd, "solve_milp",
+                            lambda *args, **kwargs: MilpSolution(status="infeasible"))
+        spec, _ = small_spec(seed=14)
+        results = record_results(monkeypatch)
+        config = quick_config(engine="mcd", s1=6, s2=3, neurons=3, epochs=40)
+        with pytest.warns(RuntimeWarning, match="falling back to brute force"):
+            fitted, _ = run_nnfvi(spec, config)
+        fallbacks = sum(work.fallbacks for work in fitted.work.values())
+        assert fallbacks == recount(results)[3] > 0
 
     def test_states_that_never_repeat_get_a_selection_each(self, monkeypatch):
         spec, _ = small_spec(seed=14)
@@ -284,8 +333,9 @@ class TestPerStateWork:
         fitted, _ = run_nnfvi(spec, quick_config(s1=12, s2=3, neurons=3, epochs=40))
         assert len(selections) == 12 + 12 + 1
         for t in (2, 3):
-            assert fitted.work[t] == PeriodWork(sampled=12, distinct=12, rewards=12,
-                                                selections=12)
+            assert fitted.work[t] == PeriodWork(
+                sampled=12, distinct=12, rewards=12, selections=12,
+                iterations=12 * 9, milp_nodes=0, lp_pivots=0, fallbacks=0)
 
 
 class TestGreedyPolicy:

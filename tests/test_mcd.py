@@ -691,8 +691,29 @@ class TestResumedMasters:
         assert resumed == [None] + solved[:-1]
         assert res.milp_nodes == sum(s.node_count for s in solved) > 0
         assert res.lp_pivots == sum(s.lp_pivots for s in solved) > 0
+        assert res.bound_flips == sum(s.bound_flips for s in solved)
         brute = select_action_bruteforce(ctx, reward)
-        assert (brute.milp_nodes, brute.lp_pivots) == (0, 0)
+        assert (brute.milp_nodes, brute.lp_pivots, brute.bound_flips) == (0, 0, 0)
+
+    def test_fallback_keeps_the_counters_of_the_masters_solved(self, monkeypatch):
+        ctx, reward = make_bench_instance(3006, facilities=3, neurons=10,
+                                          transition_samples=4, capacity_levels=3)
+        solved, solve = [], mcd.solve_milp
+
+        def failing_after_three(p, tol, resume=None):
+            if len(solved) == 3:
+                raise LpNumericalError("singular basis")
+            solved.append(solve(p, tol, resume))
+            return solved[-1]
+
+        monkeypatch.setattr(mcd, "solve_milp", failing_after_three)
+        with pytest.warns(RuntimeWarning, match="falling back to brute force"):
+            res = select_action(ctx, reward, McdConfig(engine="mcd", max_iterations=10,
+                                                       gap_tolerance=0.0))
+        assert res.fell_back and len(solved) == 3
+        assert (res.milp_nodes, res.lp_pivots, res.bound_flips) == (
+            sum(s.node_count for s in solved), sum(s.lp_pivots for s in solved),
+            sum(s.bound_flips for s in solved))
 
     @pytest.mark.parametrize("engine", ["mcd", "lshaped"])
     @pytest.mark.parametrize("seed, dims", [(2003, 2), (3006, 3)])

@@ -1,14 +1,17 @@
+import copy
 import dataclasses
 
 import numpy as np
 import pytest
 
+from nnfvi import mcip
 from nnfvi.fvi import FviConfig, exact_dp, greedy_policy, run_nnfvi
 from nnfvi.mcd import McdConfig
 from nnfvi.mcip import (
     CapacityState,
     DemandModel,
     McipInstance,
+    _profit,
     adjustment_cost,
     build_mcip_mdp,
     constant_capacity_policy,
@@ -660,6 +663,53 @@ class TestSweep:
                                    0.25 * inst.expansion_costs)
         with pytest.raises(ValueError):
             with_parameters(inst, salvage_ratio=1.5)
+
+
+class TestProfitMemo:
+    """Each instance solves one allocation LP per distinct (period, capacity,
+    demand) and reads the profit back bit for bit after that."""
+
+    def test_sweep_cell_solves_each_allocation_lp_once(self, monkeypatch):
+        keys, solve = [], mcip.operating_profit
+
+        def recording(instance, t, capacity, demand):
+            keys.append((t, np.asarray(capacity, dtype=float).tobytes(),
+                         np.asarray(demand, dtype=float).tobytes()))
+            return solve(instance, t, capacity, demand)
+
+        monkeypatch.setattr(mcip, "operating_profit", recording)
+        sensitivity_sweep(synthetic_instance(seed=29), [0.85], [0.5],
+                          tiny_fvi_config(seed=5, s1=25, s2=4, neurons=4),
+                          n_paths=60, n_scenarios=6, seed=11)
+        # FVI's stage rewards, the rollouts and the inflexible plan's table
+        # all read the profit, and the keys they share are solved once
+        assert keys and len(keys) == len(set(keys))
+
+    def test_memoised_value_equals_a_fresh_solve_bit_for_bit(self):
+        inst = synthetic_instance(seed=34, capacity_max=2)
+        levels = enumerate_actions(ActionBox(inst.capacity_max)).astype(float)
+        points = [(t, K, d) for t in range(1, inst.horizon + 1)
+                  for K in [*levels, np.array([0.5, 1.25])]
+                  for d in inst.demand.support]
+        for t, K, d in points:
+            assert _profit(inst, t, K, d) == operating_profit(inst, t, K, d)[0]
+        assert len(inst._profits) == len(points)
+        for t, K, d in points:  # read back from the memo
+            assert _profit(inst, t, K, d) == operating_profit(inst, t, K, d)[0]
+        assert len(inst._profits) == len(points)
+
+    def test_copies_start_empty_and_comparisons_ignore_the_memo(self):
+        inst = synthetic_instance(seed=33)
+        text, shown = inst.dumps(), repr(inst)
+        inflexible_two_stage(inst, draw_demand_paths(inst, 5, np.random.default_rng(0)))
+        assert inst._profits
+        assert inst.dumps() == text and repr(inst) == shown
+        for other in (with_parameters(inst, gamma=0.8), dataclasses.replace(inst),
+                      McipInstance.loads(text)):
+            assert other._profits == {}
+        twin = copy.copy(inst)  # shares every field's object, the memo aside
+        twin._profits = {}
+        assert twin == inst
 
 
 class TestInstanceSerialization:
