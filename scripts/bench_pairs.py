@@ -28,6 +28,11 @@ side's median: perfbench keeps every pass's latency spans, so a side that
 runs more passes in the same time ends with a higher ``peak_rss_mb``.
 Last come the core count, the Python and numpy versions and both commit
 ids (with a ``dirty`` flag when the working tree differs from the commit).
+
+Once the JSON is written the record gates itself: the script prints each
+reason to stderr and exits 1 when a workload has a run whose check failed,
+a larger share of failed operations on the change than on the parent, or
+an end-to-end metric beyond its bound.
 """
 
 from __future__ import annotations
@@ -98,6 +103,32 @@ def compare(spec: dict, parent_values: list, change_values: list) -> dict:
                          and gain > parent["q3"] - parent["q1"],
         "within_bound": -gain <= spec["bound"] * abs(parent["median"]),
     }
+
+
+def gate(record: dict) -> list[str]:
+    """Why the record fails its gate, one reason per line; empty when it
+    passes.  ``record`` is the JSON this script writes."""
+    reasons = []
+    for workload, w in record["workloads"].items():
+        for side in ("parent", "change"):
+            bad = w["correct"][side].count(False)
+            if bad:
+                reasons.append(f"{workload}: {bad} {side} run(s) failed their check")
+        failed = {side: sum(w["failed"][side]) for side in w["failed"]}
+        attempted = {side: sum(w["attempted"][side]) for side in w["attempted"]}
+        # failed/attempted compared without dividing
+        if failed["change"] * attempted["parent"] > failed["parent"] * attempted["change"]:
+            reasons.append(
+                f"{workload}: {failed['change']} of {attempted['change']} operations "
+                f"failed on the change, {failed['parent']} of {attempted['parent']} "
+                "on the parent")
+        for name, verdict in w["metrics"].items():
+            if not verdict["within_bound"]:
+                reasons.append(
+                    f"{workload} {name}: change median {verdict['change']['median']:.6g} "
+                    f"is beyond bound {verdict['bound']:g} of the parent median "
+                    f"{verdict['parent']['median']:.6g}")
+    return reasons
 
 
 def _parse_pairs(spec: str) -> tuple[str, int]:
@@ -172,7 +203,10 @@ def main(argv=None) -> int:
         path = ROOT / f"BENCH_{args.label}.json"
         path.write_text(json.dumps(out, indent=1) + "\n")
         print(f"wrote {path.name}", file=sys.stderr)
-    return 0
+    reasons = gate(out)
+    for reason in reasons:
+        print(f"gate: {reason}", file=sys.stderr)
+    return 1 if reasons else 0
 
 
 if __name__ == "__main__":

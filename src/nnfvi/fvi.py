@@ -32,6 +32,8 @@ from .neural import RegressionSet, ReluNet, TrainConfig, fit, loss
 # substream tags for SeedSequence-derived generators
 _STATES, _NOISE, _FIT = 0, 1, 2
 
+DP_MAX_STATES = 1_000_000  # states per period that exact_dp solves before refusing
+
 
 class DpSizeError(ValueError):
     """State lattice too large for exact backward induction."""
@@ -308,19 +310,19 @@ class DpTables:
         return rows
 
 
-def exact_dp(model: TabularMdp, max_states: int = 1_000_000) -> DpTables:
+def exact_dp(model: TabularMdp) -> DpTables:
     """Exact backward induction over the finite lattice.
 
     Expectations are finite sums over the exogenous kernel; the terminal
     table is the pointwise reward maximum.  Refuses lattices with more than
-    ``max_states`` states per period.
+    ``DP_MAX_STATES`` states per period.
     """
     nE = len(model.endo_levels)
     nX = len(model.exo_levels)
-    if nE * nX > max_states:
+    if nE * nX > DP_MAX_STATES:
         raise DpSizeError(
             f"lattice has {nE * nX} states per period, above the limit "
-            f"{max_states}; backward induction cost grows as "
+            f"{DP_MAX_STATES}; backward induction cost grows as "
             "O(|states|^2 x |actions| x horizon)"
         )
     T = model.horizon

@@ -60,9 +60,12 @@ class DemandModel:
         return self.support.max(axis=0)
 
     def index_of(self, d: np.ndarray) -> int:
-        """Row index of ``d``; off-lattice vectors map to the nearest row."""
+        """Index of the first support row equal to ``d``; refuses any other."""
         d = np.asarray(d, dtype=float)
-        return int(np.argmin(np.abs(self.support - d).sum(axis=1)))
+        rows = np.flatnonzero((self.support == d).all(axis=1))
+        if rows.size == 0:
+            raise ValueError(f"demand {d.tolist()} is not a row of the demand support")
+        return int(rows[0])
 
     def next_index(self, idx: int | np.ndarray,
                    u: float | np.ndarray) -> int | np.ndarray:
@@ -161,6 +164,7 @@ class McipInstance:
             raise ValueError("demand support dimension must match the customer count")
         if self.initial_demand.shape != (I,):
             raise ValueError("initial demand must have one entry per customer")
+        self.demand.index_of(self.initial_demand)  # refuses a vector off the support
         if not 0.0 < self.discount < 1.0:
             raise ValueError("discount must lie in (0, 1)")
 
@@ -265,21 +269,12 @@ def operating_profit(instance: McipInstance, t: int, capacity: np.ndarray,
     demand = np.asarray(demand, dtype=float)
     margin = (instance.revenues[t - 1] + instance.penalties[t - 1][:, None]).ravel()
 
-    rows = []
-    rhs = []
-    for n in range(N):
-        row = np.zeros(I * N)
-        row[n::N] = 1.0  # z is laid out customer-major
-        rows.append(row)
-        rhs.append(capacity[n])
-    for i in range(I):
-        row = np.zeros(I * N)
-        row[i * N:(i + 1) * N] = 1.0
-        rows.append(row)
-        rhs.append(demand[i])
+    # z is laid out customer-major: one capacity row per facility, then one
+    # demand row per customer
+    A = np.vstack([np.tile(np.eye(N), I), np.kron(np.eye(I), np.ones(N))])
 
     lp = LpProblem(
-        c=margin, A=np.vstack(rows), b=np.asarray(rhs),
+        c=margin, A=A, b=np.concatenate([capacity, demand]),
         senses=[LEQ] * (I + N),
         lower=np.zeros(I * N), upper=np.full(I * N, np.inf),
         maximize=True,
@@ -309,12 +304,14 @@ def _profit(instance: McipInstance, t: int, capacity: np.ndarray,
 
 
 def adjustment_cost(instance: McipInstance, t: int, capacity_from: np.ndarray,
-                    capacity_to: np.ndarray) -> float:
-    """Cost of moving capacity: expansion paid, contraction recovered."""
+                    capacity_to: np.ndarray) -> float | np.ndarray:
+    """Cost of moving capacity: expansion paid, contraction recovered.  Leading
+    axes broadcast to one cost per pair; two vectors give a Python float."""
     delta = np.asarray(capacity_to, dtype=float) - np.asarray(capacity_from, dtype=float)
     q_minus = instance.salvage_values[t - 1]
     q_plus = instance.expansion_costs[t - 1]
-    return float(np.sum(np.maximum(q_minus * delta, q_plus * delta)))
+    cost = np.maximum(q_minus * delta, q_plus * delta).sum(axis=-1)
+    return cost if cost.ndim else float(cost)
 
 
 def mcip_reward(instance: McipInstance, t: int, state: CapacityState,
@@ -339,7 +336,8 @@ def build_mcip_mdp(instance: McipInstance) -> MdpSpec:
     capacity rows and zero on demand rows.  State sampling is uniform over
     the actual finite state space (integer capacity lattice times demand
     rows): transitions only ever land on integer capacities, so that is
-    where the fit has to be good.
+    where the fit has to be good.  It decodes flat indices in C order
+    (``enumerate_actions``' order, demand row last) and builds no lattice.
     The stage reward is the allocation profit as a constant plus the
     capacity-adjustment charge as two pieces per facility.
     """
@@ -353,24 +351,20 @@ def build_mcip_mdp(instance: McipInstance) -> MdpSpec:
         offsets[:, N:] = demand.support[demand.next_index(demand.index_of(x[N:]), us)]
         return offsets, np.broadcast_to(linear, (len(us), n1, N))
 
-    lattice_caps = enumerate_actions(ActionBox(instance.capacity_max))
-    lattice = np.array([
-        np.concatenate([K.astype(float), demand.support[x]])
-        for K in lattice_caps for x in range(demand.size)
-    ])
+    box = ActionBox(instance.capacity_max)
+    shape = (*(box.upper_bounds + 1), demand.size)
+    L = box.count() * demand.size
 
     def state_sampler(rng, count):
         # covering design over the finite state space: full sweeps plus a
         # uniformly chosen remainder; unsampled states would otherwise leave
         # the regression free to extrapolate arbitrarily there
-        L = lattice.shape[0]
         full, rem = divmod(count, L)
-        rows = np.concatenate([
-            np.tile(np.arange(L), full),
-            rng.choice(L, size=rem, replace=False),
-        ]).astype(np.int64)
+        rows = np.concatenate([np.arange(full * L) % L,
+                               rng.choice(L, size=rem, replace=False)])
         rng.shuffle(rows)
-        return lattice[rows]
+        *capacity, row = np.unravel_index(rows, shape)
+        return np.column_stack([*capacity, demand.support[row]])
 
     def stage_reward(t, x):
         capacity = np.asarray(x[:N], dtype=float)
@@ -396,7 +390,7 @@ def build_mcip_mdp(instance: McipInstance) -> MdpSpec:
         horizon=instance.horizon,
         discount=instance.discount,
         state_dim=n1,
-        action_box=ActionBox(instance.capacity_max),
+        action_box=box,
         draw_noises=draw_noises,
         transition=transition,
         stage_reward=stage_reward,
@@ -418,8 +412,8 @@ def dp_model(instance: McipInstance) -> TabularMdp:
     """Finite tabular view for the exact-DP oracle.
 
     A period's table reads one allocation profit per (capacity, demand)
-    pair from the instance's memo and subtracts the adjustment cost of
-    every (capacity, target) pair, broadcast over demand.
+    pair from the instance's memo and subtracts the adjustment costs of all
+    (capacity, target) pairs, one broadcast call, broadcast over demand.
     """
     capacity_levels = enumerate_actions(ActionBox(instance.capacity_max))
     levels = capacity_levels.astype(float)
@@ -427,8 +421,7 @@ def dp_model(instance: McipInstance) -> TabularMdp:
     def reward(t: int) -> np.ndarray:
         profit = _profit_table(instance, t)
         targets = np.zeros_like(levels) if t == instance.horizon else levels
-        cost = np.array([[adjustment_cost(instance, t, cap, target)
-                          for target in targets] for cap in levels])
+        cost = adjustment_cost(instance, t, levels[:, None], targets[None])
         return profit[:, :, None] - cost[:, None, :]
 
     return TabularMdp(
@@ -516,25 +509,25 @@ def inflexible_two_stage(instance: McipInstance,
     """Single capacity plan maximizing the scenario-averaged discounted value.
 
     The plan is installed at the end of period 1, held through period T-1,
-    and salvaged at T; allocations keep full recourse.  The |lattice| plans
-    of the lattice ``build_mcip_mdp`` materialises are scored from one
-    allocation-profit table per later period, (T-1)·|lattice|·M lookups in
-    the instance's memo for M demand rows, which solve only the LPs that
-    the instance has not solved yet (after ``run_nnfvi`` on it, often none);
-    a deterministic-equivalent MILP scales no better, its columns growing
-    with scenarios × periods × I × N.  Returns the first best plan in
-    ``enumerate_actions`` order and its in-sample value.
+    and salvaged at T; allocations keep full recourse.  Every plan on the
+    capacity lattice is scored from one allocation-profit table per later
+    period, (T-1)·|lattice|·M lookups in the instance's memo for M demand
+    rows, which solve only the LPs that the instance has not solved yet
+    (after ``run_nnfvi`` on it, often none), less one broadcast call's
+    adjustment costs.  A deterministic-equivalent MILP scales no better,
+    its columns growing with scenarios × periods × I × N.  Returns the
+    first best plan in ``enumerate_actions`` order and its in-sample value.
     """
     T, K0 = instance.horizon, instance.initial_capacity
     plans = enumerate_actions(ActionBox(instance.capacity_max))
     # capacity after each period's adjustment: the plan, all salvaged at T
     held = [plans] * (T - 1) + [np.zeros_like(plans)]
     # period 1 is read at K0 itself, which may lie off the lattice
-    values = _profit(instance, 1, K0, instance.initial_demand) - np.array(
-        [adjustment_cost(instance, 1, K0, a) for a in held[0]])
+    values = (_profit(instance, 1, K0, instance.initial_demand)
+              - adjustment_cost(instance, 1, K0, held[0]))
     for t in range(2, T + 1):
         profit = _profit_table(instance, t)[:, scenario_paths[:, t - 1]].mean(axis=1)
-        cost = [adjustment_cost(instance, t, K, a) for K, a in zip(plans, held[t - 1])]
+        cost = adjustment_cost(instance, t, plans, held[t - 1])
         values += instance.discount ** (t - 1) * (profit - cost)
     best = int(np.argmax(values))
     return plans[best], float(values[best])

@@ -22,7 +22,7 @@ import numpy as np
 if TYPE_CHECKING:
     from .mcd import StageReward
 
-DEFAULT_ENUMERATION_CAP = 10_000_000
+ENUMERATION_CAP = 10_000_000  # actions that enumerate_actions lists before refusing
 
 
 class InfeasibleActionError(ValueError):
@@ -127,19 +127,17 @@ class MdpSpec:
             self.initial_state = np.asarray(self.initial_state, dtype=float)
 
 
-def enumerate_actions(box: ActionBox, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
-    """All feasible actions in lexicographic order as an ``(count, dims)`` int array."""
+def enumerate_actions(box: ActionBox) -> np.ndarray:
+    """All feasible actions as a C-contiguous ``(count, dims)`` int64 array in
+    lexicographic order, the C order of ``np.unravel_index``."""
     total = box.count()
-    if total > cap:
+    if total > ENUMERATION_CAP:
         raise ActionSpaceTooLargeError(
-            f"action box holds {total} actions, above the enumeration cap {cap}; "
-            "use the multi-cut decomposition engine instead of brute force"
+            f"action box holds {total} actions, above the enumeration cap "
+            f"{ENUMERATION_CAP}; use the multi-cut decomposition engine instead "
+            "of brute force"
         )
-    grids = np.meshgrid(
-        *[np.arange(ub + 1, dtype=np.int64) for ub in box.upper_bounds],
-        indexing="ij",
-    )
-    return np.stack([g.ravel() for g in grids], axis=1)
+    return np.ascontiguousarray(np.indices(box.upper_bounds + 1).reshape(box.dims, -1).T)
 
 
 def sample_states(spec: MdpSpec, count: int, rng: np.random.Generator) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""The verdicts ``scripts/bench_pairs.py`` records for each metric."""
+"""The verdicts ``scripts/bench_pairs.py`` records for each metric, and the
+gate it applies to its record."""
 
 import importlib.util
 from pathlib import Path
@@ -9,11 +10,16 @@ SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
 
 
 @pytest.fixture(scope="module")
-def compare():
+def bench_pairs():
     spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.compare
+    return module
+
+
+@pytest.fixture(scope="module")
+def compare(bench_pairs):
+    return bench_pairs.compare
 
 
 LOWER = {"unit": "s", "better": "lower", "bound": 0.25}
@@ -49,3 +55,32 @@ def test_bound_is_a_fraction_of_the_parents_median(compare):
     assert compare(HIGHER, parent, [9.5] * 3)["within_bound"]
     assert not compare(HIGHER, parent, [9.4] * 3)["within_bound"]
     assert compare(HIGHER, parent, [11.0] * 3)["gain_rule_met"]
+
+
+def record(compare, correct=(True, True), failed=(0, 0), change_s=1.0):
+    """A two-pair record on one workload: ``correct`` and ``failed`` hold the
+    parent's and the change's values for both their runs."""
+    sides = ("parent", "change")
+    return {"workloads": {"sweep": {
+        "correct": {side: [ok, ok] for side, ok in zip(sides, correct)},
+        "attempted": {side: [100, 100] for side in sides},
+        "failed": {side: [n, 0] for side, n in zip(sides, failed)},
+        "metrics": {"pass_s": compare(LOWER, [1.0, 1.0], [change_s] * 2)},
+    }}}
+
+
+def test_a_clean_record_passes_the_gate(bench_pairs, compare):
+    assert bench_pairs.gate(record(compare)) == []
+    # fewer failures on the change, or a metric inside its bound, pass too
+    assert bench_pairs.gate(record(compare, failed=(3, 1), change_s=1.25)) == []
+
+
+@pytest.mark.parametrize("fields, reason", [
+    ({"correct": (True, False)}, "sweep: 2 change run(s) failed their check"),
+    ({"correct": (False, True)}, "sweep: 2 parent run(s) failed their check"),
+    ({"failed": (1, 2)}, "sweep: 2 of 200 operations failed on the change, 1 of 200"),
+    ({"change_s": 1.3}, "sweep pass_s: change median 1.3 is beyond bound 0.25"),
+])
+def test_each_fault_fails_the_gate_with_its_reason(bench_pairs, compare, fields, reason):
+    (got,) = bench_pairs.gate(record(compare, **fields))
+    assert got.startswith(reason)

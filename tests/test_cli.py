@@ -378,6 +378,19 @@ class TestDpOracle:
         assert err["error"] == "ValueError" and "horizon" in err["message"]
         assert not (out / "dp_values.csv").exists()
 
+    def test_off_support_initial_demand_in_instance_file_is_domain_error(self, tmp_path,
+                                                                         capsys):
+        data = synthetic_instance(seed=21, horizon=2).to_json_dict()
+        off = [v + 0.3 for v in data["demand"]["support"][1]]
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps({**data, "initial_demand": off}))
+        cfg = write_config(tmp_path, "dp.json", {"instance": {"path": str(path)}})
+        out = tmp_path / "out"
+        assert main(["dp-oracle", "--config", cfg, "--out", str(out)]) == EXIT_DOMAIN
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and str(off) in err["message"]
+        assert not (out / "dp_values.csv").exists()
+
     def test_oversized_instance_refused_with_size(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "dp.json", {
             "instance": {"synthetic": {

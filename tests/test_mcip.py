@@ -1,5 +1,7 @@
 import copy
 import dataclasses
+import itertools
+import re
 
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ from nnfvi.mcip import (
     synthetic_instance,
     with_parameters,
 )
-from nnfvi.mdp import ActionBox, enumerate_actions
+from nnfvi.mdp import ActionBox, ActionSpaceTooLargeError, enumerate_actions
 from nnfvi.neural import ReluNet, TrainConfig
 
 from test_simplex import enumerate_vertex_optimum
@@ -106,6 +108,8 @@ class TestDemandModels:
     def test_index_and_transition(self):
         model = random_walk_demand(np.array([[1.0], [2.0], [3.0]]))
         assert model.index_of(np.array([2.0])) == 1
+        with pytest.raises(ValueError, match=r"demand \[2\.5\] is not a row"):
+            model.index_of(np.array([2.5]))  # no nearest-row fallback
         assert model.next_index(1, 0.0) == 0
         assert model.next_index(1, 0.999) == 2
 
@@ -244,6 +248,18 @@ class TestReward:
         expected = q - float(inst.expansion_costs[0] @ target)
         assert mcip_reward(inst, 1, state, target) == pytest.approx(expected)
 
+    def test_stacked_inputs_equal_scalar_calls_bit_for_bit(self):
+        inst = synthetic_instance(seed=35, facilities=3)
+        rng = np.random.default_rng(6)
+        start = rng.uniform(0, 3, size=(4, 1, 3))
+        target = rng.integers(0, 4, size=(1, 5, 3))
+        for t in range(1, inst.horizon + 1):
+            got = adjustment_cost(inst, t, start, target)
+            want = [[adjustment_cost(inst, t, K, a) for a in target[0]]
+                    for K in start[:, 0]]
+            assert got.shape == (4, 5) and got.tobytes() == np.array(want).tobytes()
+        assert type(adjustment_cost(inst, 1, start[0, 0], target[0, 0])) is float
+
     def test_pure_contraction_earns_salvage(self):
         inst = synthetic_instance(seed=10)
         K = np.array([3.0, 2.0])
@@ -329,6 +345,46 @@ class TestMdpConstruction:
             dists = np.abs(inst.demand.support - d).sum(axis=1)
             assert dists.min() < 1e-12
             assert np.all(row[:2] >= 0) and np.all(row[:2] <= inst.capacity_max)
+
+    @pytest.mark.parametrize("customers, facilities, demand_points", [
+        (1, 1, 1), (3, 1, 5), (2, 2, 3), (1, 3, 2), (3, 4, 1), (2, 4, 4)])
+    def test_state_sampler_equals_the_whole_lattice_sampler(self, customers,
+                                                           facilities, demand_points):
+        # reference: the lattice built row by row, capacities in
+        # lexicographic order and the demand row last, then full sweeps, a
+        # remainder without replacement and a shuffle
+        inst = synthetic_instance(seed=facilities + customers, customers=customers,
+                                  facilities=facilities, demand_points=demand_points,
+                                  capacity_max=2)
+        inst = dataclasses.replace(inst, capacity_max=(np.arange(facilities) + 1) % 3)
+        lattice = np.array([
+            np.concatenate([np.array(K, dtype=float), inst.demand.support[x]])
+            for K in itertools.product(*[range(k + 1) for k in inst.capacity_max])
+            for x in range(inst.demand.size)])
+        L = len(lattice)
+        sampler = build_mcip_mdp(inst).state_sampler
+        for count in sorted({1, max(L - 1, 1), L, L + 1, 2 * L + 3}):
+            rng, oracle_rng = np.random.default_rng(count), np.random.default_rng(count)
+            full, rem = divmod(count, L)
+            rows = np.concatenate([np.tile(np.arange(L), full),
+                                   oracle_rng.choice(L, size=rem, replace=False)])
+            oracle_rng.shuffle(rows)
+            got, want = sampler(rng, count), lattice[rows]
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    def test_ten_facility_lattice_is_sampled_without_building_it(self):
+        inst = synthetic_instance(customers=3, facilities=10, capacity_max=7)
+        with pytest.raises(ActionSpaceTooLargeError):
+            enumerate_actions(ActionBox(inst.capacity_max))  # 8^10 capacity levels
+        states = build_mcip_mdp(inst).state_sampler(np.random.default_rng(0), 200)
+        assert states.shape == (200, 13)
+        capacity = states[:, :10]
+        np.testing.assert_array_equal(capacity, np.round(capacity))
+        assert capacity.min() >= 0 and capacity.max() <= 7
+        for d in states[:, 10:]:
+            inst.demand.index_of(d)  # refuses a vector off the support
 
     def test_stage_reward_matches_callback(self):
         inst = synthetic_instance(seed=18)
@@ -589,6 +645,37 @@ class TestInflexibleDesign:
         assert rolled.mean == pytest.approx(max(means), abs=1e-6)
 
 
+    @pytest.mark.parametrize("instance", [
+        synthetic_instance(seed=36, salvage_ratio=0.0),
+        synthetic_instance(seed=36, facilities=3, capacity_max=2, horizon=4),
+        synthetic_instance(seed=36, horizon=1, salvage_ratio=1.0),
+        dataclasses.replace(synthetic_instance(seed=36, capacity_max=4),
+                            initial_capacity=np.array([2.5, 1.0])),
+    ], ids=["ratio0", "N3-T4", "T1-ratio1", "K0-2.5"])
+    def test_equals_a_per_plan_loop_bit_for_bit(self, instance):
+        # reference: each plan scored on its own with scalar adjustment
+        # costs, subtracted from the scenario-mean profit, which is read as
+        # the baseline reads it (numpy's summation order depends on layout)
+        paths = draw_demand_paths(instance, 9, np.random.default_rng(5))
+        T, K0 = instance.horizon, instance.initial_capacity
+        plans = enumerate_actions(ActionBox(instance.capacity_max))
+        profits = {t: mcip._profit_table(instance, t)[:, paths[:, t - 1]].mean(axis=1)
+                   for t in range(2, T + 1)}
+        values = []
+        for k, plan in enumerate(plans):
+            held = [plan] * (T - 1) + [np.zeros_like(plan)]
+            value = (_profit(instance, 1, K0, instance.initial_demand)
+                     - adjustment_cost(instance, 1, K0, held[0]))
+            for t in range(2, T + 1):
+                cost = adjustment_cost(instance, t, plan, held[t - 1])
+                value += instance.discount ** (t - 1) * (profits[t][k] - cost)
+            values.append(value)
+        best = max(range(len(plans)), key=values.__getitem__)  # the first best
+        plan, value = inflexible_two_stage(instance, paths)
+        np.testing.assert_array_equal(plan, plans[best])
+        assert value == values[best]
+
+
 class TestValueOfFlexibilityOracle:
     def test_non_negative_on_instance_family(self):
         # the DP optimum is never below the best constant plan; seed 9 with
@@ -730,6 +817,17 @@ class TestInstanceSerialization:
                                              "capacity_max": [3.0, 2]})
         assert type(clone.horizon) is int and clone.horizon == 3
         np.testing.assert_array_equal(clone.capacity_max, [3, 2])
+
+    def test_initial_demand_off_the_support_is_refused(self):
+        # the rollouts would start from the nearest support row while the
+        # inflexible plan and run_nnfvi read the vector itself
+        data = synthetic_instance(seed=9).to_json_dict()
+        row = data["demand"]["support"][1]
+        off = [v + 0.3 for v in row]
+        with pytest.raises(ValueError, match=re.escape(f"demand {off} is not a row")):
+            McipInstance.from_json_dict({**data, "initial_demand": off})
+        inst = McipInstance.from_json_dict({**data, "initial_demand": row})
+        assert inst.demand.index_of(inst.initial_demand) == 1
 
     def test_synthetic_fractional_capacity_limit_is_refused(self):
         with pytest.raises(ValueError, match="capacity_max must be integral"):

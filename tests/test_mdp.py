@@ -145,6 +145,16 @@ class TestEnumerateActions:
         assert box.upper_bounds.dtype == np.int64
         np.testing.assert_array_equal(box.upper_bounds, [2, 3])
 
+    @pytest.mark.parametrize("upper_bounds", [
+        [3], [0], [2, 0], [1, 2, 3], [0, 1, 0, 2], [2, 1, 2, 1, 2], [1, 0, 2, 1, 1, 3]])
+    def test_equals_the_meshgrid_reference(self, upper_bounds):
+        grids = np.meshgrid(*[np.arange(ub + 1, dtype=np.int64) for ub in upper_bounds],
+                            indexing="ij")
+        want = np.stack([g.ravel() for g in grids], axis=1)
+        got = enumerate_actions(ActionBox(np.array(upper_bounds)))
+        assert got.dtype == want.dtype == np.int64 and got.flags.c_contiguous
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_cap_refusal_mentions_decomposition(self):
         with pytest.raises(ActionSpaceTooLargeError, match="decomposition"):
             enumerate_actions(ActionBox(np.full(9, 9)))
