@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import copy
 import heapq
-import math
 import weakref
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -129,13 +128,16 @@ class MilpSolution:
 
 
 def _most_fractional(x: np.ndarray, binaries: Sequence[int]) -> Optional[int]:
-    best_idx, best_frac = None, INTEGRALITY_TOL
+    """The binary, among ``binaries`` in ascending order, farthest from an
+    integer; ``solve_milp`` passes them as an index array made once."""
+    values = x[binaries]
+    fracs = np.minimum(values - np.floor(values), np.ceil(values) - values)
+    best, best_frac = None, INTEGRALITY_TOL
     # ascending order makes the tie-break lowest-index
-    for i, v in zip(binaries, x[binaries].tolist()):
-        frac = min(v - math.floor(v), math.ceil(v) - v)
+    for k, frac in enumerate(fracs.tolist()):
         if frac > best_frac + 1e-15:
-            best_idx, best_frac = i, frac
-    return best_idx
+            best, best_frac = k, frac
+    return None if best is None else int(binaries[best])
 
 
 def _flips(pivots: list) -> int:
@@ -177,7 +179,7 @@ def solve_milp(p: MilpProblem, tol: float = DEFAULT_TOL,
     """
     sense = 1.0 if p.lp.maximize else -1.0
     n = p.lp.n_vars
-    binaries = p.binary_indices
+    binaries = np.array(p.binary_indices, dtype=np.intp)
 
     def better(a: float, b: float) -> bool:
         return sense * a > sense * b

@@ -30,7 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from .cuts import RecourseContext
-from .fvi import FittedValueSet, FviConfig, PeriodWork, exact_dp, run_nnfvi
+from .fvi import FittedValueSet, FviConfig, PeriodTime, PeriodWork, exact_dp, \
+    run_nnfvi
 from .mcd import (
     ENGINES,
     McdConfig,
@@ -145,8 +146,9 @@ def _fvi_config_from(config: dict, seed: int) -> FviConfig:
 
 
 def cmd_fvi_run(config: dict, out_dir: Path) -> int:
-    """Train the fitted value iteration and record losses, value, nets, and
-    each period's work counts."""
+    """Train the fitted value iteration and record losses, value, nets,
+    each period's work counts and, with the run's wall time, each period's
+    target and fit times."""
     seed = _require_seed(config)
     instance = _instance_from_config(config)
     spec = build_mcip_mdp(instance)
@@ -162,9 +164,12 @@ def cmd_fvi_run(config: dict, out_dir: Path) -> int:
     rows.append(["value_estimate", "1", repr(v_hat)])
     _write_csv(out_dir / "fvi_results.csv",
                ["record", "period", "value_currency_or_loss"], rows, chash)
+    periods = [[f.name, t, repr(getattr(fitted.timings[t], f.name))]
+               for t in sorted(fitted.timings)
+               for f in dataclasses.fields(PeriodTime)]
     _write_csv(out_dir / "fvi_timings.csv",
-               ["record", "wall_time_s"],
-               [["run_nnfvi", repr(elapsed)]], chash)
+               ["record", "period", "wall_time_s"],
+               [["run_nnfvi", "all", repr(elapsed)], *periods], chash)
     _write_csv(out_dir / "fvi_work.csv",
                ["period", *(f.name for f in dataclasses.fields(PeriodWork))],
                [[t, *dataclasses.astuple(fitted.work[t])] for t in sorted(fitted.work)],

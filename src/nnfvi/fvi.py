@@ -19,6 +19,7 @@ benchmark and any synthetic instance shaped the same way.
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -97,12 +98,23 @@ class PeriodWork:
                           fallbacks=sum(r.fell_back for r in results))
 
 
+@dataclass(frozen=True)
+class PeriodTime:
+    """Wall-clock seconds :func:`run_nnfvi` spent in one period on the
+    Bellman targets (the state sample, stage rewards and selections) and on
+    the network fit, which period 1 does not make (0.0)."""
+
+    targets: float
+    fit: float
+
+
 @dataclass
 class FittedValueSet:
     """Fitted networks for periods 2..T plus the returned initial value.
 
-    ``work`` holds each period's :class:`PeriodWork`; it is left out of the
-    JSON form and of comparisons.
+    ``work`` holds each period's :class:`PeriodWork` and ``timings`` its
+    :class:`PeriodTime`; both are left out of the JSON form and of
+    comparisons.
     """
 
     nets: dict                    # period -> ReluNet
@@ -110,6 +122,7 @@ class FittedValueSet:
     training_losses: dict         # period -> final regression loss
     config: dict                  # config snapshot for provenance
     work: dict = field(default_factory=dict, compare=False)  # period -> PeriodWork
+    timings: dict = field(default_factory=dict, compare=False)  # period -> PeriodTime
 
     def to_json_dict(self) -> dict:
         return {
@@ -193,12 +206,14 @@ def run_nnfvi(spec: MdpSpec, config: FviConfig) -> tuple[FittedValueSet, float]:
     nets = _with_terminal(spec, {})
     losses: dict = {}
     work: dict = {}
+    timings: dict = {}
 
     def decide(t, x, sample, reward):
         noises = spec.draw_noises(_substream(config.seed, t, sample, _NOISE), s2)
         return _decide(spec, nets, t, x, noises, reward, config.mcd)
 
     for t in range(T, 1, -1):
+        start = time.perf_counter()
         state_rng = _substream(config.seed, t, 0, _STATES)
         states = sample_states(spec, s1, state_rng)
         _, first, group = np.unique(states, axis=0, return_index=True,
@@ -211,16 +226,21 @@ def run_nnfvi(spec: MdpSpec, config: FviConfig) -> tuple[FittedValueSet, float]:
         targets = np.array([r.objective for r in results])[share]
         work[t] = PeriodWork.of(s1, len(first), len(rewards), results)
         data = RegressionSet(states, targets)
+        fit_start = time.perf_counter()
         try:
             net = fit(data, config.neurons, config.train,
                       _substream(config.seed, t, 0, _FIT))
         except Exception as err:
             raise RuntimeError(f"network training failed at period {t}") from err
+        timings[t] = PeriodTime(targets=fit_start - start,
+                                fit=time.perf_counter() - fit_start)
         nets[t] = net
         losses[t] = loss(net, data, config.train.regularization)
 
     x1 = spec.initial_state
+    start = time.perf_counter()
     initial = decide(1, x1, 0, spec.stage_reward(1, x1))
+    timings[1] = PeriodTime(targets=time.perf_counter() - start, fit=0.0)
     v_hat = initial.objective
     work[1] = PeriodWork.of(1, 1, 1, [initial])
     del nets[T + 1]  # the zero network is no fit
@@ -231,6 +251,7 @@ def run_nnfvi(spec: MdpSpec, config: FviConfig) -> tuple[FittedValueSet, float]:
         training_losses=losses,
         config=config.to_json_dict(),
         work=work,
+        timings=timings,
     )
     return fitted, v_hat
 

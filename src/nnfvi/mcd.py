@@ -101,15 +101,20 @@ class StageReward:
     constant: float
     pieces: list
 
+    @functools.cached_property
+    def _arrays(self) -> list:
+        """``(n, slopes, intercepts)`` for each dimension ``n`` with pieces,
+        built on first use; a cached attribute, so equality and ``repr``
+        leave it out."""
+        return [(n, *np.asarray(dim_pieces, dtype=float).T)
+                for n, dim_pieces in enumerate(self.pieces) if dim_pieces]
+
     def values(self, actions: np.ndarray) -> np.ndarray:
         """Reward at every row of the ``(count, dims)`` array ``actions``."""
         actions = np.asarray(actions, dtype=float)
         total = np.full(len(actions), float(self.constant))
-        for n, dim_pieces in enumerate(self.pieces):
-            if dim_pieces:
-                slopes, icepts = np.asarray(dim_pieces, dtype=float).T
-                total += (np.multiply.outer(actions[:, n], slopes)
-                          + icepts).min(axis=1)
+        for n, slopes, icepts in self._arrays:
+            total += (np.multiply.outer(actions[:, n], slopes) + icepts).min(axis=1)
         return total
 
     def box_maximum(self, upper_bounds: np.ndarray) -> float:
@@ -123,17 +128,17 @@ class StageReward:
         level by the rounding of a crossing computed off an integer.
         """
         total = float(self.constant)
-        for dim_pieces, top in zip(self.pieces, np.asarray(upper_bounds, dtype=float)):
-            if dim_pieces:
-                slopes, icepts = np.asarray(dim_pieces, dtype=float).T
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    # pieces i and j cross at (icept_j - icept_i) / (slope_i - slope_j)
-                    cross = ((icepts - icepts[:, None])
-                             / (slopes[:, None] - slopes)).ravel()
-                cross = cross[(cross > 0) & (cross < top)]
-                points = np.concatenate([[0.0, top], cross, np.floor(cross),
-                                         np.ceil(cross)])
-                total += (np.multiply.outer(points, slopes) + icepts).min(axis=1).max()
+        tops = np.asarray(upper_bounds, dtype=float)
+        for n, slopes, icepts in self._arrays:
+            top = tops[n]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                # pieces i and j cross at (icept_j - icept_i) / (slope_i - slope_j)
+                cross = ((icepts - icepts[:, None])
+                         / (slopes[:, None] - slopes)).ravel()
+            cross = cross[(cross > 0) & (cross < top)]
+            points = np.concatenate([[0.0, top], cross, np.floor(cross),
+                                     np.ceil(cross)])
+            total += (np.multiply.outer(points, slopes) + icepts).min(axis=1).max()
         return total
 
 

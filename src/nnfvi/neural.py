@@ -162,7 +162,9 @@ def gradient(net: ReluNet, data: RegressionSet, beta: float) -> np.ndarray:
     the cut construction.
     """
     y = _flatten(net)
-    resid, jac = _residuals_jacobian(y, data, net.neuron_count, net.input_dim)
+    J, n1 = net.neuron_count, net.input_dim
+    pre, act, resid = _forward(y, data, J, n1)
+    jac = _jacobian(y, data, J, n1, pre, act)
     return (2.0 / len(data)) * (jac.T @ resid) + beta * y
 
 
@@ -193,40 +195,53 @@ def _initial_net(data: RegressionSet, J: int, rng: np.random.Generator) -> ReluN
     return ReluNet(u, u0, w, w0)
 
 
-def _residuals_jacobian(y: np.ndarray, data: RegressionSet, J: int,
-                        n1: int) -> tuple[np.ndarray, np.ndarray]:
-    """Residual vector and its Jacobian w.r.t. the flat parameters."""
-    X = data.inputs
-    S = len(data)
+def _forward(y: np.ndarray, data: RegressionSet, J: int,
+             n1: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Preactivations, activations and residuals of the flat parameters
+    ``y``, with the arithmetic of :meth:`ReluNet.forward_many`."""
     u = y[: J * n1].reshape(J, n1)
     u0 = y[J * n1: J * n1 + J]
     w = y[J * n1 + J: J * n1 + 2 * J]
-    w0 = y[-1]
-    pre = X @ u.T + u0
+    pre = data.inputs @ u.T + u0
     act = np.maximum(pre, 0.0)
-    on = (pre > 0.0).astype(float)
-    resid = act @ w + w0 - data.targets
+    return pre, act, act @ w + y[-1] - data.targets
 
+
+def _jacobian(y: np.ndarray, data: RegressionSet, J: int, n1: int,
+              pre: np.ndarray, act: np.ndarray) -> np.ndarray:
+    """Jacobian of the residuals w.r.t. the flat parameters ``y``, from the
+    preactivations and activations of :func:`_forward`."""
+    X = data.inputs
+    S = len(data)
+    w = y[J * n1 + J: J * n1 + 2 * J]
+    on = (pre > 0.0).astype(float)
     jac = np.empty((S, y.size))
     back = on * w  # (S, J)
     jac[:, : J * n1] = (back[:, :, None] * X[:, None, :]).reshape(S, J * n1)
     jac[:, J * n1: J * n1 + J] = back
     jac[:, J * n1 + J: J * n1 + 2 * J] = act
     jac[:, -1] = 1.0
-    return resid, jac
+    return jac
 
 
 def _descend(data: RegressionSet, start: ReluNet, config: TrainConfig) -> tuple[ReluNet, float]:
-    """Levenberg-Marquardt style damped Gauss-Newton on the regression loss."""
+    """Levenberg-Marquardt style damped Gauss-Newton on the regression loss.
+
+    A candidate step's loss is :func:`loss`'s arithmetic on the flat
+    parameters, and an accepted candidate's forward pass is reused for the
+    next epoch's Jacobian.  A candidate with non-finite parameters or loss
+    is rejected like one that does not improve.
+    """
     beta = config.regularization
     J, n1 = start.neuron_count, start.input_dim
     S = len(data)
     y = _flatten(start)
     cur = loss(start, data, beta)
+    pre, act, resid = _forward(y, data, J, n1)
     lam = _DAMPING_INIT
     eye = np.eye(y.size)
     for _ in range(config.max_epochs):
-        resid, jac = _residuals_jacobian(y, data, J, n1)
+        jac = _jacobian(y, data, J, n1, pre, act)
         if not (np.all(np.isfinite(resid)) and np.all(np.isfinite(jac))):
             raise FloatingPointError("non-finite residuals during training")
         g = (2.0 / S) * (jac.T @ resid) + beta * y
@@ -239,10 +254,15 @@ def _descend(data: RegressionSet, start: ReluNet, config: TrainConfig) -> tuple[
                 lam *= _DAMPING_GROW
                 continue
             cand = y + step
-            cand_loss = loss(_unflatten(cand, J, n1), data, beta)
+            if not np.isfinite(cand).all():
+                lam *= _DAMPING_GROW
+                continue
+            cand_pre, cand_act, cand_resid = _forward(cand, data, J, n1)
+            cand_loss = float(np.mean(cand_resid**2) + 0.5 * beta * cand @ cand)
             if np.isfinite(cand_loss) and cand_loss < cur:
                 improvement = cur - cand_loss
                 y, cur = cand, cand_loss
+                pre, act, resid = cand_pre, cand_act, cand_resid
                 lam = max(lam * _DAMPING_SHRINK, 1e-12)
                 accepted = True
                 break

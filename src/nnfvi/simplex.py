@@ -33,12 +33,15 @@ infeasible.  A tableau can also be moved to another basis by pivoting in
 the columns it lacks, so a caller may keep a node as its basis, values and
 bounds instead of the whole tableau.  Appending ``<=`` rows to such a base,
 each with a new basic slack, keeps every stored basis dual feasible, so
-the same dual simplex re-optimizes a node after cuts are added.
+the same dual simplex re-optimizes a node after cuts are added.  The dual
+simplex stops as soon as every basic value is within its bounds: its ratio
+test keeps every reduced cost of the right sign, so the basis is optimal
+there with no re-price, and the tests check that a re-price would take no
+pivot.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -161,6 +164,8 @@ class _Tableau:
         ``n_enter`` columns enter; returns 'optimal' or 'unbounded'."""
         self._costs = costs
         self._reprice()
+        if not n_enter:  # no column at all: an LP without variables
+            return "optimal"
         d = self.T[self.m, :n_enter]
         x, lower, upper = self.x[:n_enter], self.lower[:n_enter], self.upper[:n_enter]
         for _ in range(MAX_PIVOTS):
@@ -211,28 +216,38 @@ class _Tableau:
         self._work = None
         return self
 
+    def _derived(self, T: np.ndarray, basis: np.ndarray, x: np.ndarray,
+                 lower: np.ndarray, upper: np.ndarray) -> "_Tableau":
+        """A tableau over the given arrays, taken as they are, that shares
+        this one's ``K``, ``b``, costs and refactorization count, with no
+        pivots recorded and a pivot work buffer of its own."""
+        tab = object.__new__(_Tableau)
+        tab.K, tab.b, tab._costs = self.K, self.b, self._costs
+        tab.T, tab.basis, tab.x, tab.lower, tab.upper = T, basis, x, lower, upper
+        tab.m, tab.n = basis.size, T.shape[1]
+        tab.pivots = []
+        tab._since_refactor = self._since_refactor
+        tab._work = np.empty_like(T)
+        return tab
+
     def copy(self) -> "_Tableau":
         """A copy that this tableau's pivots and bound changes leave alone,
         and the reverse; ``K``, ``b`` and the costs are shared."""
-        tab = copy.copy(self)
-        tab.T, tab.basis, tab.pivots = self.T.copy(), self.basis.copy(), []
-        tab._work = np.empty_like(tab.T)
-        tab.x, tab.lower, tab.upper = self.x.copy(), self.lower.copy(), self.upper.copy()
-        return tab
+        return self._derived(self.T.copy(), self.basis.copy(), self.x.copy(),
+                             self.lower.copy(), self.upper.copy())
 
     def rebased(self, basis: np.ndarray, x: np.ndarray, lower: np.ndarray,
                 upper: np.ndarray) -> "_Tableau":
         """Copy moved to the basis ``basis`` (as a set of columns), with
-        column values ``x`` and bounds ``lower`` and ``upper``.
+        copies of the column values ``x`` and bounds ``lower`` and ``upper``.
 
         Each missing column, in index order, is pivoted in on the row of
         largest magnitude among the rows whose basic column is not wanted,
         so no inverse is formed and the pivot sequence is deterministic.
         ``K``, ``b`` and the costs are shared.
         """
-        tab = copy.copy(self)
-        tab.x, tab.lower, tab.upper = x, lower, upper
-        tab = tab.copy()
+        tab = self._derived(self.T.copy(), self.basis.copy(), x.copy(), lower.copy(),
+                            upper.copy())
         wanted = np.zeros(self.n, dtype=bool)
         wanted[basis] = True
         missing = wanted.copy()
@@ -262,80 +277,83 @@ class _Tableau:
         on_basis = rows[:, self.basis]
         rows[:, :n] -= on_basis @ self.T[:m]
         rows[:, self.basis] = 0.0
-        ext = copy.copy(self)
-        ext.m, ext.n = m + r, n + r
-        ext.T = np.zeros((m + r + 1, n + r))
-        ext.T[:m, :n] = self.T[:m]
-        ext.T[m: m + r] = rows
-        ext.T[m + r, :n] = self.T[m]
-        ext.K, ext.b = ext.T[: m + r], np.concatenate([self.b, b - on_basis @ self.b])
-        ext.basis = np.concatenate([self.basis, n + np.arange(r)])
-        ext.lower = np.concatenate([self.lower, np.zeros(r)])
-        ext.upper = np.concatenate([self.upper, np.full(r, np.inf)])
-        ext.x = np.concatenate([self.x, b - A @ self.x[:k]])
+        T = np.zeros((m + r + 1, n + r))
+        T[:m, :n] = self.T[:m]
+        T[m: m + r] = rows
+        T[m + r, :n] = self.T[m]
+        ext = self._derived(T, np.concatenate([self.basis, n + np.arange(r)]),
+                            np.concatenate([self.x, b - A @ self.x[:k]]),
+                            np.concatenate([self.lower, np.zeros(r)]),
+                            np.concatenate([self.upper, np.full(r, np.inf)]))
+        ext.K, ext.b = T[: m + r], np.concatenate([self.b, b - on_basis @ self.b])
         ext._costs = np.concatenate([self._costs, np.zeros(r)])
-        ext.pivots = []
+        ext._work = None  # a base does not pivot
         return ext
 
     def reoptimize(self) -> str:
         """Re-optimize a dual feasible basis after bound changes.
 
-        Runs the dual simplex until every basic value is within its bounds,
-        then :meth:`solve` on the same costs as a check (it takes no pivot
-        unless round-off left a reduced cost of the wrong sign).  Returns
-        'optimal', 'infeasible' or 'unbounded'; ``pivots`` holds this call's
+        Runs the dual simplex until every basic value is within its bounds
+        and returns 'optimal' there: the dual ratio test keeps the basis
+        dual feasible, so no reduced cost has the wrong sign, and the tests
+        check that a re-price at that point would not pivot.  Returns
+        'infeasible' when no column can enter; ``pivots`` holds this call's
         pivots only.
         """
         self.pivots = []
-        T, m = self.T, self.m
+        T, m, x, basis = self.T, self.m, self.x, self.basis
+        lower, upper = self.lower, self.upper
+        floor, ceiling = lower - FEASIBILITY_TOL, upper + FEASIBILITY_TOL
         for _ in range(MAX_PIVOTS):
-            xb = self.x[self.basis]
-            lb, ub = self.lower[self.basis], self.upper[self.basis]
-            below, above = xb < lb - FEASIBILITY_TOL, xb > ub + FEASIBILITY_TOL
+            xb = x[basis]
+            below, above = xb < floor[basis], xb > ceiling[basis]
             out = (below | above).nonzero()[0]
             if not out.size:
-                return self.solve(self._costs, self.n)
-            row = int(out[self.basis[out].argmin()])  # smallest basic index leaves
-            leave = int(self.basis[row])
-            target = lb[row] if below[row] else ub[row]
+                return "optimal"
+            row = int(out[basis[out].argmin()])  # smallest basic index leaves
+            leave = int(basis[row])
             # x_leave falls by T[row, j] per unit rise of x_j; sign the row so
             # that a column helps by moving against the sign of its entry.
             # Fixed columns, artificials among them, can move neither way
-            alpha = T[row] if below[row] else -T[row]
-            eligible = (((alpha < -FEASIBILITY_TOL) & (self.x < self.upper))
-                        | ((alpha > FEASIBILITY_TOL) & (self.x > self.lower)))
+            if below[row]:
+                target, alpha = lower[leave], T[row]
+            else:
+                target, alpha = upper[leave], -T[row]
+            eligible = (((alpha < -FEASIBILITY_TOL) & (x < upper))
+                        | ((alpha > FEASIBILITY_TOL) & (x > lower)))
             cand = eligible.nonzero()[0]
             if not cand.size:
                 return "infeasible"
             ratios = np.abs(T[m, cand] / alpha[cand])
             # smallest dual ratio; ties go to the lowest column index
             enter = int(cand[(ratios <= ratios.min() + OPTIMALITY_TOL).argmax()])
-            step = (self.x[leave] - target) / T[row, enter]
-            self.x[self.basis] -= step * T[:m, enter]
-            self.x[enter] += step
-            self.x[leave] = target
+            step = (x[leave] - target) / T[row, enter]
+            x[basis] -= step * T[:m, enter]
+            x[enter] += step
+            x[leave] = target
             self._pivot(row, enter)
         raise LpNumericalError("pivot limit exceeded; possible numerical cycling")
 
     def _pivot(self, row: int, col: int):
-        self.pivots.append((col, int(self.basis[row])))
-        piv = self.T[row, col]
+        T, basis = self.T, self.basis
+        self.pivots.append((col, int(basis[row])))
+        piv = T[row, col]
         if abs(piv) < 1e-12:
             self._refactor()
-            piv = self.T[row, col]
+            piv = T[row, col]
             if abs(piv) < 1e-12:
                 raise LpNumericalError(
                     f"pivot element {piv:.3e} too small at row {row}, column {col}"
                 )
-        self.T[row] /= piv
-        keep = self.T[row]
-        factors = self.T[:, col].copy()
+        T[row] /= piv
+        keep = T[row]
+        factors = T[:, col].copy()
         factors[row] = 0.0
         np.multiply(factors[:, None], keep[None, :], out=self._work)
-        np.subtract(self.T, self._work, out=self.T)
-        self.T[:, col] = 0.0
-        self.T[row, col] = 1.0
-        self.basis[row] = col
+        np.subtract(T, self._work, out=T)
+        T[:, col] = 0.0
+        T[row, col] = 1.0
+        basis[row] = col
         self._since_refactor += 1
         if self._since_refactor >= REFACTOR_EVERY:
             self._refactor()

@@ -79,3 +79,12 @@ def integer_cut_rhs(cut, enc, anchor, a):
     ``v + zeta(a) * (eta_bar - v)`` for the cut's anchor value ``v``."""
     z = zeta_value(enc, anchor, a)
     return cut.anchor_value + z * (cut.eta_bar - cut.anchor_value)
+
+
+def assert_no_entering_column(tab):
+    """Re-pricing a copy of the re-optimized tableau ``tab`` with its own
+    costs finds no column to enter: the dual simplex stopped at an optimal
+    basis, not merely a primal feasible one."""
+    dup = tab.copy()
+    assert dup.solve(dup._costs, dup.n) == "optimal"
+    assert not dup.pivots, "the dual simplex stopped short of optimal"

@@ -8,6 +8,8 @@ from nnfvi import bnb
 from nnfvi.bnb import MilpProblem, MilpSolution, solve_milp
 from nnfvi.simplex import LEQ, LpProblem, _Tableau, solve_lp
 
+from conftest import assert_no_entering_column
+
 
 def binary_milp(c, A, b, maximize=True, extra_continuous=0, cont_upper=None):
     """All-binary MILP, optionally with trailing continuous variables in [0, u]."""
@@ -60,6 +62,12 @@ class TestExamples:
                        lower=[0.0, 0.0], upper=[1.0, np.inf], maximize=True)
         sol = solve_milp(MilpProblem(lp=lp, binary_indices=[0]))
         assert sol.status == "unbounded"
+
+    def test_no_variables(self):
+        lp = LpProblem(c=[], A=[], b=[], senses=[], lower=[], upper=[])
+        sol = solve_milp(MilpProblem(lp=lp, binary_indices=[]))
+        assert sol.status == "optimal" and sol.objective == 0.0 and sol.bound == 0.0
+        assert sol.x.shape == (0,) and sol.node_count == 0
 
     def test_binary_bound_validation(self):
         lp = LpProblem(c=[1.0], A=np.zeros((0, 1)), b=[], senses=[],
@@ -633,3 +641,35 @@ class TestResumedSearch:
         assert sol.status == "infeasible"
         again = solve_milp(p.with_rows(np.array([[1.0, 0.0]]), np.array([0.5])), resume=sol)
         assert again.status == "infeasible"
+
+
+class TestNodesStopAtOptimality:
+    """A node's dual simplex stops once its basic values are within their
+    bounds; a re-price there must find no column to enter."""
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_no_reprice_would_pivot_in_cold_and_resumed_searches(self, monkeypatch,
+                                                                    mixed):
+        reoptimize, checked = _Tableau.reoptimize, []
+
+        def checking_reoptimize(self):
+            status = reoptimize(self)
+            if status == "optimal":
+                assert_no_entering_column(self)
+                checked.append(bool(self.pivots))  # a node that moved at all
+            return status
+
+        monkeypatch.setattr(_Tableau, "reoptimize", checking_reoptimize)
+        rng = np.random.default_rng(81 + mixed)
+        resumed = 0
+        for _ in range(10):
+            k, m = int(rng.integers(5, 9)), int(rng.integers(1, 4))
+            if mixed:
+                p = mixed_milp(rng, k, m)
+            else:
+                p = binary_milp(rng.normal(size=k), rng.normal(size=(m, k)),
+                                rng.uniform(0.5, k * 0.5, size=m),
+                                maximize=bool(rng.integers(0, 2)))
+            for _, sol in TestResumedSearch()._rounds(rng, p, rounds=4):
+                resumed += sol.node_count
+        assert sum(checked) > 50 and resumed > 50

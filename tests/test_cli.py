@@ -72,12 +72,28 @@ class TestFviRun:
         assert counts[2]["milp_nodes"] > 0 and counts[2]["lp_pivots"] > 0
         assert counts[3]["selections"] == counts[3]["distinct"] <= 30
 
+    def test_timings_file_has_the_run_and_each_periods_target_and_fit_times(
+            self, tmp_path):
+        cfg = write_config(tmp_path, "cfg.json", tiny_fvi_payload())
+        out = tmp_path / "out"
+        assert main(["fvi-run", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        header, rows = read_csv(out / "fvi_timings.csv")
+        assert header == ["record", "period", "wall_time_s"]
+        assert [r[:2] for r in rows] == [["run_nnfvi", "all"]] + [
+            [record, str(t)] for t in (1, 2, 3) for record in ("targets", "fit")]
+        seconds = {(r[0], r[1]): float(r[2]) for r in rows}
+        assert seconds["fit", "1"] == 0.0  # period 1 fits no network
+        periods = [v for key, v in seconds.items() if key[0] != "run_nnfvi"]
+        assert all(v >= 0.0 for v in periods)
+        assert seconds["targets", "3"] > 0.0 and seconds["fit", "2"] > 0.0
+        assert sum(periods) <= seconds["run_nnfvi", "all"]
+
     def test_rerun_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, "cfg.json", tiny_fvi_payload())
         out1, out2 = tmp_path / "a", tmp_path / "b"
         main(["fvi-run", "--config", cfg, "--out", str(out1)])
         main(["fvi-run", "--config", cfg, "--out", str(out2)])
-        for name in ("fvi_results.csv", "fvi_work.csv"):
+        for name in ("fvi_results.csv", "fvi_work.csv", "fitted_nets.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_engines_agree_on_tiny_instance(self, tmp_path):

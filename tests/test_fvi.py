@@ -12,6 +12,7 @@ from nnfvi.fvi import (
     DpTables,
     FittedValueSet,
     FviConfig,
+    PeriodTime,
     PeriodWork,
     TabularMdp,
     bellman_target,
@@ -336,6 +337,22 @@ class TestPerStateWork:
             assert fitted.work[t] == PeriodWork(
                 sampled=12, distinct=12, rewards=12, selections=12,
                 iterations=12 * 9, milp_nodes=0, lp_pivots=0, fallbacks=0)
+
+
+    def test_period_times_are_recorded_and_left_out_of_json_and_equality(self):
+        spec, _ = small_spec(seed=14)
+        config = quick_config(s1=12, s2=3, neurons=3, epochs=40)
+        fitted, _ = run_nnfvi(spec, config)
+        assert sorted(fitted.timings) == [1, 2, 3]
+        for t, spent in fitted.timings.items():
+            assert isinstance(spent, PeriodTime)
+            assert spent.targets > 0.0 and spent.fit >= 0.0
+            assert (spent.fit == 0.0) == (t == 1)  # period 1 fits no network
+        assert "timings" not in fitted.to_json_dict()
+        compared = {f.name: f.compare for f in dataclasses.fields(FittedValueSet)}
+        assert compared["timings"] is False
+        again, _ = run_nnfvi(spec, config)
+        assert again.dumps() == fitted.dumps()
 
 
 class TestGreedyPolicy:

@@ -271,6 +271,81 @@ class TestFit:
         assert best_mse[2] <= best_mse[1] + 1e-12
 
 
+def descend_reference(data, start, config):
+    """The trainer's loop before its candidates were scored on the flat
+    parameters: each candidate is built as a ``ReluNet`` and scored by
+    ``loss``, and each epoch recomputes its forward pass for the Jacobian."""
+    beta = config.regularization
+    J, n1 = start.neuron_count, start.input_dim
+    S = len(data)
+    y = neural._flatten(start)
+    cur = loss(start, data, beta)
+    lam = neural._DAMPING_INIT
+    eye = np.eye(y.size)
+    for _ in range(config.max_epochs):
+        pre, act, resid = neural._forward(y, data, J, n1)
+        jac = neural._jacobian(y, data, J, n1, pre, act)
+        if not (np.all(np.isfinite(resid)) and np.all(np.isfinite(jac))):
+            raise FloatingPointError("non-finite residuals during training")
+        g = (2.0 / S) * (jac.T @ resid) + beta * y
+        H = (2.0 / S) * (jac.T @ jac) + beta * eye
+        accepted = False
+        while lam <= neural._DAMPING_MAX:
+            try:
+                step = np.linalg.solve(H + lam * eye, -g)
+            except np.linalg.LinAlgError:
+                lam *= neural._DAMPING_GROW
+                continue
+            cand = y + step
+            cand_loss = loss(neural._unflatten(cand, J, n1), data, beta)
+            if np.isfinite(cand_loss) and cand_loss < cur:
+                improvement = cur - cand_loss
+                y, cur = cand, cand_loss
+                lam = max(lam * neural._DAMPING_SHRINK, 1e-12)
+                accepted = True
+                break
+            lam *= neural._DAMPING_GROW
+        if not accepted:
+            break
+        if improvement < neural._LOSS_TOLERANCE:
+            break
+    return neural._unflatten(y, J, n1), cur
+
+
+class TestDescendAgainstReference:
+    """The trainer's loop gives the reference loop's nets and losses bit for
+    bit, so every fit, and with it every FVI run, is unchanged."""
+
+    @pytest.mark.parametrize("beta", [0.0, 1e-3, 0.5])
+    def test_nets_and_losses_bit_for_bit(self, beta):
+        rng = np.random.default_rng(91)
+        epochs = 0
+        for trial in range(12):
+            J, n1, S = int(rng.integers(1, 7)), int(rng.integers(1, 4)), int(rng.integers(5, 40))
+            X = rng.normal(size=(S, n1))
+            data = RegressionSet(X, np.sin(X @ rng.normal(size=n1)) + 0.1 * rng.normal(size=S))
+            start = neural._initial_net(data, J, rng)
+            config = TrainConfig(regularization=beta, max_epochs=int(rng.integers(1, 80)))
+            got, got_loss = neural._descend(data, start, config)
+            want, want_loss = descend_reference(data, start, config)
+            assert got_loss == want_loss
+            for field in ("input_weights", "input_biases", "output_weights"):
+                assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+            assert got.output_bias == want.output_bias
+            epochs += config.max_epochs
+        assert epochs > 100
+
+    def test_fit_matches_a_fit_on_the_reference_loop(self, monkeypatch):
+        rng = np.random.default_rng(92)
+        X = rng.normal(size=(60, 3))
+        data = RegressionSet(X, np.abs(X[:, 0]) - X[:, 1] * X[:, 2])
+        config = TrainConfig(regularization=1e-2, restarts=3, max_epochs=150)
+        got = fit(data, J=5, config=config, rng=np.random.default_rng(93))
+        monkeypatch.setattr(neural, "_descend", descend_reference)
+        want = fit(data, J=5, config=config, rng=np.random.default_rng(93))
+        assert neural._flatten(got).tobytes() == neural._flatten(want).tobytes()
+
+
 class TestTrainConfig:
     @pytest.mark.parametrize("field", ["restarts", "max_epochs"])
     @pytest.mark.parametrize("value", [0, -1])
