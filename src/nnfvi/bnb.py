@@ -1,5 +1,6 @@
 """Branch-and-bound over binary variables with simplex LP relaxations.
 
+The search maximizes only: a minimization is posed by negating ``c``.
 Best-first node order on the relaxation bound, most-fractional branching
 with lowest-index tie-breaks, and a defensive node cap.  Only the root LP
 is solved cold, by :func:`solve_lp`.  A child fixes its parent's fractional,
@@ -28,7 +29,10 @@ new slacks included, all lie within their bounds is primal and dual
 feasible, so still optimal: it is filed from its stored basis and values as
 it stands, with no rebuild, no pivot and no node counted.  Any other popped
 leaf is rebuilt and re-optimized by the dual simplex, then filed like a new
-child.  A cold solve is the same loop started from the root alone.
+child.  A cold solve is the same loop started from the root as its one
+stale leaf, filed as it stands unless a phase-1 artificial left basic sits
+above its zero bound by more than the feasibility tolerance (phase 1 accepts
+up to about 1e-7); such a root is re-optimized and counted as a node.
 
 Incumbents come only from integral relaxations: best-first order expands a
 node only while its bound beats the optimum (up to the tolerance), so
@@ -61,7 +65,7 @@ class NodeLimitError(RuntimeError):
 
 @dataclass
 class MilpProblem:
-    """LP core plus the indices of variables restricted to {0, 1}."""
+    """LP core, to be maximized, plus the indices of its {0, 1} variables."""
 
     lp: LpProblem
     binary_indices: Sequence[int]
@@ -70,6 +74,9 @@ class MilpProblem:
                                            compare=False)
 
     def __post_init__(self):
+        if not self.lp.maximize:
+            raise ValueError("branch-and-bound maximizes only; pose a minimization "
+                             "as the maximization of -c")
         idx = sorted(int(i) for i in self.binary_indices)
         n = self.lp.n_vars
         for i in idx:
@@ -168,22 +175,19 @@ def _bounds(base: _Tableau, fixings: tuple) -> tuple[np.ndarray, np.ndarray]:
 
 def solve_milp(p: MilpProblem, tol: float = DEFAULT_TOL,
                resume: Optional[MilpSolution] = None) -> MilpSolution:
-    """Globally solve the binary MILP within absolute tolerance ``tol``.
+    """Globally maximize the binary MILP within absolute tolerance ``tol``.
 
     With ``resume``, a solution this function returned, ``p`` must be the
     problem ``resume`` solved or one grown from it by one
-    :meth:`MilpProblem.with_rows` (else ValueError), and the search
-    continues from ``resume``'s leaves instead of the root.
-    The frontier moves on to the new solution, so that the old one's memory
-    is freed before the search runs: a solution resumes once.
+    :meth:`MilpProblem.with_rows` (else ValueError), and the search starts
+    from ``resume``'s leaves.  Without ``resume``, or when ``resume``'s root
+    LP was not optimal, the root LP is solved cold and its basis and values
+    are the one leaf the search starts from.  Either way one loop files
+    them.  The frontier moves on to the new solution, so that the old one's
+    memory is freed before the search runs: a solution resumes once.
     """
-    sense = 1.0 if p.lp.maximize else -1.0
     n = p.lp.n_vars
     binaries = np.array(p.binary_indices, dtype=np.intp)
-
-    def better(a: float, b: float) -> bool:
-        return sense * a > sense * b
-
     base, stale = None, []
     if resume is not None:
         frontier = resume._frontier
@@ -197,25 +201,27 @@ def solve_milp(p: MilpProblem, tol: float = DEFAULT_TOL,
         base, stale = _extended(frontier, p)
         resume._frontier = None
     pivots = flips = 0
-    root = None
-    if base is None:
+    if base is None:  # nothing to resume: the root, solved cold, is the one leaf
         root = solve_lp(p.lp)
         pivots, flips = len(root.pivots), _flips(root.pivots)
         if root.status != "optimal":
             return MilpSolution(status=root.status, lp_pivots=pivots,
                                 bound_flips=flips, _frontier=_Frontier(p, None, []))
-        base = root._tableau.as_base()
+        # copies: the root's tableau lives on as the base
+        tab = root._tableau
+        stale = [(root.objective, tab.basis.copy(), tab.x.copy(), ())]
+        base = tab.as_base()
 
     incumbent_x: Optional[np.ndarray] = None
-    incumbent_val = -sense * np.inf
+    incumbent_val = -np.inf
     node_count = 0
     bound_trace: list[float] = []
     leaves: list[tuple] = []  # the frontier this call leaves behind
-    # heap orders by worst-case-first on the relaxation bound (max: largest
-    # first); an entry is (priority, key, bound, branch variable, basis,
-    # values, fixings), the branch variable None for a stale leaf, one whose
-    # LP has not been re-optimized since rows were appended
-    heap = [(-sense * bound, key, bound, None, basis, x, fixings)
+    # heap pops the largest relaxation bound first; an entry is (-bound, key,
+    # bound, branch variable, basis, values, fixings), the branch variable
+    # None for a stale leaf, one whose LP has not been re-optimized since
+    # rows were appended (or, in a cold solve, the root)
+    heap = [(-bound, key, bound, None, basis, x, fixings)
             for key, (bound, basis, x, fixings) in enumerate(stale)]
     heapq.heapify(heap)
     counter = len(heap)
@@ -229,23 +235,17 @@ def solve_milp(p: MilpProblem, tol: float = DEFAULT_TOL,
         sol_x = x[:n].copy()
         objective = float(p.lp.c @ sol_x)
         var = _most_fractional(sol_x, binaries)
-        beats = incumbent_x is None or better(objective, incumbent_val)
+        beats = objective > incumbent_val
         if beats and var is not None:
             counter += 1
-            heapq.heappush(heap, (-sense * objective, counter, objective, var,
-                                  basis, x, fixings))
+            heapq.heappush(heap, (-objective, counter, objective, var, basis, x, fixings))
             return
         if beats:  # integral
             incumbent_x, incumbent_val = sol_x, objective
         leaves.append((objective, basis, x, fixings))
 
     def global_bound() -> float:
-        best_open = heap[0][2] if heap else None
-        if best_open is None:
-            return incumbent_val
-        if incumbent_x is None:
-            return best_open
-        return best_open if better(best_open, incumbent_val) else incumbent_val
+        return max(incumbent_val, heap[0][2]) if heap else incumbent_val
 
     def count_node() -> None:
         nonlocal node_count
@@ -255,13 +255,9 @@ def solve_milp(p: MilpProblem, tol: float = DEFAULT_TOL,
                 f"exceeded {NODE_CAP} nodes; increase the cap or tighten the model"
             )
 
-    if root is not None:
-        # copies: the root's tableau lives on as the base
-        settle(root._tableau.basis.copy(), root._tableau.x.copy(), ())
-        bound_trace.append(global_bound())
     while heap:
         _, _, bound, var, basis, x, fixings = heapq.heappop(heap)
-        if incumbent_x is not None and not better(bound, incumbent_val + sense * tol):
+        if bound <= incumbent_val + tol:
             leaves.append((bound, basis, x, fixings))
             bound_trace.append(global_bound())
             continue  # pruned by bound
@@ -291,7 +287,7 @@ def solve_milp(p: MilpProblem, tol: float = DEFAULT_TOL,
                 tab = spare
         # the node is accounted for: the open cover shrank, record the bound
         bound_trace.append(global_bound())
-        if incumbent_x is not None and heap and not better(heap[0][2], incumbent_val + sense * tol):
+        if heap and heap[0][2] <= incumbent_val + tol:
             break
 
     final_bound = global_bound()

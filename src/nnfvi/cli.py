@@ -5,11 +5,13 @@ Subcommands: ``fvi-run`` (train and evaluate on an instance), ``mcd-bench``
 ``case-study`` (flexible vs inflexible sensitivity sweep), and ``dp-oracle``
 (exact value tables and the gap against a fitted run).
 
-All randomness flows from explicit seeds in the JSON config; outputs are CSV
-files written atomically, each carrying the config hash in a leading comment
-and unit-suffixed column names.  Wall-clock measurements go to separate
-files so the result CSVs are byte-identical across reruns.  Exit codes:
-0 success, 1 domain error, 2 usage error; failures emit a JSON error object
+The JSON config is the one source of a run's values: the command line names
+only the subcommand, the config and the output directory.  All randomness
+flows from explicit seeds in the config; outputs are CSV files written
+atomically, each carrying the config hash in a leading comment and
+unit-suffixed column names.  Wall-clock measurements go to separate files
+so the result CSVs are byte-identical across reruns.  Exit codes: 0
+success, 1 domain error, 2 usage error; failures emit a JSON error object
 on stderr.
 """
 
@@ -32,13 +34,7 @@ import numpy as np
 from .cuts import RecourseContext
 from .fvi import FittedValueSet, FviConfig, PeriodTime, PeriodWork, exact_dp, \
     run_nnfvi
-from .mcd import (
-    ENGINES,
-    McdConfig,
-    StageReward,
-    linear_stage_reward,
-    select_action,
-)
+from .mcd import McdConfig, StageReward, linear_stage_reward, select_action
 from .mcip import McipInstance, build_mcip_mdp, dp_model, sensitivity_sweep, \
     synthetic_instance, with_parameters
 from .mdp import ActionBox, MdpSpec
@@ -360,10 +356,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", required=True, help="JSON config path")
     parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override the config seed")
-    parser.add_argument("--engine", choices=ENGINES,
-                        default=None, help="override the config engine")
     return parser
 
 
@@ -375,10 +367,6 @@ def main(argv=None) -> int:
         return EXIT_USAGE if err.code not in (0, None) else EXIT_OK
     try:
         config = _load_config(args.config)
-        if args.seed is not None:
-            config["seed"] = args.seed
-        if args.engine is not None:
-            config["engine"] = args.engine
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         return COMMANDS[args.command](config, out_dir)

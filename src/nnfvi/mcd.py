@@ -52,7 +52,7 @@ from .cuts import (
     recourse_value,  # unused here; kept at this name, which perfbench traces
     recourse_values,
 )
-from .mdp import ActionBox, as_integers, enumerate_actions
+from .mdp import ENUMERATION_CAP, ActionBox, as_integers, enumerate_actions
 from .simplex import LEQ, LpNumericalError, LpProblem
 
 ENGINES = ("mcd", "brute", "lshaped")
@@ -189,8 +189,7 @@ class FirstStage:
     constant_offset: float
 
     def decode_action(self, x: np.ndarray) -> np.ndarray:
-        bits = np.round(x[: self.encoding.total_bits])
-        return self.encoding.decode(bits)
+        return self.encoding.decode(x[: self.encoding.total_bits])
 
     def with_cuts(self, integer_cut: IntegerOptimalityCut,
                   combined_cut: Optional[LinearCut] = None) -> "FirstStage":
@@ -316,11 +315,17 @@ def _neighbours(box: ActionBox, a: np.ndarray) -> np.ndarray:
     return cand[((cand >= 0) & (cand <= box.upper_bounds)).all(axis=1)]
 
 
-def _fall_back(ctx: RecourseContext, reward: StageReward, reason: str,
+def _fall_back(ctx: RecourseContext, reward: StageReward, failure: Exception,
                milp_nodes: int, lp_pivots: int, bound_flips: int) -> SelectionResult:
-    """Brute-force result marked ``fell_back``, with a RuntimeWarning; it
-    keeps the counters of the MILPs solved before the failure."""
-    warnings.warn(f"{reason}; falling back to brute force", RuntimeWarning)
+    """Brute-force result marked ``fell_back``, with a RuntimeWarning naming
+    ``failure``, the first-stage MILP's error; it keeps the counters of the
+    MILPs solved before the failure.  A box above ``ENUMERATION_CAP``
+    actions leaves no brute force to fall back on, so ``failure`` itself is
+    raised there, with no warning."""
+    if ctx.spec.action_box.count() > ENUMERATION_CAP:
+        raise failure
+    warnings.warn(f"first-stage MILP failed ({failure}); falling back to brute force",
+                  RuntimeWarning)
     return replace(select_action_bruteforce(ctx, reward), fell_back=True,
                    milp_nodes=milp_nodes, lp_pivots=lp_pivots, bound_flips=bound_flips)
 
@@ -375,13 +380,13 @@ def _decompose(ctx: RecourseContext, reward: StageReward, config: McdConfig,
         try:
             sol = solve_milp(fp.milp, tol=MILP_TOLERANCE, resume=sol)
         except (LpNumericalError, NodeLimitError) as err:
-            return _fall_back(ctx, reward, f"first-stage MILP failed ({err})",
-                              nodes, pivots, flips)
+            return _fall_back(ctx, reward, err, nodes, pivots, flips)
         nodes += sol.node_count
         pivots += sol.lp_pivots
         flips += sol.bound_flips
         if sol.status != "optimal":
-            return _fall_back(ctx, reward, f"first-stage MILP status {sol.status}",
+            return _fall_back(ctx, reward,
+                              RuntimeError(f"first-stage MILP status {sol.status}"),
                               nodes, pivots, flips)
 
         a_next = fp.decode_action(sol.x)

@@ -69,6 +69,14 @@ class TestExamples:
         assert sol.status == "optimal" and sol.objective == 0.0 and sol.bound == 0.0
         assert sol.x.shape == (0,) and sol.node_count == 0
 
+    def test_refuses_a_minimization(self):
+        lp = LpProblem(c=[1.0], A=np.zeros((0, 1)), b=[], senses=[],
+                       lower=[0.0], upper=[1.0], maximize=False)
+        with pytest.raises(ValueError, match="maximizes only.*-c"):
+            MilpProblem(lp=lp, binary_indices=[0])
+        with pytest.raises(ValueError, match="maximizes only"):
+            binary_milp([1.0], [[1.0]], [1.0], maximize=False)
+
     def test_binary_bound_validation(self):
         lp = LpProblem(c=[1.0], A=np.zeros((0, 1)), b=[], senses=[],
                        lower=[0.0], upper=[2.0], maximize=True)
@@ -90,12 +98,14 @@ class TestRandomVsEnumeration:
             c, A, b = self._instance(rng, 10, m)
             maximize = bool(rng.integers(0, 2))
             expected = enumerate_binary_optimum(c, A, b, maximize)
-            sol = solve_milp(binary_milp(c, A, b, maximize))
+            # a minimization is solved as the maximization of -c
+            sign = 1.0 if maximize else -1.0
+            sol = solve_milp(binary_milp(sign * c, A, b))
             if expected is None:
                 assert sol.status == "infeasible"
             else:
                 assert sol.status == "optimal"
-                assert sol.objective == pytest.approx(expected, abs=1e-8)
+                assert sign * sol.objective == pytest.approx(expected, abs=1e-8)
                 frac = np.abs(sol.x[:10] - np.round(sol.x[:10]))
                 assert np.all(frac <= 1e-6)
                 assert abs(sol.objective - sol.bound) <= 1e-6 + 1e-9
@@ -182,9 +192,9 @@ class TestWarmStartedSearch:
         for _ in range(15):
             c, A = rng.normal(size=9), rng.normal(size=(3, 9))
             b = rng.uniform(-0.5, 4.5, size=3)
-            maximize = bool(rng.integers(0, 2))
-            first = solve_milp(binary_milp(c, A, b, maximize))
-            again = solve_milp(binary_milp(c, A, b, maximize))
+            sign = 1.0 if rng.integers(0, 2) else -1.0  # a minimization negates c
+            first = solve_milp(binary_milp(sign * c, A, b))
+            again = solve_milp(binary_milp(sign * c, A, b))
             assert first.status == again.status
             if first.status == "optimal":
                 np.testing.assert_array_equal(first.x, again.x)
@@ -424,6 +434,14 @@ def mixed_milp(rng, k, m):
     return MilpProblem(lp=lp, binary_indices=list(range(k)))
 
 
+def signed_binary_milp(rng, k, m):
+    """``k`` binaries under ``m`` rows, an objective to maximize or, on the
+    draw's other side, to minimize, posed as the maximization of ``-c``."""
+    c, A = rng.normal(size=k), rng.normal(size=(m, k))
+    b = rng.uniform(0.5, k * 0.5, size=m)
+    return binary_milp(c if rng.integers(0, 2) else -c, A, b)
+
+
 class TestResumedSearch:
     """A search resumed after appending rows agrees with a cold solve."""
 
@@ -461,13 +479,7 @@ class TestResumedSearch:
         resumed_nodes = infeasible_rounds = 0
         for _ in range(15):
             k, m = int(rng.integers(5, 9)), int(rng.integers(1, 4))
-            if mixed:
-                p = mixed_milp(rng, k, m)
-            else:
-                p = binary_milp(rng.normal(size=k), rng.normal(size=(m, k)),
-                                rng.uniform(0.5, k * 0.5, size=m),
-                                maximize=bool(rng.integers(0, 2)))
-            sense = 1.0 if p.lp.maximize else -1.0
+            p = mixed_milp(rng, k, m) if mixed else signed_binary_milp(rng, k, m)
             for q, sol in self._rounds(rng, p, rounds=5):
                 cold = solve_milp(q, tol=1e-9)
                 assert sol.status == cold.status
@@ -481,8 +493,8 @@ class TestResumedSearch:
                 assert np.all(q.lp.A @ x <= q.lp.b + 1e-8)
                 assert np.all((x >= q.lp.lower - 1e-9) & (x <= q.lp.upper + 1e-9))
                 assert q.lp.c @ x == pytest.approx(sol.objective, abs=1e-12)
-                assert sense * (sol.bound - sol.objective) <= 1e-9 + 1e-12
-                assert np.all(sense * np.diff(sol.bound_trace) <= 1e-7)
+                assert sol.bound - sol.objective <= 1e-9 + 1e-12
+                assert np.all(np.diff(sol.bound_trace) <= 1e-7)
         assert resumed_nodes > 100 and infeasible_rounds >= 15
 
     def test_rerun_repeats_nodes_trace_and_pivots(self):
@@ -566,9 +578,6 @@ class TestResumedSearch:
                                      lower=lp.lower, upper=lp.upper), binary_indices=range(6)),
             MilpProblem(lp=LpProblem(c=-lp.c, A=lp.A, b=lp.b, senses=lp.senses,
                                      lower=lp.lower, upper=lp.upper), binary_indices=range(6)),
-            MilpProblem(lp=LpProblem(c=lp.c, A=lp.A, b=lp.b, senses=lp.senses,
-                                     lower=lp.lower, upper=lp.upper, maximize=False),
-                        binary_indices=range(6)),
             MilpProblem(lp=lp, binary_indices=range(5)),
             MilpProblem(lp=LpProblem(c=lp.c, A=np.vstack([lp.A, lp.A[:1]]),
                                      b=np.append(lp.b, 1.0), senses=lp.senses + [">="],
@@ -664,12 +673,7 @@ class TestNodesStopAtOptimality:
         resumed = 0
         for _ in range(10):
             k, m = int(rng.integers(5, 9)), int(rng.integers(1, 4))
-            if mixed:
-                p = mixed_milp(rng, k, m)
-            else:
-                p = binary_milp(rng.normal(size=k), rng.normal(size=(m, k)),
-                                rng.uniform(0.5, k * 0.5, size=m),
-                                maximize=bool(rng.integers(0, 2)))
+            p = mixed_milp(rng, k, m) if mixed else signed_binary_milp(rng, k, m)
             for _, sol in TestResumedSearch()._rounds(rng, p, rounds=4):
                 resumed += sol.node_count
         assert sum(checked) > 50 and resumed > 50

@@ -107,14 +107,24 @@ class TestFviRun:
             vals[engine] = float(rows[-1][2])
         assert vals["mcd"] == pytest.approx(vals["brute"], abs=1e-6)
 
-    def test_seed_override_changes_hash_content(self, tmp_path):
+    def test_another_config_seed_changes_the_hash_line(self, tmp_path):
+        heads = []
+        for seed in (3, 99):
+            cfg = write_config(tmp_path, f"cfg{seed}.json", tiny_fvi_payload(seed=seed))
+            out = tmp_path / str(seed)
+            assert main(["fvi-run", "--config", cfg, "--out", str(out)]) == EXIT_OK
+            heads.append((out / "fvi_results.csv").read_text().splitlines()[0])
+        assert heads[0] != heads[1]
+
+    @pytest.mark.parametrize("flag, value", [("--seed", "99"), ("--engine", "mcd")])
+    def test_a_flag_that_would_override_the_config_is_a_usage_error(self, tmp_path,
+                                                                     flag, value):
+        # the config file is the one source of a run's values
         cfg = write_config(tmp_path, "cfg.json", tiny_fvi_payload())
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        main(["fvi-run", "--config", cfg, "--out", str(out1)])
-        main(["fvi-run", "--config", cfg, "--out", str(out2), "--seed", "99"])
-        head1 = (out1 / "fvi_results.csv").read_text().splitlines()[0]
-        head2 = (out2 / "fvi_results.csv").read_text().splitlines()[0]
-        assert head1 != head2
+        out = tmp_path / "out"
+        assert main(["fvi-run", "--config", cfg, "--out", str(out), flag, value]) \
+            == EXIT_USAGE
+        assert not out.exists()
 
 
 class TestMcdBench:

@@ -24,7 +24,7 @@ from nnfvi import cuts, fvi, mcd
 from nnfvi.bnb import MilpSolution, NodeLimitError, solve_milp
 from nnfvi.cli import make_bench_instance
 from nnfvi.mcip import build_mcip_mdp, synthetic_instance
-from nnfvi.mdp import ActionBox, enumerate_actions, sample_states
+from nnfvi.mdp import ENUMERATION_CAP, ActionBox, enumerate_actions, sample_states
 from nnfvi.neural import ReluNet, TrainConfig
 from nnfvi.simplex import LpNumericalError, LpProblem
 
@@ -570,6 +570,26 @@ class TestBruteForceFallback:
         ctx = random_context(14, n2=2, a_bar=[3, 2])
         with pytest.raises(RuntimeWarning, match="falling back to brute force"):
             select_action(ctx, make_reward(ctx, seed=9), McdConfig(engine="mcd"))
+
+    @pytest.mark.parametrize("failure", ["raise", "status"])
+    def test_a_box_too_large_to_enumerate_raises_the_masters_error(self, monkeypatch,
+                                                                   failure):
+        # 16^7 actions: brute force would refuse the box, so the solver's own
+        # failure is reported, with no fallback warning
+        ctx, reward = make_bench_instance(1, 7, neurons=10, transition_samples=4,
+                                          capacity_levels=15)
+        assert ctx.spec.action_box.count() > ENUMERATION_CAP
+
+        def failing_milp(*args, **kwargs):
+            if failure == "raise":
+                raise NodeLimitError("node cap")
+            return MilpSolution(status="infeasible")
+
+        monkeypatch.setattr(mcd, "solve_milp", failing_milp)
+        expected = (NodeLimitError, "node cap") if failure == "raise" else \
+            (RuntimeError, "first-stage MILP status infeasible")
+        with pytest.raises(expected[0], match=expected[1]):
+            select_action(ctx, reward, McdConfig(engine="mcd"))
 
     def test_no_fallback_by_default(self):
         ctx = random_context(14, n2=2, a_bar=[3, 2])
