@@ -44,7 +44,6 @@ convergence.
 
 from __future__ import annotations
 
-import copy
 import heapq
 import weakref
 from dataclasses import dataclass, field
@@ -100,12 +99,21 @@ class MilpProblem:
                              f"fit {lp.n_vars} columns")
         if not (np.isfinite(A).all() and np.isfinite(b).all()):
             raise ValueError("appended rows must be finite")
-        grown = copy.copy(self)
-        grown.lp = copy.copy(lp)  # shares c and the bounds, validated once
-        grown.lp.A, grown.lp.b = np.vstack([lp.A, A]), np.concatenate([lp.b, b])
-        grown.lp.senses = lp.senses + [LEQ] * b.size
-        grown._parent = weakref.ref(self)
-        return grown
+        # built field by field, not through the constructors, so that c,
+        # the bounds and the binary indices are shared and validated once
+        grown_lp = _unchecked(LpProblem, **(vars(lp) | dict(
+            A=np.vstack([lp.A, A]), b=np.concatenate([lp.b, b]),
+            senses=lp.senses + [LEQ] * b.size)))
+        return _unchecked(MilpProblem, lp=grown_lp, binary_indices=self.binary_indices,
+                          _parent=weakref.ref(self))
+
+
+def _unchecked(cls, **fields):
+    """An instance of the dataclass ``cls`` holding ``fields``, made without
+    calling its ``__init__`` and so without its ``__post_init__`` checks."""
+    obj = object.__new__(cls)
+    vars(obj).update(fields)
+    return obj
 
 
 @dataclass

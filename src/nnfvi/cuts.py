@@ -90,6 +90,19 @@ class RecourseContext:
         it does not depend on the anchor."""
         return positive_cut(self)
 
+    @cached_property
+    def positive_box_range(self) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`_box_range` of the positive neurons, which both
+        :func:`positive_cut` and :func:`recourse_upper_bound` read."""
+        return _box_range(self, self.positive_neurons)
+
+    @cached_property
+    def rest_forms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``gamma1``, ``gamma2`` and output weights of the rest neurons,
+        sliced once for every :func:`gradient_cut` of this context."""
+        rest = self.rest_neurons
+        return self.gamma1[:, rest, :], self.gamma2[:, rest], self.net.output_weights[rest]
+
 
 def recourse_value(ctx: RecourseContext, a: np.ndarray) -> float:
     """:func:`recourse_values` at the one action ``a``, checked against the box."""
@@ -119,12 +132,12 @@ def _box_range(ctx: RecourseContext,
     return np.minimum(g1, 0.0) @ a_bar + g2, np.maximum(g1, 0.0) @ a_bar + g2
 
 
-def _linear_form(ctx: RecourseContext, neurons: list[int], slope: np.ndarray,
-                 intercept: np.ndarray) -> LinearCut:
-    """Scenario average of ``w_j * (slope * gamma1 @ a + intercept)`` summed
-    over ``neurons``; ``slope`` and ``intercept`` have shape (S2, Jn)."""
-    w = ctx.net.output_weights[neurons]
-    coef = np.einsum("sj,sjk->k", slope * w, ctx.gamma1[:, neurons, :]) / ctx.s2
+def _linear_form(ctx: RecourseContext, g1: np.ndarray, w: np.ndarray,
+                 slope: np.ndarray, intercept: np.ndarray) -> LinearCut:
+    """Scenario average of ``w_j * (slope * g1 @ a + intercept)`` summed
+    over the neurons that ``g1`` (S2, Jn, N2) and ``w`` (Jn,) hold; ``slope``
+    and ``intercept`` have shape (S2, Jn)."""
+    coef = np.einsum("sj,sjk->k", slope * w, g1) / ctx.s2
     return LinearCut(coef, float(np.sum(w * intercept) / ctx.s2))
 
 
@@ -134,12 +147,12 @@ def gradient_cut(ctx: RecourseContext, anchor: np.ndarray) -> LinearCut:
     Coefficients follow the activation pattern at the anchor with a strict
     indicator (a preactivation of exactly zero counts as inactive), so the
     cut equals the concave part at the anchor and dominates it elsewhere.
+    The anchor is not checked against the box: the decomposition checks
+    each of its anchors once, in :func:`integer_optimality_cut`.
     """
-    anchor = ctx.spec.action_box.check(anchor)
-    neurons = ctx.rest_neurons
-    g2 = ctx.gamma2[:, neurons]
-    active = (ctx.gamma1[:, neurons, :] @ anchor.astype(float) + g2) > 0.0
-    return _linear_form(ctx, neurons, active, active * g2)
+    g1, g2, w = ctx.rest_forms
+    active = (g1 @ np.asarray(anchor, dtype=float) + g2) > 0.0
+    return _linear_form(ctx, g1, w, active, active * g2)
 
 
 def positive_cut(ctx: RecourseContext) -> LinearCut:
@@ -152,13 +165,14 @@ def positive_cut(ctx: RecourseContext) -> LinearCut:
     ``hi`` at the peak.
     """
     neurons = ctx.positive_neurons
-    lo, hi = _box_range(ctx, neurons)
+    lo, hi = ctx.positive_box_range
     g2 = ctx.gamma2[:, neurons]
     active = lo > 0.0
     # where hi > 0, hi - lo >= hi > 0; a never-active term, or a mixed one
     # with hi == 0 (so also one with lo == hi), adds 0
     chord = np.divide(hi, hi - lo, out=np.zeros_like(hi), where=~active & (hi > 0.0))
-    return _linear_form(ctx, neurons, np.where(active, 1.0, chord),
+    return _linear_form(ctx, ctx.gamma1[:, neurons, :], ctx.net.output_weights[neurons],
+                        np.where(active, 1.0, chord),
                         np.where(active, g2, chord * (g2 - lo)))
 
 
@@ -237,9 +251,9 @@ def recourse_upper_bound(ctx: RecourseContext) -> float:
     Each positive-weight neuron is charged its box-maximal activation; the
     non-positive part contributes at most zero.
     """
-    neurons = ctx.positive_neurons
-    _, hi = _box_range(ctx, neurons)
-    return float(np.mean(np.maximum(hi, 0.0) @ ctx.net.output_weights[neurons]))
+    _, hi = ctx.positive_box_range
+    return float(np.mean(np.maximum(hi, 0.0)
+                         @ ctx.net.output_weights[ctx.positive_neurons]))
 
 
 @dataclass(frozen=True)

@@ -19,10 +19,17 @@ maximum over the real box plus the discounted recourse bound and output
 bias (:meth:`StageReward.box_maximum`), the first-stage bound that Laporte
 & Louveaux's method starts from.  The stop rule is tested whenever a bound
 moves: after each anchor's exact evaluation (the lower bound) and after each
-master (the upper bound).  The first-stage MILP is built only when the first
-master is needed, so a selection that the box bound already certifies at the
-zero action, such as a terminal period's with its zero continuation, solves
-no MILP.
+master (the upper bound).  The multi-cut engine also tests it, before each
+master, on the same kind of bound for the iteration's combined cut: the
+reward plus the discounted cut is separable and concave per dimension, so
+its maximum over the real box (``box_maximum`` with the cut's coefficients
+as the gain) bounds the optimum with no LP.  When that bound closes the gap
+it becomes the upper bound and no master is solved; the master, which holds
+the cut over the same box, would have closed the gap too, with the same
+incumbent.  Like the neighbour step, this test is not part of the paper's
+MCD.  The first-stage MILP is built only when the first master is needed,
+so a selection that the box bound already certifies at the zero action,
+such as a terminal period's with its zero continuation, solves no MILP.
 
 The stage reward has one representation, :class:`StageReward`: separable
 concave pieces per action dimension.  Brute force and the exact anchor
@@ -117,20 +124,33 @@ class StageReward:
             total += (np.multiply.outer(actions[:, n], slopes) + icepts).min(axis=1)
         return total
 
-    def box_maximum(self, upper_bounds: np.ndarray) -> float:
-        """Bound ``>= values(a)`` for every action ``a`` in the box
-        ``[0, upper_bounds]``, exact when no dimension has pieces.
+    def _box_candidates(self, tops: np.ndarray) -> tuple:
+        """Candidate levels of every dimension over ``[0, tops]``, in
+        dimension order: the levels, their dimensions, the reward
+        contribution at each, and where each dimension's run starts.  The
+        arrays for the last ``tops`` asked for are kept, so that a
+        selection computes them once for all its bounds.
 
-        Each dimension's concave contribution peaks over the real interval
-        ``[0, upper_bounds[n]]`` at an end or where two pieces cross, so no
-        level is enumerated.  The crossings' floors and ceilings join the
-        candidates, so that the bound is not short of the best integer
-        level by the rounding of a crossing computed off an integer.
+        Each dimension's concave contribution plus any linear term peaks
+        over the real interval ``[0, top]`` at an end or where two pieces
+        cross.  The crossings' floors and ceilings join the candidates, so
+        that a bound is not short of the best integer level by the
+        rounding of a crossing computed off an integer.  A dimension
+        without pieces has the levels ``0`` and ``top``, each contributing
+        ``-0.0``, which leaves any sum it is added to unchanged.
         """
-        total = float(self.constant)
-        tops = np.asarray(upper_bounds, dtype=float)
-        for n, slopes, icepts in self._arrays:
-            top = tops[n]
+        key = tops.tobytes()
+        memo = self.__dict__.get("_box_memo")
+        if memo is not None and memo[0] == key:
+            return memo[1]
+        pieces = {n: (slopes, icepts) for n, slopes, icepts in self._arrays}
+        levels, contributions = [], []
+        for n, top in enumerate(tops):
+            if n not in pieces:
+                levels.append(np.array([0.0, top]))
+                contributions.append(np.array([-0.0, -0.0]))
+                continue
+            slopes, icepts = pieces[n]
             with np.errstate(divide="ignore", invalid="ignore"):
                 # pieces i and j cross at (icept_j - icept_i) / (slope_i - slope_j)
                 cross = ((icepts - icepts[:, None])
@@ -138,7 +158,33 @@ class StageReward:
             cross = cross[(cross > 0) & (cross < top)]
             points = np.concatenate([[0.0, top], cross, np.floor(cross),
                                      np.ceil(cross)])
-            total += (np.multiply.outer(points, slopes) + icepts).min(axis=1).max()
+            levels.append(points)
+            contributions.append((np.multiply.outer(points, slopes) + icepts).min(axis=1))
+        sizes = [len(points) for points in levels]
+        candidates = (np.concatenate(levels), np.repeat(np.arange(len(tops)), sizes),
+                      np.concatenate(contributions),
+                      np.cumsum([0] + sizes[:-1]))
+        self._box_memo = (key, candidates)
+        return candidates
+
+    def box_maximum(self, upper_bounds: np.ndarray,
+                    gain: Optional[np.ndarray] = None) -> float:
+        """Bound ``>= values(a) + gain @ a`` for every action ``a`` in the
+        box ``[0, upper_bounds]``, exact when no dimension has pieces;
+        ``gain=None`` bounds the reward alone.
+
+        The reward plus a linear term is separable and concave per
+        dimension, so the bound is the constant plus each dimension's
+        maximum over its candidate levels (:meth:`_box_candidates`), added
+        in dimension order; no level is enumerated.
+        """
+        levels, dims, values, starts = self._box_candidates(
+            np.asarray(upper_bounds, dtype=float))
+        if gain is not None:
+            values = values + np.asarray(gain, dtype=float)[dims] * levels
+        total = float(self.constant)
+        for peak in np.maximum.reduceat(values, starts).tolist():
+            total += peak
         return total
 
 
@@ -163,7 +209,9 @@ class SelectionResult:
     upper_bound: float        # bound on the optimum: the box bound (reward's
                               # box_maximum plus the discounted recourse
                               # bound and output bias) tightened by each
-                              # master solved; brute's is its objective
+                              # master solved, or by the combined cut's box
+                              # bound when that closes the gap (mcd only);
+                              # brute's is its objective
     iterations: int
     trace: np.ndarray         # one trace_dtype record per iteration:
                               # iteration, lower, upper, anchor action
@@ -335,7 +383,8 @@ def _decompose(ctx: RecourseContext, reward: StageReward, config: McdConfig,
     """Multi-cut decomposition (integer optimality plus combined cuts) or,
     without ``use_combined``, the integer L-shaped method; both start from
     the zero action and from the box bound as the upper bound.  The stop
-    rule is tested after each anchor and after each master.  The first
+    rule is tested after each anchor, on the combined cut's box bound
+    before each master (multi-cut only), and after each master.  The first
     stage is built, without cuts, when the first master is needed; each
     iteration appends its own cut rows and resumes the previous iteration's
     branch-and-bound search."""
@@ -372,11 +421,23 @@ def _decompose(ctx: RecourseContext, reward: StageReward, config: McdConfig,
             trace.append((m, lower, upper, a_m))
             break
 
+        cut = combined_cut(ctx, a_m) if use_combined else None
+        if cut is not None:
+            # reward + gamma * cut is separable, so its box maximum bounds
+            # the optimum with no LP; when that closes the gap, so would the
+            # master, which holds the cut over the same box
+            cut_bound = (reward.box_maximum(box.upper_bounds, gamma * cut.coef)
+                         + gamma * cut.const + gamma * ctx.net.output_bias)
+            if config.gap_closed(lower, min(upper, cut_bound)):
+                upper = min(upper, cut_bound)
+                trace.append((m, lower, upper, a_m))
+                break
+
         if fp is None:
             fp = build_first_stage(ctx, binary_encoding(box), reward, eta_bar)
         fp = fp.with_cuts(
             integer_optimality_cut(ctx, fp.encoding, a_m, eta_bar, float(recourse[0])),
-            combined_cut(ctx, a_m) if use_combined else None)
+            cut)
         try:
             sol = solve_milp(fp.milp, tol=MILP_TOLERANCE, resume=sol)
         except (LpNumericalError, NodeLimitError) as err:

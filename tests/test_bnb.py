@@ -627,8 +627,9 @@ class TestResumedSearch:
         assert p.lp.n_rows == 2 and len(p.lp.senses) == 2
         np.testing.assert_array_equal(q.lp.A, np.vstack([p.lp.A, A]))
         np.testing.assert_array_equal(q.lp.b, np.append(p.lp.b, [3.0, 4.0]))
-        assert q.lp.senses == ["<="] * 4 and q.binary_indices == p.binary_indices
+        assert q.lp.senses == ["<="] * 4 and q.binary_indices is p.binary_indices
         assert q.lp.c is p.lp.c and q.lp.maximize == p.lp.maximize
+        assert q.lp.lower is p.lp.lower and q.lp.upper is p.lp.upper
 
     def test_a_long_grow_and_resume_chain_frees_the_first_problem(self):
         # a grown problem refers to its parent weakly and a solution's

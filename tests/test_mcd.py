@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 
 import numpy as np
@@ -121,31 +122,76 @@ class TestBoxMaximum:
         return float(reward.values(enumerate_actions(box)).max())
 
     @staticmethod
-    def real_max(reward, upper_bounds, points=20_001):
-        """The reward's maximum over a fine grid of the real box, dimension
-        by dimension, and the most the grid can miss it by."""
+    def real_max(reward, upper_bounds, gain=None, points=20_001):
+        """The maximum of the reward plus ``gain @ a`` over a fine grid of the
+        real box, dimension by dimension, and the most the grid can miss it
+        by."""
+        gain = np.zeros(len(upper_bounds)) if gain is None else gain
         total, slack = reward.constant, 0.0
-        for dim_pieces, top in zip(reward.pieces, upper_bounds):
+        for dim_pieces, top, g in zip(reward.pieces, upper_bounds, gain):
+            grid = np.linspace(0.0, top, points)
             if dim_pieces:
                 slopes, icepts = np.asarray(dim_pieces, dtype=float).T
-                grid = np.linspace(0.0, top, points)
-                total += (np.multiply.outer(grid, slopes) + icepts).min(axis=1).max()
-                slack += np.abs(slopes).max() * top / (points - 1)
+                total += ((np.multiply.outer(grid, slopes) + icepts).min(axis=1)
+                          + g * grid).max()
+                slack += (np.abs(slopes).max() + abs(g)) * top / (points - 1)
+            else:
+                total += max(0.0, g * top)
         return total, slack
+
+    @staticmethod
+    def loop_box_maximum(reward, upper_bounds):
+        """The reward's box maximum as one loop over the dimensions with
+        pieces, crossings computed per call: the reference for
+        ``box_maximum`` without a gain."""
+        total = float(reward.constant)
+        for dim_pieces, top in zip(reward.pieces, np.asarray(upper_bounds, dtype=float)):
+            if not dim_pieces:
+                continue
+            slopes, icepts = np.asarray(dim_pieces, dtype=float).T
+            with np.errstate(divide="ignore", invalid="ignore"):
+                cross = ((icepts - icepts[:, None]) / (slopes[:, None] - slopes)).ravel()
+            cross = cross[(cross > 0) & (cross < top)]
+            points = np.concatenate([[0.0, top], cross, np.floor(cross), np.ceil(cross)])
+            total += (np.multiply.outer(points, slopes) + icepts).min(axis=1).max()
+        return total
+
+    @staticmethod
+    def random_reward(rng):
+        dims = int(rng.integers(1, 4))
+        upper_bounds = rng.integers(0, 6, size=dims)
+        pieces = [[(float(rng.normal()), float(rng.normal() * 3))
+                   for _ in range(int(rng.integers(0, 5)))] for _ in range(dims)]
+        return StageReward(constant=float(rng.normal()), pieces=pieces), upper_bounds
 
     def test_random_concave_pieces_bound_the_integer_maximum(self):
         rng = np.random.default_rng(91)
         for _ in range(200):
-            dims = int(rng.integers(1, 4))
-            upper_bounds = rng.integers(0, 6, size=dims)
-            pieces = [[(float(rng.normal()), float(rng.normal() * 3))
-                       for _ in range(int(rng.integers(0, 5)))] for _ in range(dims)]
-            reward = StageReward(constant=float(rng.normal()), pieces=pieces)
+            reward, upper_bounds = self.random_reward(rng)
             bound = reward.box_maximum(upper_bounds)
             assert bound >= self.integer_max(reward, upper_bounds)
             # the real box's maximum, not a looser bound
             top, slack = self.real_max(reward, upper_bounds)
             assert top - 1e-12 <= bound <= top + slack + 1e-12
+            assert bound.hex() == self.loop_box_maximum(reward, upper_bounds).hex()
+
+    def test_random_gains_bound_the_integer_maximum(self):
+        rng = np.random.default_rng(94)
+        for _ in range(200):
+            reward, upper_bounds = self.random_reward(rng)
+            gain = rng.normal(size=len(upper_bounds)) * 2
+            no_gain = reward.box_maximum(upper_bounds)
+            bound = reward.box_maximum(upper_bounds, gain)
+            actions = enumerate_actions(ActionBox(upper_bounds))
+            # the bound adds gain_n a_n per dimension, the enumeration adds
+            # gain @ a to the whole reward: the sums differ by round-off
+            assert bound >= (reward.values(actions) + actions @ gain).max() - 1e-12
+            top, slack = self.real_max(reward, upper_bounds, gain)
+            assert top - 1e-12 <= bound <= top + slack + 1e-12
+            # the candidates kept from the gain-free call serve the gain, and
+            # the gain leaves them as they were
+            assert no_gain == reward.box_maximum(upper_bounds)
+            assert reward.box_maximum(upper_bounds, np.zeros_like(gain)) == no_gain
 
     @pytest.mark.parametrize("capacity", [0.5, 1.5, 2.25, 2.0])
     def test_mcip_two_piece_shape(self, capacity):
@@ -808,10 +854,44 @@ def forbid(monkeypatch, *names):
         monkeypatch.setattr(mcd, name, refuse)
 
 
+@functools.cache
+def period_2_early_stops(engine):
+    """``(continuation net, state, noises, result)`` of each period-2
+    selection in criterion 4's run with ``engine`` that solves one master
+    fewer than it has iterations; lshaped's run may not call
+    ``combined_cut``."""
+    spec = criterion_4_spec()
+    config = fvi.FviConfig(state_samples=200, transition_samples=20, neurons=20,
+                           train=TrainConfig(restarts=5, max_epochs=200),
+                           mcd=McdConfig(engine=engine), seed=0)
+    masters, stopped = [0], []
+    solve, decide = mcd.solve_milp, fvi._decide
+
+    def counting_solve(*args, **kwargs):
+        masters[0] += 1
+        return solve(*args, **kwargs)
+
+    def recording_decide(spec, nets, t, x, noises, reward, cfg):
+        before = masters[0]
+        res = decide(spec, nets, t, x, noises, reward, cfg)
+        if t == 2 and masters[0] - before == res.iterations - 1:
+            stopped.append((nets[3], x, noises, res))
+        return res
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mcd, "solve_milp", counting_solve)
+        patch.setattr(fvi, "_decide", recording_decide)
+        if engine == "lshaped":
+            forbid(patch, "combined_cut")
+        fvi.run_nnfvi(spec, config)
+    return stopped
+
+
 class TestCertifiedBeforeSolving:
     """The upper bound starts at the box bound and the stop rule is tested
     after each anchor, so a selection whose gap the box bound already closes
-    builds and solves no master."""
+    builds and solves no master; mcd also tests it on each combined cut's
+    box bound, before that iteration's master."""
 
     @pytest.mark.parametrize("engine", ["mcd", "lshaped"])
     def test_terminal_selection_solves_no_master(self, monkeypatch, engine):
@@ -833,40 +913,49 @@ class TestCertifiedBeforeSolving:
             assert res.milp_nodes == res.lp_pivots == 0
             np.testing.assert_array_equal(res.action, np.zeros(spec.action_box.dims))
 
-    def test_period_2_selections_that_stop_at_an_anchor(self, monkeypatch):
-        # criterion 4's run with engine mcd: a period-2 selection whose gap
-        # closes when an anchor raises the lower bound solves one master
-        # fewer than it has iterations, and still picks brute force's action
+    @staticmethod
+    def check_brute_force_action(spec, net, x, noises, res):
+        ctx = RecourseContext(net, spec, x, noises)
+        ref = select_action_bruteforce(ctx, spec.stage_reward(2, x))
+        np.testing.assert_array_equal(res.action, ref.action)
+        assert res.objective == ref.objective
+
+    def test_period_2_selections_that_stop_at_an_anchor(self):
+        # an anchor that raises the lower bound enough stops the selection
+        # and leaves the upper bound as it was
         spec = criterion_4_spec()
-        config = fvi.FviConfig(state_samples=200, transition_samples=20, neurons=20,
-                               train=TrainConfig(restarts=5, max_epochs=200),
-                               mcd=McdConfig(engine="mcd"), seed=0)
-        masters, stopped = [0], []
-        solve, decide = mcd.solve_milp, fvi._decide
-
-        def counting_solve(*args, **kwargs):
-            masters[0] += 1
-            return solve(*args, **kwargs)
-
-        def recording_decide(spec, nets, t, x, noises, reward, cfg):
-            before = masters[0]
-            res = decide(spec, nets, t, x, noises, reward, cfg)
-            if t == 2 and masters[0] - before == res.iterations - 1:
-                stopped.append((nets[3], x, noises, res))
-            return res
-
-        monkeypatch.setattr(mcd, "solve_milp", counting_solve)
-        monkeypatch.setattr(fvi, "_decide", recording_decide)
-        fvi.run_nnfvi(spec, config)
-        assert stopped  # 21 of the 200 period-2 selections
-        for net, x, noises, res in stopped:
-            assert 1 < res.iterations < config.mcd.max_iterations
+        stops = [(net, x, noises, res) for net, x, noises, res in period_2_early_stops("mcd")
+                 if res.trace["upper"][-1] == res.trace["upper"][-2]]
+        assert len(stops) == 21  # of the 200 period-2 selections
+        for net, x, noises, res in stops:
+            assert 1 < res.iterations < McdConfig().max_iterations
             assert res.trace["upper"][-1] == res.upper_bound == res.trace["upper"][-2]
-            assert config.mcd.gap_closed(res.objective, res.upper_bound)
+            assert McdConfig().gap_closed(res.objective, res.upper_bound)
+            self.check_brute_force_action(spec, net, x, noises, res)
+
+    def test_period_2_selections_that_stop_at_the_cut_bound(self):
+        # the box maximum of reward + discount * combined cut closes the gap
+        # before the iteration's master, and becomes the upper bound
+        spec = criterion_4_spec()
+        gamma = spec.discount
+        stops = [(net, x, noises, res) for net, x, noises, res in period_2_early_stops("mcd")
+                 if res.trace["upper"][-1] < res.trace["upper"][-2]]
+        assert len(stops) == 161  # of the 200 period-2 selections
+        for net, x, noises, res in stops:
+            assert 1 < res.iterations < McdConfig().max_iterations
             ctx = RecourseContext(net, spec, x, noises)
-            ref = select_action_bruteforce(ctx, spec.stage_reward(2, x))
-            np.testing.assert_array_equal(res.action, ref.action)
-            assert res.objective == ref.objective
+            cut = combined_cut(ctx, res.trace["action"][-1])
+            assert res.upper_bound == res.trace["upper"][-1] == (
+                spec.stage_reward(2, x).box_maximum(spec.action_box.upper_bounds,
+                                                    gamma * cut.coef)
+                + gamma * cut.const + gamma * net.output_bias)
+            assert McdConfig().gap_closed(res.objective, res.upper_bound)
+            self.check_brute_force_action(spec, net, x, noises, res)
+
+    def test_lshaped_never_stops_at_the_cut_bound(self):
+        # lshaped has no combined cut (period_2_early_stops forbids it), and
+        # on this run no anchor stops a selection before its last master
+        assert period_2_early_stops("lshaped") == []
 
     @pytest.mark.parametrize("engine", ["mcd", "lshaped"])
     def test_one_iteration_reports_the_box_bound(self, monkeypatch, engine):
