@@ -42,7 +42,7 @@ from __future__ import annotations
 import functools
 import warnings
 from dataclasses import dataclass, replace
-from typing import ClassVar, Optional
+from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
@@ -124,28 +124,23 @@ class StageReward:
             total += (np.multiply.outer(actions[:, n], slopes) + icepts).min(axis=1)
         return total
 
-    def _box_candidates(self, tops: np.ndarray) -> tuple:
-        """Candidate levels of every dimension over ``[0, tops]``, in
-        dimension order: the levels, their dimensions, the reward
-        contribution at each, and where each dimension's run starts.  The
-        arrays for the last ``tops`` asked for are kept, so that a
-        selection computes them once for all its bounds.
+    def box_bound(self, upper_bounds: np.ndarray) -> Callable[..., float]:
+        """The function ``gain=None -> box_maximum(upper_bounds, gain)``,
+        with the candidate levels and the reward at each computed once, here,
+        so that a selection bounds every cut it builds with one array pass.
 
         Each dimension's concave contribution plus any linear term peaks
-        over the real interval ``[0, top]`` at an end or where two pieces
-        cross.  The crossings' floors and ceilings join the candidates, so
-        that a bound is not short of the best integer level by the
-        rounding of a crossing computed off an integer.  A dimension
-        without pieces has the levels ``0`` and ``top``, each contributing
-        ``-0.0``, which leaves any sum it is added to unchanged.
+        over the real interval ``[0, upper_bounds[n]]`` at an end or where
+        two pieces cross, so no level is enumerated.  The crossings' floors
+        and ceilings join the candidates, so that the bound is not short of
+        the best integer level by the rounding of a crossing computed off an
+        integer.  A dimension without pieces has the candidates ``0`` and
+        its upper bound, each contributing ``-0.0``, which leaves any sum it
+        is added to unchanged.
         """
-        key = tops.tobytes()
-        memo = self.__dict__.get("_box_memo")
-        if memo is not None and memo[0] == key:
-            return memo[1]
         pieces = {n: (slopes, icepts) for n, slopes, icepts in self._arrays}
         levels, contributions = [], []
-        for n, top in enumerate(tops):
+        for n, top in enumerate(np.asarray(upper_bounds, dtype=float)):
             if n not in pieces:
                 levels.append(np.array([0.0, top]))
                 contributions.append(np.array([-0.0, -0.0]))
@@ -161,31 +156,30 @@ class StageReward:
             levels.append(points)
             contributions.append((np.multiply.outer(points, slopes) + icepts).min(axis=1))
         sizes = [len(points) for points in levels]
-        candidates = (np.concatenate(levels), np.repeat(np.arange(len(tops)), sizes),
-                      np.concatenate(contributions),
-                      np.cumsum([0] + sizes[:-1]))
-        self._box_memo = (key, candidates)
-        return candidates
+        dims = np.repeat(np.arange(len(sizes)), sizes)
+        starts = np.cumsum([0] + sizes[:-1])
+        levels, contributions = np.concatenate(levels), np.concatenate(contributions)
+        constant = float(self.constant)
+
+        def bound(gain: Optional[np.ndarray] = None) -> float:
+            values = contributions if gain is None else \
+                contributions + np.asarray(gain, dtype=float)[dims] * levels
+            total = constant
+            for peak in np.maximum.reduceat(values, starts).tolist():
+                total += peak  # in dimension order
+            return total
+
+        return bound
 
     def box_maximum(self, upper_bounds: np.ndarray,
                     gain: Optional[np.ndarray] = None) -> float:
         """Bound ``>= values(a) + gain @ a`` for every action ``a`` in the
         box ``[0, upper_bounds]``, exact when no dimension has pieces;
-        ``gain=None`` bounds the reward alone.
-
-        The reward plus a linear term is separable and concave per
-        dimension, so the bound is the constant plus each dimension's
-        maximum over its candidate levels (:meth:`_box_candidates`), added
-        in dimension order; no level is enumerated.
-        """
-        levels, dims, values, starts = self._box_candidates(
-            np.asarray(upper_bounds, dtype=float))
-        if gain is not None:
-            values = values + np.asarray(gain, dtype=float)[dims] * levels
-        total = float(self.constant)
-        for peak in np.maximum.reduceat(values, starts).tolist():
-            total += peak
-        return total
+        ``gain=None`` bounds the reward alone.  The reward plus a linear
+        term is separable and concave per dimension, so the bound is the
+        constant plus each dimension's maximum over its candidate levels
+        (:meth:`box_bound`)."""
+        return self.box_bound(upper_bounds)(gain)
 
 
 def linear_stage_reward(gain: np.ndarray, constant: float = 0.0) -> StageReward:
@@ -398,8 +392,8 @@ def _decompose(ctx: RecourseContext, reward: StageReward, config: McdConfig,
     visited: set[tuple] = set()
     incumbent: tuple = ()
     lower = -np.inf
-    upper = (reward.box_maximum(box.upper_bounds) + gamma * eta_bar
-             + gamma * ctx.net.output_bias)
+    box_bound = reward.box_bound(box.upper_bounds)
+    upper = box_bound() + gamma * eta_bar + gamma * ctx.net.output_bias
     trace: list = []
     m = 0
     sol = None  # the last first-stage solution, whose search the next resumes
@@ -426,8 +420,8 @@ def _decompose(ctx: RecourseContext, reward: StageReward, config: McdConfig,
             # reward + gamma * cut is separable, so its box maximum bounds
             # the optimum with no LP; when that closes the gap, so would the
             # master, which holds the cut over the same box
-            cut_bound = (reward.box_maximum(box.upper_bounds, gamma * cut.coef)
-                         + gamma * cut.const + gamma * ctx.net.output_bias)
+            cut_bound = (box_bound(gamma * cut.coef) + gamma * cut.const
+                         + gamma * ctx.net.output_bias)
             if config.gap_closed(lower, min(upper, cut_bound)):
                 upper = min(upper, cut_bound)
                 trace.append((m, lower, upper, a_m))

@@ -188,10 +188,10 @@ class TestBoxMaximum:
             assert bound >= (reward.values(actions) + actions @ gain).max() - 1e-12
             top, slack = self.real_max(reward, upper_bounds, gain)
             assert top - 1e-12 <= bound <= top + slack + 1e-12
-            # the candidates kept from the gain-free call serve the gain, and
-            # the gain leaves them as they were
-            assert no_gain == reward.box_maximum(upper_bounds)
-            assert reward.box_maximum(upper_bounds, np.zeros_like(gain)) == no_gain
+            # one box_bound serves every gain, and a gain leaves it as it was
+            box_bound = reward.box_bound(upper_bounds)
+            assert (box_bound(gain), box_bound(), box_bound(np.zeros_like(gain))) == \
+                (bound, no_gain, no_gain)
 
     @pytest.mark.parametrize("capacity", [0.5, 1.5, 2.25, 2.0])
     def test_mcip_two_piece_shape(self, capacity):
