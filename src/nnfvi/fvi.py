@@ -6,9 +6,9 @@ network on the targets, and finally evaluate the known initial state.  All
 randomness is derived from one master seed through named substreams, so a
 run is bit-for-bit reproducible for a fixed BLAS thread count.  Another
 thread count may round numpy's BLAS calls differently and so move the
-result: perfbench's criterion-4 run returns 27.721914566172384 with one
-OpenBLAS thread and 27.721914566172316 with two, and ``perfbench/run.py``
-pins one thread.
+result, so ``perfbench/run.py`` pins one thread.  (On a 2-core host,
+perfbench's criterion-4 run returns 27.72191456617234 with one OpenBLAS
+thread and with two.)
 
 The DP oracle performs exact backward induction for problems whose state
 splits into an endogenous lattice (written directly by the action) and an
@@ -27,7 +27,7 @@ import numpy as np
 
 from .cuts import RecourseContext
 from .mcd import McdConfig, SelectionResult, StageReward, select_action
-from .mdp import MdpSpec, sample_states
+from .mdp import MdpSpec, as_integers, sample_states
 from .neural import RegressionSet, ReluNet, TrainConfig, fit, loss
 
 # substream tags for SeedSequence-derived generators
@@ -50,6 +50,8 @@ class FviConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("state_samples", "transition_samples", "neurons"):
+            object.__setattr__(self, name, int(as_integers(getattr(self, name), name)))
         if self.state_samples < 1 or self.transition_samples < 1:
             raise ValueError("sample counts must be >= 1")
         if self.neurons < 1:
@@ -73,9 +75,10 @@ class FviConfig:
 @dataclass(frozen=True)
 class PeriodWork:
     """What :func:`run_nnfvi` did in one period: the states it sampled, how
-    many of them are distinct, the stage rewards and selections it made, and
-    the selections' totals of iterations, B&B nodes, LP pivots and
-    fallbacks to brute force."""
+    many of them are distinct, the stage rewards and selections it made (none
+    at the horizon), the selections' totals of iterations, B&B nodes, LP
+    pivots and fallbacks to brute force, and the training restarts its fit
+    discarded (none in period 1, which fits no network)."""
 
     sampled: int
     distinct: int
@@ -85,17 +88,19 @@ class PeriodWork:
     milp_nodes: int
     lp_pivots: int
     fallbacks: int
+    restarts_discarded: int
 
     @staticmethod
-    def of(sampled: int, distinct: int, rewards: int,
-           results: list) -> "PeriodWork":
+    def of(sampled: int, distinct: int, rewards: int, results: list,
+           restarts_discarded: int) -> "PeriodWork":
         """The work of a period whose selections returned ``results``."""
         return PeriodWork(sampled=sampled, distinct=distinct, rewards=rewards,
                           selections=len(results),
                           iterations=sum(r.iterations for r in results),
                           milp_nodes=sum(r.milp_nodes for r in results),
                           lp_pivots=sum(r.lp_pivots for r in results),
-                          fallbacks=sum(r.fell_back for r in results))
+                          fallbacks=sum(r.fell_back for r in results),
+                          restarts_discarded=restarts_discarded)
 
 
 @dataclass(frozen=True)
@@ -193,11 +198,14 @@ def run_nnfvi(spec: MdpSpec, config: FviConfig) -> tuple[FittedValueSet, float]:
     Sampled states repeat on a finite state space.  The stage reward depends
     on ``(t, x)`` alone, so it is built once per distinct state, from the
     state's first sample.  Before the horizon each sample is selected with
-    its own noises; at the horizon the continuation is zero whatever the
-    noises, so the samples of a distinct state share one selection, made
-    with the first sample's noises.  Each sample's noises come from its own
-    substream, so a draw skipped moves no other draw, and every target is
-    what a selection per sample would give.
+    its own noises.  At the horizon the continuation is zero, so a state's
+    target is its stage reward's maximum over the integer action box
+    (:meth:`StageReward.integer_maximum`), which is ``brute``'s objective
+    bit for bit, taken once per distinct state with no selection and no
+    noise drawn.  Each sample's noises come from its own substream, so a
+    draw skipped moves no other draw.  The fit (:func:`fit`) groups equal
+    states itself; the restarts it discards are counted in the period's
+    :class:`PeriodWork`.
     """
     if spec.initial_state is None:
         raise ValueError("the MDP needs an initial_state for the final evaluation")
@@ -220,18 +228,22 @@ def run_nnfvi(spec: MdpSpec, config: FviConfig) -> tuple[FittedValueSet, float]:
                                     return_inverse=True)
         group = group.reshape(-1)  # numpy 2.0.0 returns the inverse 2-D
         rewards = [spec.stage_reward(t, states[s]) for s in first]
-        # the samples selected, and which selection gives each sample its target
-        chosen, share = (first, group) if t == T else (np.arange(s1), np.arange(s1))
-        results = [decide(t, states[s], s + 1, rewards[group[s]]) for s in chosen]
-        targets = np.array([r.objective for r in results])[share]
-        work[t] = PeriodWork.of(s1, len(first), len(rewards), results)
+        if t == T:
+            results = []
+            top = spec.action_box.upper_bounds
+            targets = np.array([r.integer_maximum(top) for r in rewards])[group]
+        else:
+            results = [decide(t, states[s], s + 1, rewards[group[s]]) for s in range(s1)]
+            targets = np.array([r.objective for r in results])
         data = RegressionSet(states, targets)
         fit_start = time.perf_counter()
+        discarded: list = []
         try:
             net = fit(data, config.neurons, config.train,
-                      _substream(config.seed, t, 0, _FIT))
+                      _substream(config.seed, t, 0, _FIT), discarded=discarded)
         except Exception as err:
             raise RuntimeError(f"network training failed at period {t}") from err
+        work[t] = PeriodWork.of(s1, len(first), len(rewards), results, len(discarded))
         timings[t] = PeriodTime(targets=fit_start - start,
                                 fit=time.perf_counter() - fit_start)
         nets[t] = net
@@ -242,7 +254,7 @@ def run_nnfvi(spec: MdpSpec, config: FviConfig) -> tuple[FittedValueSet, float]:
     initial = decide(1, x1, 0, spec.stage_reward(1, x1))
     timings[1] = PeriodTime(targets=time.perf_counter() - start, fit=0.0)
     v_hat = initial.objective
-    work[1] = PeriodWork.of(1, 1, 1, [initial])
+    work[1] = PeriodWork.of(1, 1, 1, [initial], 0)
     del nets[T + 1]  # the zero network is no fit
 
     fitted = FittedValueSet(

@@ -124,26 +124,24 @@ class StageReward:
             total += (np.multiply.outer(actions[:, n], slopes) + icepts).min(axis=1)
         return total
 
-    def box_bound(self, upper_bounds: np.ndarray) -> Callable[..., float]:
-        """The function ``gain=None -> box_maximum(upper_bounds, gain)``,
-        with the candidate levels and the reward at each computed once, here,
-        so that a selection bounds every cut it builds with one array pass.
+    def _candidates(self, upper_bounds: np.ndarray, real: bool) -> list:
+        """Each dimension's ``(levels, contributions)``: its candidate levels
+        and its reward contribution at each.
 
-        Each dimension's concave contribution plus any linear term peaks
-        over the real interval ``[0, upper_bounds[n]]`` at an end or where
-        two pieces cross, so no level is enumerated.  The crossings' floors
-        and ceilings join the candidates, so that the bound is not short of
-        the best integer level by the rounding of a crossing computed off an
-        integer.  A dimension without pieces has the candidates ``0`` and
-        its upper bound, each contributing ``-0.0``, which leaves any sum it
-        is added to unchanged.
+        A dimension's concave contribution plus any linear term peaks over
+        the real interval ``[0, upper_bounds[n]]`` at an end or where two
+        pieces cross, and over its integers at an end or a crossing's floor
+        or ceiling.  The candidates are ``0``, the upper bound, the
+        crossings inside the interval when ``real``, and the crossings'
+        floors and ceilings.  A dimension without pieces has the candidates
+        ``0`` and its upper bound, each contributing ``-0.0``, which leaves
+        any sum it is added to unchanged.
         """
         pieces = {n: (slopes, icepts) for n, slopes, icepts in self._arrays}
-        levels, contributions = [], []
+        candidates = []
         for n, top in enumerate(np.asarray(upper_bounds, dtype=float)):
             if n not in pieces:
-                levels.append(np.array([0.0, top]))
-                contributions.append(np.array([-0.0, -0.0]))
+                candidates.append((np.array([0.0, top]), np.array([-0.0, -0.0])))
                 continue
             slopes, icepts = pieces[n]
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -151,10 +149,23 @@ class StageReward:
                 cross = ((icepts - icepts[:, None])
                          / (slopes[:, None] - slopes)).ravel()
             cross = cross[(cross > 0) & (cross < top)]
-            points = np.concatenate([[0.0, top], cross, np.floor(cross),
+            points = np.concatenate([[0.0, top], cross if real else [], np.floor(cross),
                                      np.ceil(cross)])
-            levels.append(points)
-            contributions.append((np.multiply.outer(points, slopes) + icepts).min(axis=1))
+            candidates.append(
+                (points, (np.multiply.outer(points, slopes) + icepts).min(axis=1)))
+        return candidates
+
+    def box_bound(self, upper_bounds: np.ndarray) -> Callable[..., float]:
+        """The function ``gain=None -> box_maximum(upper_bounds, gain)``,
+        with the candidate levels and the reward at each computed once, here,
+        so that a selection bounds every cut it builds with one array pass.
+
+        The candidates are :meth:`_candidates`' real ones, so no level is
+        enumerated.  The crossings' floors and ceilings join the crossings,
+        so that the bound is not short of the best integer level by the
+        rounding of a crossing computed off an integer.
+        """
+        levels, contributions = zip(*self._candidates(upper_bounds, real=True))
         sizes = [len(points) for points in levels]
         dims = np.repeat(np.arange(len(sizes)), sizes)
         starts = np.cumsum([0] + sizes[:-1])
@@ -170,6 +181,18 @@ class StageReward:
             return total
 
         return bound
+
+    def integer_maximum(self, upper_bounds: np.ndarray) -> float:
+        """The maximum of :meth:`values` over the integer box ``[0,
+        upper_bounds]``, without enumerating it: the constant plus each
+        dimension's maximum over its integer candidates (:meth:`_candidates`),
+        added in dimension order.  Rounding is monotone, so the sum of the
+        maxima is the maximum of the sums :meth:`values` computes, bit for
+        bit."""
+        total = float(self.constant)
+        for _, contributions in self._candidates(upper_bounds, real=False):
+            total += float(contributions.max())
+        return total
 
     def box_maximum(self, upper_bounds: np.ndarray,
                     gain: Optional[np.ndarray] = None) -> float:

@@ -1,17 +1,28 @@
 """Two-layer ReLU network: evaluation, exact gradients, and regularized
-least-squares training by full-batch gradient descent with restarts.
+least-squares training by damped Gauss-Newton (Levenberg-Marquardt) with
+restarts.
 
 The network computes ``sum_j w[j] * max(u[j] @ x + u0[j], 0) + w0``.  The
 flat parameter vector stacks ``[u (row-major), u0, w, w0]``; the training
 loss is mean squared error plus ``beta/2 * y @ y`` over that full stack.
+
+Training runs on the distinct inputs of the training set, each weighted by
+its count: with ``t_g`` the mean target of input ``x_g`` and ``C`` the
+targets' sum of squared deviations from their input's mean, the squared
+error over all ``S`` rows is ``sum_g n_g (f(x_g) - t_g)^2 + C``.  Each damped
+step solves the smaller of two equivalent Gram systems (Nocedal & Wright
+2006, ch. 10), so a step costs what the distinct inputs need, not the rows.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
+
+from .mdp import as_integers
 
 
 @dataclass(frozen=True)
@@ -104,6 +115,8 @@ class TrainConfig:
         if not (np.isfinite(self.regularization) and self.regularization >= 0):
             raise ValueError(f"regularization must be finite and >= 0, got "
                              f"{self.regularization!r}")
+        for name in ("restarts", "max_epochs"):
+            object.__setattr__(self, name, int(as_integers(getattr(self, name), name)))
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
         if self.max_epochs < 1:
@@ -124,11 +137,37 @@ class RegressionSet:
             raise ValueError("regression set must be non-empty")
         if y.shape != (X.shape[0],):
             raise ValueError("inputs and targets disagree in length")
+        for name, values in (("inputs", X), ("targets", y)):
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"regression {name} must be finite (no NaN or inf)")
         object.__setattr__(self, "inputs", X)
         object.__setattr__(self, "targets", y)
 
     def __len__(self) -> int:
         return self.inputs.shape[0]
+
+
+@dataclass(frozen=True)
+class _DistinctRows:
+    """A regression set's distinct inputs, each with its count and the mean
+    of its targets, plus ``spread``, the targets' sum of squared deviations
+    from their input's mean.  The set's squared error under a network ``f``
+    is ``counts @ (f(inputs) - targets)**2 + spread``."""
+
+    inputs: np.ndarray   # (m, N1)
+    targets: np.ndarray  # (m,)
+    counts: np.ndarray   # (m,), as floats
+    spread: float
+
+    @staticmethod
+    def of(data: RegressionSet) -> "_DistinctRows":
+        inputs, group, counts = np.unique(data.inputs, axis=0, return_inverse=True,
+                                          return_counts=True)
+        group = group.reshape(-1)  # numpy 2.0.0 returns the inverse 2-D
+        counts = counts.astype(float)
+        means = np.bincount(group, weights=data.targets) / counts
+        deviations = data.targets - means[group]
+        return _DistinctRows(inputs, means, counts, float(deviations @ deviations))
 
 
 def _flatten(net: ReluNet) -> np.ndarray:
@@ -195,10 +234,11 @@ def _initial_net(data: RegressionSet, J: int, rng: np.random.Generator) -> ReluN
     return ReluNet(u, u0, w, w0)
 
 
-def _forward(y: np.ndarray, data: RegressionSet, J: int,
+def _forward(y: np.ndarray, data: RegressionSet | _DistinctRows, J: int,
              n1: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Preactivations, activations and residuals of the flat parameters
-    ``y``, with the arithmetic of :meth:`ReluNet.forward_many`."""
+    ``y`` on the rows of ``data``, with the arithmetic of
+    :meth:`ReluNet.forward_many`."""
     u = y[: J * n1].reshape(J, n1)
     u0 = y[J * n1: J * n1 + J]
     w = y[J * n1 + J: J * n1 + 2 * J]
@@ -207,12 +247,12 @@ def _forward(y: np.ndarray, data: RegressionSet, J: int,
     return pre, act, act @ w + y[-1] - data.targets
 
 
-def _jacobian(y: np.ndarray, data: RegressionSet, J: int, n1: int,
+def _jacobian(y: np.ndarray, data: RegressionSet | _DistinctRows, J: int, n1: int,
               pre: np.ndarray, act: np.ndarray) -> np.ndarray:
     """Jacobian of the residuals w.r.t. the flat parameters ``y``, from the
     preactivations and activations of :func:`_forward`."""
     X = data.inputs
-    S = len(data)
+    S = X.shape[0]
     w = y[J * n1 + J: J * n1 + 2 * J]
     on = (pre > 0.0).astype(float)
     jac = np.empty((S, y.size))
@@ -224,41 +264,66 @@ def _jacobian(y: np.ndarray, data: RegressionSet, J: int, n1: int,
     return jac
 
 
-def _descend(data: RegressionSet, start: ReluNet, config: TrainConfig) -> tuple[ReluNet, float]:
-    """Levenberg-Marquardt style damped Gauss-Newton on the regression loss.
+def _descend(rows: _DistinctRows, start: ReluNet,
+             config: TrainConfig) -> tuple[ReluNet, float]:
+    """Levenberg-Marquardt style damped Gauss-Newton on the regression loss
+    of the distinct rows ``rows``.
 
-    A candidate step's loss is :func:`loss`'s arithmetic on the flat
-    parameters, and an accepted candidate's forward pass is reused for the
-    next epoch's Jacobian.  A candidate with non-finite parameters or loss
-    is rejected like one that does not improve.
+    Let ``A`` be the residuals' Jacobian and ``r`` the residuals, each row
+    scaled by ``sqrt(2 n_g / S)``, and ``mu = beta + lam``.  The step is
+    ``-(A'A + mu I)^-1 (A'r + beta y)``.  With fewer rows than parameters it
+    is solved in the rows' Gram system instead: ``(AA' + mu I) [z0 z1] =
+    [r, Ay]`` gives ``step = -A'z0 - (beta/mu) (y - A'z1)``.  Only the
+    ``beta y`` part is divided by ``mu``, by a factor ``beta/mu <= 1``, so
+    the round-off of ``A'r`` is not magnified at small damping.
+
+    A candidate step's loss is computed on the flat parameters, and an
+    accepted candidate's forward pass is reused for the next epoch's
+    Jacobian.  A candidate with non-finite parameters or loss is rejected
+    like one that does not improve.
     """
     beta = config.regularization
     J, n1 = start.neuron_count, start.input_dim
-    S = len(data)
+    total = rows.counts.sum()
+    scale = np.sqrt(2.0 * rows.counts / total)
+
+    def objective(resid: np.ndarray, y: np.ndarray) -> float:
+        return float((rows.counts @ resid**2 + rows.spread) / total + 0.5 * beta * y @ y)
+
     y = _flatten(start)
-    cur = loss(start, data, beta)
-    pre, act, resid = _forward(y, data, J, n1)
+    pre, act, resid = _forward(y, rows, J, n1)
+    cur = objective(resid, y)
     lam = _DAMPING_INIT
-    eye = np.eye(y.size)
+    wide = scale.size < y.size  # fewer rows than parameters
+    eye = np.eye(min(scale.size, y.size))
     for _ in range(config.max_epochs):
-        jac = _jacobian(y, data, J, n1, pre, act)
+        jac = _jacobian(y, rows, J, n1, pre, act)
         if not (np.all(np.isfinite(resid)) and np.all(np.isfinite(jac))):
             raise FloatingPointError("non-finite residuals during training")
-        g = (2.0 / S) * (jac.T @ resid) + beta * y
-        H = (2.0 / S) * (jac.T @ jac) + beta * eye
+        A = scale[:, None] * jac
+        if wide:
+            gram, rhs = A @ A.T, np.column_stack([scale * resid, A @ y])
+        else:
+            gram, rhs = A.T @ A, -(A.T @ (scale * resid) + beta * y)
         accepted = False
         while lam <= _DAMPING_MAX:
+            mu = beta + lam
             try:
-                step = np.linalg.solve(H + lam * eye, -g)
+                z = np.linalg.solve(gram + mu * eye, rhs)
             except np.linalg.LinAlgError:
                 lam *= _DAMPING_GROW
                 continue
+            if wide:
+                back = A.T @ z
+                step = -back[:, 0] - (beta / mu) * (y - back[:, 1])
+            else:
+                step = z
             cand = y + step
             if not np.isfinite(cand).all():
                 lam *= _DAMPING_GROW
                 continue
-            cand_pre, cand_act, cand_resid = _forward(cand, data, J, n1)
-            cand_loss = float(np.mean(cand_resid**2) + 0.5 * beta * cand @ cand)
+            cand_pre, cand_act, cand_resid = _forward(cand, rows, J, n1)
+            cand_loss = objective(cand_resid, cand)
             if np.isfinite(cand_loss) and cand_loss < cur:
                 improvement = cur - cand_loss
                 y, cur = cand, cand_loss
@@ -286,14 +351,17 @@ def _destandardize(net: ReluNet, x_mean: np.ndarray, x_scale: np.ndarray,
 
 
 def fit(data: RegressionSet, J: int, config: TrainConfig,
-        rng: np.random.Generator) -> ReluNet:
+        rng: np.random.Generator, *, discarded: Optional[list] = None) -> ReluNet:
     """Train a ``J``-neuron network on ``data``; best of ``config.restarts`` runs.
 
     Descent runs on internally standardized inputs and targets (better
-    conditioned), but candidates are compared on the original-coordinates
-    loss, and the returned loss never exceeds that of the all-zero network
-    with the optimal constant output bias, which is always a candidate.
-    Restarts whose training diverges are discarded with a warning.
+    conditioned), grouped once into their distinct inputs, on which every
+    forward pass and Jacobian of the descent is computed.  Candidates are
+    compared on the original-coordinates loss over all rows, and the
+    returned loss never exceeds that of the all-zero network with the
+    optimal constant output bias, which is always a candidate.  Restarts
+    whose training diverges are discarded with a warning, and their indices
+    are appended to ``discarded`` when it is given.
     """
     if J < 1:
         raise ValueError("neuron count must be >= 1")
@@ -310,12 +378,15 @@ def fit(data: RegressionSet, J: int, config: TrainConfig,
         y_scale = 1.0
     scaled = RegressionSet((data.inputs - x_mean) / x_scale,
                            (data.targets - y_mean) / y_scale)
+    rows = _DistinctRows.of(scaled)
 
     for r in range(config.restarts):
         start = _initial_net(scaled, J, rng)
         try:
-            net, _ = _descend(scaled, start, config)
+            net, _ = _descend(rows, start, config)
         except FloatingPointError as err:
+            if discarded is not None:
+                discarded.append(r)
             warnings.warn(f"restart {r} discarded: {err}", RuntimeWarning)
             continue
         candidate = _destandardize(net, x_mean, x_scale, y_mean, y_scale)

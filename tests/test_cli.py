@@ -63,14 +63,18 @@ class TestFviRun:
         assert main(["fvi-run", "--config", cfg, "--out", str(out)]) == EXIT_OK
         header, rows = read_csv(out / "fvi_work.csv")
         assert header == ["period", "sampled", "distinct", "rewards", "selections",
-                          "iterations", "milp_nodes", "lp_pivots", "fallbacks"]
+                          "iterations", "milp_nodes", "lp_pivots", "fallbacks",
+                          "restarts_discarded"]
         assert [r[0] for r in rows] == ["1", "2", "3"]
         counts = {int(r[0]): dict(zip(header[1:], map(int, r[1:]))) for r in rows}
         assert counts[1]["sampled"] == counts[1]["selections"] == 1
         # before the horizon every sample is selected, and mcd solves masters
         assert counts[2]["selections"] == counts[2]["sampled"] == 30
         assert counts[2]["milp_nodes"] > 0 and counts[2]["lp_pivots"] > 0
-        assert counts[3]["selections"] == counts[3]["distinct"] <= 30
+        # the horizon's targets are the stage rewards' maxima: no selection
+        assert counts[3]["selections"] == counts[3]["iterations"] == 0
+        assert counts[3]["rewards"] == counts[3]["distinct"] <= 30
+        assert all(c["restarts_discarded"] == 0 for c in counts.values())
 
     def test_timings_file_has_the_run_and_each_periods_target_and_fit_times(
             self, tmp_path):

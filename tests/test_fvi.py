@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from nnfvi import fvi, mcd
+from nnfvi import fvi, mcd, neural
 from nnfvi.bnb import MilpSolution
 from nnfvi.fvi import (
     DpSizeError,
@@ -84,6 +84,17 @@ class TestFviConfig:
     def test_neurons_below_one_are_refused(self, neurons):
         with pytest.raises(ValueError, match="neurons must be >= 1"):
             FviConfig(neurons=neurons)
+
+    @pytest.mark.parametrize("field", ["state_samples", "transition_samples", "neurons"])
+    def test_non_integral_counts_are_refused(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be integral"):
+            FviConfig(**{field: 2.5})
+
+    @pytest.mark.parametrize("field", ["state_samples", "transition_samples", "neurons"])
+    @pytest.mark.parametrize("value", [3.0, np.int64(3)])
+    def test_integral_counts_are_accepted_as_int(self, field, value):
+        got = getattr(FviConfig(**{field: value}), field)
+        assert got == 3 and type(got) is int
 
 
 class TestBellmanTarget:
@@ -199,6 +210,16 @@ class TestRunNnfvi:
                 clone.nets[t].input_weights, fitted.nets[t].input_weights)
 
 
+def concave_reward_spec():
+    """``small_spec`` with a state-dependent stage reward whose first
+    dimension peaks inside its range and whose second has no pieces."""
+    spec, _ = small_spec(seed=21)
+    spec.stage_reward = lambda t, x: StageReward(
+        constant=float(np.sum(x)),
+        pieces=[[(1.0, 0.0), (-2.0, 3.0 + float(x[0]))], []])
+    return spec
+
+
 def per_sample_oracle(spec, config):
     """``run_nnfvi`` as one ``bellman_target`` per sampled state, each
     building its own stage reward, with the driver's substreams."""
@@ -258,9 +279,9 @@ def recount(results) -> tuple:
 
 
 class TestPerStateWork:
-    """The driver builds one stage reward per distinct sampled state and one
-    terminal selection per distinct state, and still returns what a
-    selection per sample returns."""
+    """The driver builds one stage reward per distinct sampled state, takes
+    the horizon's targets from the rewards' integer maxima with no
+    selection, and still returns what a selection per sample returns."""
 
     @pytest.mark.parametrize("config", [
         criterion_4_config(),
@@ -289,16 +310,18 @@ class TestPerStateWork:
         fitted, _ = run_nnfvi(spec, criterion_4_config(restarts=1, max_epochs=20))
         assert len(periods) == 97
         assert collections.Counter(periods) == {3: 48, 2: 48, 1: 1}
-        assert len(selections) == 48 + 200 + 1
-        assert len(set(selections[:48])) == 48
+        assert len(selections) == 200 + 1
         # brute force: 16 actions, so 16 iterations, per selection
         assert fitted.work == {
-            3: PeriodWork(sampled=200, distinct=48, rewards=48, selections=48,
-                          iterations=48 * 16, milp_nodes=0, lp_pivots=0, fallbacks=0),
+            3: PeriodWork(sampled=200, distinct=48, rewards=48, selections=0,
+                          iterations=0, milp_nodes=0, lp_pivots=0, fallbacks=0,
+                          restarts_discarded=0),
             2: PeriodWork(sampled=200, distinct=48, rewards=48, selections=200,
-                          iterations=200 * 16, milp_nodes=0, lp_pivots=0, fallbacks=0),
+                          iterations=200 * 16, milp_nodes=0, lp_pivots=0, fallbacks=0,
+                          restarts_discarded=0),
             1: PeriodWork(sampled=1, distinct=1, rewards=1, selections=1,
-                          iterations=16, milp_nodes=0, lp_pivots=0, fallbacks=0),
+                          iterations=16, milp_nodes=0, lp_pivots=0, fallbacks=0,
+                          restarts_discarded=0),
         }
         assert "work" not in fitted.to_json_dict()
 
@@ -309,7 +332,7 @@ class TestPerStateWork:
         fitted, _ = run_nnfvi(criterion_4_spec(), config)
         # the periods select in the order T, ..., 1
         counts = [fitted.work[t].selections for t in (3, 2, 1)]
-        assert counts == [48, 200, 1] and sum(counts) == len(results)
+        assert counts == [0, 200, 1] and sum(counts) == len(results)
         chunks = np.split(np.arange(len(results)), np.cumsum(counts)[:-1])
         for t, chunk in zip((3, 2, 1), chunks):
             work = fitted.work[t]
@@ -332,12 +355,58 @@ class TestPerStateWork:
         spec, _ = small_spec(seed=14)
         selections = record_selections(monkeypatch)
         fitted, _ = run_nnfvi(spec, quick_config(s1=12, s2=3, neurons=3, epochs=40))
-        assert len(selections) == 12 + 12 + 1
-        for t in (2, 3):
-            assert fitted.work[t] == PeriodWork(
-                sampled=12, distinct=12, rewards=12, selections=12,
-                iterations=12 * 9, milp_nodes=0, lp_pivots=0, fallbacks=0)
+        assert len(selections) == 12 + 1
+        assert fitted.work[2] == PeriodWork(
+            sampled=12, distinct=12, rewards=12, selections=12, iterations=12 * 9,
+            milp_nodes=0, lp_pivots=0, fallbacks=0, restarts_discarded=0)
+        assert fitted.work[3] == PeriodWork(
+            sampled=12, distinct=12, rewards=12, selections=0, iterations=0,
+            milp_nodes=0, lp_pivots=0, fallbacks=0, restarts_discarded=0)
 
+
+    def test_discarded_restarts_are_counted_per_period(self, monkeypatch):
+        # every other descent fails: with three restarts per fit, calls 1 and
+        # 3 of period 3's fit and call 5 of period 2's
+        descend, calls = neural._descend, []
+
+        def every_other_diverges(*args):
+            calls.append(args)
+            if len(calls) % 2:
+                raise FloatingPointError("non-finite residuals during training")
+            return descend(*args)
+
+        monkeypatch.setattr(neural, "_descend", every_other_diverges)
+        spec, _ = small_spec(seed=14)
+        with pytest.warns(RuntimeWarning, match="discarded"):
+            fitted, _ = run_nnfvi(spec, quick_config(s1=12, s2=3, neurons=3,
+                                                     restarts=3, epochs=40))
+        assert len(calls) == 6
+        assert {t: w.restarts_discarded for t, w in fitted.work.items()} == \
+            {3: 2, 2: 1, 1: 0}
+
+    @pytest.mark.parametrize("engine", ["brute", "mcd"])
+    @pytest.mark.parametrize("spec_of", [
+        lambda: concave_reward_spec(),
+        lambda: criterion_4_spec(),
+    ], ids=["concave-pieces", "criterion-4"])
+    def test_horizon_targets_are_brute_bellman_targets(self, monkeypatch, engine,
+                                                       spec_of):
+        spec = spec_of()
+        datasets, fit_ = [], fvi.fit
+
+        def recording_fit(data, *args, **kwargs):
+            datasets.append(data)
+            return fit_(data, *args, **kwargs)
+
+        monkeypatch.setattr(fvi, "fit", recording_fit)
+        config = dataclasses.replace(quick_config(s1=40, s2=2, neurons=3, epochs=20),
+                                     mcd=McdConfig(engine=engine))
+        run_nnfvi(spec, config)
+        horizon = datasets[0]
+        noises = spec.draw_noises(np.random.default_rng(0), 2)
+        want = [bellman_target(spec, {}, spec.horizon, x, noises, McdConfig(engine="brute"))
+                for x in horizon.inputs]
+        assert horizon.targets.tolist() == want
 
     def test_period_times_are_recorded_and_left_out_of_json_and_equality(self):
         spec, _ = small_spec(seed=14)

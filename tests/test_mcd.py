@@ -236,6 +236,39 @@ class TestBoxMaximum:
         assert reward.box_maximum(zero) == reward.values(zero[None, :])[0]
 
 
+class TestIntegerMaximum:
+    """``StageReward.integer_maximum`` against the enumerated maximum of
+    ``values``, bit for bit."""
+
+    def test_random_rewards(self):
+        # dimensions without pieces and zero upper bounds included
+        rng = np.random.default_rng(95)
+        for _ in range(500):
+            reward, upper_bounds = TestBoxMaximum.random_reward(rng)
+            assert reward.integer_maximum(upper_bounds).hex() == \
+                TestBoxMaximum.integer_max(reward, upper_bounds).hex()
+
+    @pytest.mark.parametrize("capacity", [0.5, 1.5, 2.25, 2.0])
+    def test_mcip_two_piece_shape(self, capacity):
+        upper_bounds = np.array([3, 0, 4])
+        for q_minus, q_plus in ((0.5, 3.0), (-1.0, 2.0), (-2.0, -0.5)):
+            reward = StageReward(constant=1.5, pieces=[
+                [(-q_minus, q_minus * capacity), (-q_plus, q_plus * capacity)]] * 3)
+            assert reward.integer_maximum(upper_bounds).hex() == \
+                TestBoxMaximum.integer_max(reward, upper_bounds).hex()
+
+    def test_pieces_crossing_on_a_level(self):
+        rng = np.random.default_rng(96)
+        for _ in range(500):
+            level = float(rng.integers(1, 5))
+            rise, fall = abs(rng.normal()), -abs(rng.normal())
+            top = rng.normal()
+            reward = StageReward(constant=float(rng.normal()), pieces=[
+                [(rise, top - rise * level), (fall, top - fall * level)], []])
+            assert reward.integer_maximum([6, 2]).hex() == \
+                TestBoxMaximum.integer_max(reward, [6, 2]).hex()
+
+
 class TestBuildFirstStage:
     def test_zero_cuts_maximizes_reward_alone(self):
         # with eta capped by its bound row, the bit variables decouple and
