@@ -430,6 +430,12 @@ class TestTrainConfig:
         got = getattr(TrainConfig(**{field: value}), field)
         assert got == 3 and type(got) is int
 
+    @pytest.mark.parametrize("value", [-1e-12, float("nan"), float("inf")])
+    def test_negative_or_non_finite_regularization_is_refused(self, value):
+        # NaN slipped past the old check `regularization < 0`
+        with pytest.raises(ValueError, match="regularization must be finite"):
+            TrainConfig(regularization=value)
+
 
 class TestRegressionSet:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
@@ -439,12 +445,6 @@ class TestRegressionSet:
         (X if field == "inputs" else y)[1] = bad
         with pytest.raises(ValueError, match=f"regression {field} must be finite"):
             RegressionSet(X, y)
-
-    @pytest.mark.parametrize("value", [-1e-12, float("nan"), float("inf")])
-    def test_negative_or_non_finite_regularization_is_refused(self, value):
-        # NaN slipped past the old check `regularization < 0`
-        with pytest.raises(ValueError, match="regularization must be finite"):
-            TrainConfig(regularization=value)
 
 
 class TestSplitNeurons:
