@@ -215,6 +215,8 @@ def cmd_mcd_bench(config: dict, out_dir: Path) -> int:
     suite = config.get("suite", {})
     with _usage_errors():  # refuse a bad suite block before the first selection
         n_instances = _integer(suite.get("instances", 0))
+        if n_instances < 0:
+            raise ValueError(f"instances must be non-negative, got {n_instances}")
         shape = _present(suite, {"neurons": _integer, "transition_samples": _integer,
                                  "capacity_levels": _integer})
         dims = [_integer(n2) for n2 in suite.get("facilities", [3])

@@ -92,9 +92,13 @@ class RecourseContext:
 
     @cached_property
     def positive_box_range(self) -> tuple[np.ndarray, np.ndarray]:
-        """:func:`_box_range` of the positive neurons, which both
+        """Box minimum ``lo`` and maximum ``hi`` of each (scenario, positive
+        neuron) preactivation, both of shape (S2, Jn), which both
         :func:`positive_cut` and :func:`recourse_upper_bound` read."""
-        return _box_range(self, self.positive_neurons)
+        a_bar = self.spec.action_box.upper_bounds.astype(float)
+        g1 = self.gamma1[:, self.positive_neurons, :]
+        g2 = self.gamma2[:, self.positive_neurons]
+        return np.minimum(g1, 0.0) @ a_bar + g2, np.maximum(g1, 0.0) @ a_bar + g2
 
     @cached_property
     def rest_forms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -120,16 +124,6 @@ def recourse_values(ctx: RecourseContext, actions: np.ndarray) -> np.ndarray:
         pre = np.einsum("sjk,ak->sja", ctx.gamma1, block) + ctx.gamma2[:, :, None]
         out[start:start + _CHUNK] = np.einsum("sja,j->a", np.maximum(pre, 0.0), w) / ctx.s2
     return out
-
-
-def _box_range(ctx: RecourseContext,
-               neurons: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Box minimum ``lo`` and maximum ``hi`` of each (scenario, neuron)
-    preactivation of ``neurons``, both of shape (S2, Jn)."""
-    a_bar = ctx.spec.action_box.upper_bounds.astype(float)
-    g1 = ctx.gamma1[:, neurons, :]
-    g2 = ctx.gamma2[:, neurons]
-    return np.minimum(g1, 0.0) @ a_bar + g2, np.maximum(g1, 0.0) @ a_bar + g2
 
 
 def _linear_form(ctx: RecourseContext, g1: np.ndarray, w: np.ndarray,

@@ -200,10 +200,10 @@ def run_nnfvi(spec: MdpSpec, config: FviConfig) -> tuple[FittedValueSet, float]:
     state's first sample.  Before the horizon each sample is selected with
     its own noises.  At the horizon the continuation is zero, so a state's
     target is its stage reward's maximum over the integer action box
-    (:meth:`StageReward.integer_maximum`), which is ``brute``'s objective
-    bit for bit, taken once per distinct state with no selection and no
-    noise drawn.  Each sample's noises come from its own substream, so a
-    draw skipped moves no other draw.  The fit (:func:`fit`) groups equal
+    (:meth:`StageReward.box_bound` with no gain), which is ``brute``'s
+    objective bit for bit, taken once per distinct state with no selection
+    and no noise drawn.  Each sample's noises come from its own substream,
+    so a draw skipped moves no other draw.  The fit (:func:`fit`) groups equal
     states itself; the restarts it discards are counted in the period's
     :class:`PeriodWork`.
     """
@@ -231,7 +231,7 @@ def run_nnfvi(spec: MdpSpec, config: FviConfig) -> tuple[FittedValueSet, float]:
         if t == T:
             results = []
             top = spec.action_box.upper_bounds
-            targets = np.array([r.integer_maximum(top) for r in rewards])[group]
+            targets = np.array([r.box_bound(top)() for r in rewards])[group]
         else:
             results = [decide(t, states[s], s + 1, rewards[group[s]]) for s in range(s1)]
             targets = np.array([r.objective for r in results])

@@ -15,14 +15,14 @@ method, which evaluate the recourse one step from the current first-stage
 solution to strengthen its cuts, and uses them here as incumbents only.
 
 The upper bound starts at the box bound before any cut: the stage reward's
-maximum over the real box plus the discounted recourse bound and output
-bias (:meth:`StageReward.box_maximum`), the first-stage bound that Laporte
+maximum over the integer box plus the discounted recourse bound and output
+bias (:meth:`StageReward.box_bound`), the first-stage bound that Laporte
 & Louveaux's method starts from.  The stop rule is tested whenever a bound
 moves: after each anchor's exact evaluation (the lower bound) and after each
 master (the upper bound).  The multi-cut engine also tests it, before each
 master, on the same kind of bound for the iteration's combined cut: the
 reward plus the discounted cut is separable and concave per dimension, so
-its maximum over the real box (``box_maximum`` with the cut's coefficients
+its maximum over the integer box (``box_bound`` with the cut's coefficients
 as the gain) bounds the optimum with no LP.  When that bound closes the gap
 it becomes the upper bound and no master is solved; the master, which holds
 the cut over the same box, would have closed the gap too, with the same
@@ -63,7 +63,8 @@ from .mdp import ENUMERATION_CAP, ActionBox, as_integers, enumerate_actions
 from .simplex import LEQ, LpNumericalError, LpProblem
 
 ENGINES = ("mcd", "brute", "lshaped")
-MILP_TOLERANCE = 1e-9  # integrality and optimality tolerance of the first stage
+MILP_TOLERANCE = 1e-9  # the first stage's pruning and stopping tolerance; its
+                       # integrality tolerance is bnb.INTEGRALITY_TOL
 
 
 @dataclass(frozen=True)
@@ -124,24 +125,27 @@ class StageReward:
             total += (np.multiply.outer(actions[:, n], slopes) + icepts).min(axis=1)
         return total
 
-    def _candidates(self, upper_bounds: np.ndarray, real: bool) -> list:
-        """Each dimension's ``(levels, contributions)``: its candidate levels
-        and its reward contribution at each.
+    def box_bound(self, upper_bounds: np.ndarray) -> Callable[..., float]:
+        """The function ``gain=None -> max over the integer box [0,
+        upper_bounds] of values(a) + gain @ a``, computed without
+        enumerating the box.
 
-        A dimension's concave contribution plus any linear term peaks over
-        the real interval ``[0, upper_bounds[n]]`` at an end or where two
-        pieces cross, and over its integers at an end or a crossing's floor
-        or ceiling.  The candidates are ``0``, the upper bound, the
-        crossings inside the interval when ``real``, and the crossings'
-        floors and ceilings.  A dimension without pieces has the candidates
+        A dimension's concave contribution plus a linear term peaks over
+        its integers at an end or at a floor or ceiling of a point where two
+        pieces cross: its candidate levels.  A dimension without pieces has
         ``0`` and its upper bound, each contributing ``-0.0``, which leaves
-        any sum it is added to unchanged.
+        any sum unchanged.  The levels and the reward at each are computed
+        once, here, so that a selection bounds every cut it builds with one
+        array pass.  The bound adds each dimension's maximum to the constant
+        in dimension order; rounding is monotone, so without a gain it is the
+        maximum of :meth:`values` over the box bit for bit.
         """
         pieces = {n: (slopes, icepts) for n, slopes, icepts in self._arrays}
-        candidates = []
+        levels, contributions = [], []
         for n, top in enumerate(np.asarray(upper_bounds, dtype=float)):
             if n not in pieces:
-                candidates.append((np.array([0.0, top]), np.array([-0.0, -0.0])))
+                levels.append(np.array([0.0, top]))
+                contributions.append(np.array([-0.0, -0.0]))
                 continue
             slopes, icepts = pieces[n]
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -149,23 +153,9 @@ class StageReward:
                 cross = ((icepts - icepts[:, None])
                          / (slopes[:, None] - slopes)).ravel()
             cross = cross[(cross > 0) & (cross < top)]
-            points = np.concatenate([[0.0, top], cross if real else [], np.floor(cross),
-                                     np.ceil(cross)])
-            candidates.append(
-                (points, (np.multiply.outer(points, slopes) + icepts).min(axis=1)))
-        return candidates
-
-    def box_bound(self, upper_bounds: np.ndarray) -> Callable[..., float]:
-        """The function ``gain=None -> box_maximum(upper_bounds, gain)``,
-        with the candidate levels and the reward at each computed once, here,
-        so that a selection bounds every cut it builds with one array pass.
-
-        The candidates are :meth:`_candidates`' real ones, so no level is
-        enumerated.  The crossings' floors and ceilings join the crossings,
-        so that the bound is not short of the best integer level by the
-        rounding of a crossing computed off an integer.
-        """
-        levels, contributions = zip(*self._candidates(upper_bounds, real=True))
+            levels.append(np.concatenate([[0.0, top], np.floor(cross), np.ceil(cross)]))
+            contributions.append(
+                (np.multiply.outer(levels[-1], slopes) + icepts).min(axis=1))
         sizes = [len(points) for points in levels]
         dims = np.repeat(np.arange(len(sizes)), sizes)
         starts = np.cumsum([0] + sizes[:-1])
@@ -181,28 +171,6 @@ class StageReward:
             return total
 
         return bound
-
-    def integer_maximum(self, upper_bounds: np.ndarray) -> float:
-        """The maximum of :meth:`values` over the integer box ``[0,
-        upper_bounds]``, without enumerating it: the constant plus each
-        dimension's maximum over its integer candidates (:meth:`_candidates`),
-        added in dimension order.  Rounding is monotone, so the sum of the
-        maxima is the maximum of the sums :meth:`values` computes, bit for
-        bit."""
-        total = float(self.constant)
-        for _, contributions in self._candidates(upper_bounds, real=False):
-            total += float(contributions.max())
-        return total
-
-    def box_maximum(self, upper_bounds: np.ndarray,
-                    gain: Optional[np.ndarray] = None) -> float:
-        """Bound ``>= values(a) + gain @ a`` for every action ``a`` in the
-        box ``[0, upper_bounds]``, exact when no dimension has pieces;
-        ``gain=None`` bounds the reward alone.  The reward plus a linear
-        term is separable and concave per dimension, so the bound is the
-        constant plus each dimension's maximum over its candidate levels
-        (:meth:`box_bound`)."""
-        return self.box_bound(upper_bounds)(gain)
 
 
 def linear_stage_reward(gain: np.ndarray, constant: float = 0.0) -> StageReward:
@@ -224,11 +192,11 @@ class SelectionResult:
     objective: float          # exact value of ``action``, best over anchors
                               # and their unit neighbours (lower bound)
     upper_bound: float        # bound on the optimum: the box bound (reward's
-                              # box_maximum plus the discounted recourse
-                              # bound and output bias) tightened by each
-                              # master solved, or by the combined cut's box
-                              # bound when that closes the gap (mcd only);
-                              # brute's is its objective
+                              # integer-box maximum, box_bound, plus the
+                              # discounted recourse bound and output bias),
+                              # tightened by each master solved, or by the
+                              # combined cut's box bound when that closes
+                              # the gap (mcd only); brute's is its objective
     iterations: int
     trace: np.ndarray         # one trace_dtype record per iteration:
                               # iteration, lower, upper, anchor action
@@ -440,9 +408,9 @@ def _decompose(ctx: RecourseContext, reward: StageReward, config: McdConfig,
 
         cut = combined_cut(ctx, a_m) if use_combined else None
         if cut is not None:
-            # reward + gamma * cut is separable, so its box maximum bounds
-            # the optimum with no LP; when that closes the gap, so would the
-            # master, which holds the cut over the same box
+            # reward + gamma * cut is separable, so its integer-box maximum
+            # bounds the optimum with no LP; when that closes the gap, so
+            # would the master, which holds the cut over the same box
             cut_bound = (box_bound(gamma * cut.coef) + gamma * cut.const
                          + gamma * ctx.net.output_bias)
             if config.gap_closed(lower, min(upper, cut_bound)):
@@ -477,7 +445,8 @@ def _decompose(ctx: RecourseContext, reward: StageReward, config: McdConfig,
             break
 
         # the first master's bound replaces the box bound, which it can
-        # exceed by round-off alone: the bits' relaxation spans the same box
+        # exceed only by round-off and the pruning tolerance: the master
+        # is solved over the same integer box
         bound = sol.bound + fp.constant_offset
         upper = bound if m == 1 else min(upper, bound)
         trace.append((m, lower, upper, a_m))

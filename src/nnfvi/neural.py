@@ -363,6 +363,7 @@ def fit(data: RegressionSet, J: int, config: TrainConfig,
     whose training diverges are discarded with a warning, and their indices
     are appended to ``discarded`` when it is given.
     """
+    J = int(as_integers(J, "neurons"))
     if J < 1:
         raise ValueError("neuron count must be >= 1")
     beta = config.regularization

@@ -496,6 +496,7 @@ class TestErrors:
         ({"instances": 1.5, "facilities": [2]}, "1.5"),
         ({"instances": 1, "facilities": [2.5]}, "2.5"),
         ({"instances": 1, "facilities": [2], "neurons": 4.5}, "4.5"),
+        ({"instances": -2, "facilities": [2]}, "instances must be non-negative"),
     ])
     def test_refused_mcd_bench_suite_is_usage_before_any_selection(
             self, tmp_path, capsys, monkeypatch, suite, word):

@@ -114,47 +114,23 @@ class TestStageReward:
 
 
 class TestBoxMaximum:
-    """``StageReward.box_maximum`` against enumeration of the integer box."""
+    """The box maximum ``StageReward.box_bound`` computes against
+    enumeration of the integer box: without a gain bit for bit, with one to
+    round-off."""
 
     @staticmethod
-    def integer_max(reward, upper_bounds):
-        box = ActionBox(np.asarray(upper_bounds, dtype=np.int64))
-        return float(reward.values(enumerate_actions(box)).max())
+    def enumerated_max(reward, upper_bounds, gain=None):
+        actions = enumerate_actions(ActionBox(np.asarray(upper_bounds, dtype=np.int64)))
+        values = reward.values(actions)
+        return float((values if gain is None else values + actions @ gain).max())
 
-    @staticmethod
-    def real_max(reward, upper_bounds, gain=None, points=20_001):
-        """The maximum of the reward plus ``gain @ a`` over a fine grid of the
-        real box, dimension by dimension, and the most the grid can miss it
-        by."""
-        gain = np.zeros(len(upper_bounds)) if gain is None else gain
-        total, slack = reward.constant, 0.0
-        for dim_pieces, top, g in zip(reward.pieces, upper_bounds, gain):
-            grid = np.linspace(0.0, top, points)
-            if dim_pieces:
-                slopes, icepts = np.asarray(dim_pieces, dtype=float).T
-                total += ((np.multiply.outer(grid, slopes) + icepts).min(axis=1)
-                          + g * grid).max()
-                slack += (np.abs(slopes).max() + abs(g)) * top / (points - 1)
-            else:
-                total += max(0.0, g * top)
-        return total, slack
-
-    @staticmethod
-    def loop_box_maximum(reward, upper_bounds):
-        """The reward's box maximum as one loop over the dimensions with
-        pieces, crossings computed per call: the reference for
-        ``box_maximum`` without a gain."""
-        total = float(reward.constant)
-        for dim_pieces, top in zip(reward.pieces, np.asarray(upper_bounds, dtype=float)):
-            if not dim_pieces:
-                continue
-            slopes, icepts = np.asarray(dim_pieces, dtype=float).T
-            with np.errstate(divide="ignore", invalid="ignore"):
-                cross = ((icepts - icepts[:, None]) / (slopes[:, None] - slopes)).ravel()
-            cross = cross[(cross > 0) & (cross < top)]
-            points = np.concatenate([[0.0, top], cross, np.floor(cross), np.ceil(cross)])
-            total += (np.multiply.outer(points, slopes) + icepts).min(axis=1).max()
-        return total
+    @classmethod
+    def check(cls, reward, upper_bounds, gain):
+        bound = reward.box_bound(upper_bounds)
+        assert bound().hex() == cls.enumerated_max(reward, upper_bounds).hex()
+        # the bound adds gain_n a_n per dimension, the enumeration adds
+        # gain @ a to the whole reward: the sums differ by round-off
+        assert abs(bound(gain) - cls.enumerated_max(reward, upper_bounds, gain)) <= 1e-12
 
     @staticmethod
     def random_reward(rng):
@@ -165,33 +141,23 @@ class TestBoxMaximum:
         return StageReward(constant=float(rng.normal()), pieces=pieces), upper_bounds
 
     def test_random_concave_pieces_bound_the_integer_maximum(self):
-        rng = np.random.default_rng(91)
-        for _ in range(200):
+        # dimensions without pieces and zero upper bounds included
+        rng = np.random.default_rng(95)
+        for _ in range(500):
             reward, upper_bounds = self.random_reward(rng)
-            bound = reward.box_maximum(upper_bounds)
-            assert bound >= self.integer_max(reward, upper_bounds)
-            # the real box's maximum, not a looser bound
-            top, slack = self.real_max(reward, upper_bounds)
-            assert top - 1e-12 <= bound <= top + slack + 1e-12
-            assert bound.hex() == self.loop_box_maximum(reward, upper_bounds).hex()
+            self.check(reward, upper_bounds, rng.normal(size=len(upper_bounds)) * 2)
 
     def test_random_gains_bound_the_integer_maximum(self):
         rng = np.random.default_rng(94)
         for _ in range(200):
             reward, upper_bounds = self.random_reward(rng)
             gain = rng.normal(size=len(upper_bounds)) * 2
-            no_gain = reward.box_maximum(upper_bounds)
-            bound = reward.box_maximum(upper_bounds, gain)
-            actions = enumerate_actions(ActionBox(upper_bounds))
-            # the bound adds gain_n a_n per dimension, the enumeration adds
-            # gain @ a to the whole reward: the sums differ by round-off
-            assert bound >= (reward.values(actions) + actions @ gain).max() - 1e-12
-            top, slack = self.real_max(reward, upper_bounds, gain)
-            assert top - 1e-12 <= bound <= top + slack + 1e-12
+            self.check(reward, upper_bounds, gain)
             # one box_bound serves every gain, and a gain leaves it as it was
-            box_bound = reward.box_bound(upper_bounds)
-            assert (box_bound(gain), box_bound(), box_bound(np.zeros_like(gain))) == \
-                (bound, no_gain, no_gain)
+            fresh, reused = reward.box_bound(upper_bounds), reward.box_bound(upper_bounds)
+            reused(gain)
+            assert (reused(), reused(np.zeros_like(gain)), reused(gain)) == \
+                (fresh(), fresh(), fresh(gain))
 
     @pytest.mark.parametrize("capacity", [0.5, 1.5, 2.25, 2.0])
     def test_mcip_two_piece_shape(self, capacity):
@@ -201,63 +167,12 @@ class TestBoxMaximum:
         for q_minus, q_plus in ((0.5, 3.0), (-1.0, 2.0), (-2.0, -0.5)):
             reward = StageReward(constant=1.5, pieces=[
                 [(-q_minus, q_minus * capacity), (-q_plus, q_plus * capacity)]] * 3)
-            bound = reward.box_maximum(upper_bounds)
-            assert bound >= self.integer_max(reward, upper_bounds)
-            top, slack = self.real_max(reward, upper_bounds)
-            assert top - 1e-12 <= bound <= top + slack + 1e-12
+            self.check(reward, upper_bounds, np.array([0.7, -1.3, 2.1]))
 
     def test_pieces_crossing_on_a_level_are_not_undercut_by_round_off(self):
         # a rising and a falling piece peak where they cross, on a level;
         # the crossing, computed off the level by round-off, often evaluates
         # a few ulps below the level's value as values() computes it
-        rng = np.random.default_rng(93)
-        for _ in range(500):
-            level = float(rng.integers(1, 5))
-            rise, fall = abs(rng.normal()), -abs(rng.normal())
-            top = rng.normal()
-            reward = StageReward(constant=0.0, pieces=[
-                [(rise, top - rise * level), (fall, top - fall * level)]])
-            assert reward.box_maximum([6]) >= self.integer_max(reward, [6])
-
-    def test_one_piece_and_piece_free_rewards_are_exact(self):
-        rng = np.random.default_rng(92)
-        for _ in range(20):
-            upper_bounds = rng.integers(0, 5, size=3)
-            linear = linear_stage_reward(rng.normal(size=3), constant=float(rng.normal()))
-            assert linear.box_maximum(upper_bounds) == \
-                self.integer_max(linear, upper_bounds)
-            flat = StageReward(constant=float(rng.normal()), pieces=[[], [], []])
-            assert flat.box_maximum(upper_bounds) == \
-                self.integer_max(flat, upper_bounds) == flat.constant
-
-    def test_zero_bounds_evaluate_the_zero_action(self):
-        reward, _ = adjustment_reward()
-        zero = np.zeros(3, dtype=np.int64)
-        assert reward.box_maximum(zero) == reward.values(zero[None, :])[0]
-
-
-class TestIntegerMaximum:
-    """``StageReward.integer_maximum`` against the enumerated maximum of
-    ``values``, bit for bit."""
-
-    def test_random_rewards(self):
-        # dimensions without pieces and zero upper bounds included
-        rng = np.random.default_rng(95)
-        for _ in range(500):
-            reward, upper_bounds = TestBoxMaximum.random_reward(rng)
-            assert reward.integer_maximum(upper_bounds).hex() == \
-                TestBoxMaximum.integer_max(reward, upper_bounds).hex()
-
-    @pytest.mark.parametrize("capacity", [0.5, 1.5, 2.25, 2.0])
-    def test_mcip_two_piece_shape(self, capacity):
-        upper_bounds = np.array([3, 0, 4])
-        for q_minus, q_plus in ((0.5, 3.0), (-1.0, 2.0), (-2.0, -0.5)):
-            reward = StageReward(constant=1.5, pieces=[
-                [(-q_minus, q_minus * capacity), (-q_plus, q_plus * capacity)]] * 3)
-            assert reward.integer_maximum(upper_bounds).hex() == \
-                TestBoxMaximum.integer_max(reward, upper_bounds).hex()
-
-    def test_pieces_crossing_on_a_level(self):
         rng = np.random.default_rng(96)
         for _ in range(500):
             level = float(rng.integers(1, 5))
@@ -265,8 +180,24 @@ class TestIntegerMaximum:
             top = rng.normal()
             reward = StageReward(constant=float(rng.normal()), pieces=[
                 [(rise, top - rise * level), (fall, top - fall * level)], []])
-            assert reward.integer_maximum([6, 2]).hex() == \
-                TestBoxMaximum.integer_max(reward, [6, 2]).hex()
+            self.check(reward, [6, 2], rng.normal(size=2))
+
+    def test_one_piece_and_piece_free_rewards_are_exact(self):
+        rng = np.random.default_rng(92)
+        for _ in range(20):
+            upper_bounds = rng.integers(0, 5, size=3)
+            gain = rng.normal(size=3)
+            linear = linear_stage_reward(rng.normal(size=3), constant=float(rng.normal()))
+            self.check(linear, upper_bounds, gain)
+            flat = StageReward(constant=float(rng.normal()), pieces=[[], [], []])
+            self.check(flat, upper_bounds, gain)
+            assert flat.box_bound(upper_bounds)() == flat.constant
+
+    def test_zero_bounds_evaluate_the_zero_action(self):
+        reward, _ = adjustment_reward()
+        zero = np.zeros(3, dtype=np.int64)
+        assert reward.box_bound(zero)(np.ones(3)).hex() == \
+            reward.values(zero[None, :])[0].hex()
 
 
 class TestBuildFirstStage:
@@ -967,8 +898,8 @@ class TestCertifiedBeforeSolving:
             self.check_brute_force_action(spec, net, x, noises, res)
 
     def test_period_2_selections_that_stop_at_the_cut_bound(self):
-        # the box maximum of reward + discount * combined cut closes the gap
-        # before the iteration's master, and becomes the upper bound
+        # the integer-box maximum of reward + discount * combined cut closes
+        # the gap before the iteration's master, and becomes the upper bound
         spec = criterion_4_spec()
         gamma = spec.discount
         stops = [(net, x, noises, res) for net, x, noises, res in period_2_early_stops("mcd")
@@ -979,8 +910,8 @@ class TestCertifiedBeforeSolving:
             ctx = RecourseContext(net, spec, x, noises)
             cut = combined_cut(ctx, res.trace["action"][-1])
             assert res.upper_bound == res.trace["upper"][-1] == (
-                spec.stage_reward(2, x).box_maximum(spec.action_box.upper_bounds,
-                                                    gamma * cut.coef)
+                spec.stage_reward(2, x).box_bound(spec.action_box.upper_bounds)(
+                    gamma * cut.coef)
                 + gamma * cut.const + gamma * net.output_bias)
             assert McdConfig().gap_closed(res.objective, res.upper_bound)
             self.check_brute_force_action(spec, net, x, noises, res)
@@ -998,7 +929,7 @@ class TestCertifiedBeforeSolving:
             reward, _ = adjustment_reward()
             res = select_action(ctx, reward, McdConfig(engine=engine, max_iterations=1))
             gamma = ctx.spec.discount
-            box_bound = (reward.box_maximum(ctx.spec.action_box.upper_bounds)
+            box_bound = (reward.box_bound(ctx.spec.action_box.upper_bounds)()
                          + gamma * recourse_upper_bound(ctx)
                          + gamma * ctx.net.output_bias)
             assert res.upper_bound == box_bound < np.inf

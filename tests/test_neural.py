@@ -249,6 +249,21 @@ class TestFit:
             np.testing.assert_array_equal(getattr(net, field), getattr(expected, field))
         assert loss(net, data, 0.0) < np.var(data.targets)  # not the constant fit
 
+    def test_non_integral_neuron_count_is_refused(self):
+        # it used to reach rng.normal as a size and raise TypeError there
+        data = RegressionSet(np.arange(8.0).reshape(4, 2), np.arange(4.0))
+        with pytest.raises(ValueError, match="neurons must be integral"):
+            fit(data, 2.5, TrainConfig(restarts=1), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("J", [3.0, np.int64(3)])
+    def test_integral_neuron_count_fits_as_int(self, J):
+        rng = np.random.default_rng(16)
+        data = RegressionSet(rng.normal(size=(20, 2)), rng.normal(size=20))
+        cfg = TrainConfig(restarts=2, max_epochs=50)
+        got = fit(data, J, cfg, np.random.default_rng(17))
+        want = fit(data, 3, cfg, np.random.default_rng(17))
+        assert got.to_json_dict() == want.to_json_dict()
+
     def test_approximation_improves_with_width(self):
         # fixed Lipschitz target; best-of-3 held-out MSE should not increase
         # as the hidden layer widens
