@@ -137,7 +137,7 @@ class MilpSolution:
     node_count: int = 0  # node LPs solved in this call, not leaves carried over unchanged
     bound_trace: list = field(default_factory=list)
     lp_pivots: int = 0  # root and node simplex pivots, bound flips included
-    bound_flips: int = 0  # the pivots that were bound flips, (j, j) entries
+    bound_flips: int = 0  # the root's (j, j) pivots; a node's dual simplex flips none
     # the search's frontier, from which a solve with appended rows resumes
     _frontier: Optional[_Frontier] = field(default=None, repr=False, compare=False)
 
@@ -289,7 +289,6 @@ def solve_milp(p: MilpProblem, tol: float = DEFAULT_TOL,
                 count_node()
                 status = tab.reoptimize()
                 pivots += len(tab.pivots)
-                flips += _flips(tab.pivots)
                 if status == "optimal":  # the child's tableau is dropped next
                     settle(tab.basis, tab.x, fixings + fixed)
                 tab = spare

@@ -41,15 +41,37 @@ class LinearCut:
         return LinearCut(self.coef + other.coef, self.const + other.const)
 
 
+def transition_data(spec: MdpSpec, x: np.ndarray,
+                    noises: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``spec.transition(x, noises)`` as float offsets (S2, N1) and linears
+    (S2, N1, N2), refused with ValueError in any other shape."""
+    s2, n1, n2 = len(noises), spec.state_dim, spec.action_box.dims
+    if s2 == 0:
+        raise ValueError("at least one noise draw is required")
+    offsets, linears = spec.transition(x, noises)
+    offsets = np.asarray(offsets, dtype=float)
+    linears = np.asarray(linears, dtype=float)
+    if offsets.shape != (s2, n1) or linears.shape != (s2, n1, n2):
+        raise ValueError(
+            f"transition returned offsets of shape {offsets.shape} and "
+            f"linears of shape {linears.shape}, expected ({s2}, {n1}) "
+            f"and ({s2}, {n1}, {n2})"
+        )
+    return offsets, linears
+
+
 class RecourseContext:
     """Cached affine preactivation forms for one (state, noise batch) pair.
 
     ``gamma1[s, j]`` is the action-coefficient vector of neuron ``j`` under
-    scenario ``s`` and ``gamma2[s, j]`` the constant part.
+    scenario ``s`` and ``gamma2[s, j]`` the constant part.  ``transitions``,
+    if given, is what :func:`transition_data` returns for ``(x, noises)``: a
+    caller that has it already does not compute it again.
     """
 
     def __init__(self, net: ReluNet, spec: MdpSpec, x: np.ndarray,
-                 noises: np.ndarray):
+                 noises: np.ndarray,
+                 transitions: Optional[tuple[np.ndarray, np.ndarray]] = None):
         if net.input_dim != spec.state_dim:
             raise ValueError(
                 f"network expects {net.input_dim} inputs, state dimension is "
@@ -59,20 +81,9 @@ class RecourseContext:
         self.spec = spec
         self.x = np.asarray(x, dtype=float)
         self.noises = np.asarray(noises)
-        s2 = len(self.noises)
-        if s2 == 0:
-            raise ValueError("at least one noise draw is required")
-        n1, n2 = spec.state_dim, spec.action_box.dims
-
-        offsets, linears = spec.transition(self.x, self.noises)
-        self.offsets = np.asarray(offsets, dtype=float)  # (S2, N1)
-        self.linears = np.asarray(linears, dtype=float)  # (S2, N1, N2)
-        if self.offsets.shape != (s2, n1) or self.linears.shape != (s2, n1, n2):
-            raise ValueError(
-                f"transition returned offsets of shape {self.offsets.shape} and "
-                f"linears of shape {self.linears.shape}, expected ({s2}, {n1}) "
-                f"and ({s2}, {n1}, {n2})"
-            )
+        if transitions is None:
+            transitions = transition_data(spec, self.x, self.noises)
+        self.offsets, self.linears = transitions  # (S2, N1), (S2, N1, N2)
 
         u, u0 = net.input_weights, net.input_biases
         self.gamma1 = np.einsum("ji,sik->sjk", u, self.linears)  # (S2, J, N2)

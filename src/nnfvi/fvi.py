@@ -21,11 +21,11 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .cuts import RecourseContext
+from .cuts import RecourseContext, transition_data
 from .mcd import McdConfig, SelectionResult, StageReward, select_action
 from .mdp import MdpSpec, as_integers, sample_states
 from .neural import RegressionSet, ReluNet, TrainConfig, fit, loss
@@ -75,10 +75,11 @@ class FviConfig:
 @dataclass(frozen=True)
 class PeriodWork:
     """What :func:`run_nnfvi` did in one period: the states it sampled, how
-    many of them are distinct, the stage rewards and selections it made (none
-    at the horizon), the selections' totals of iterations, B&B nodes, LP
-    pivots and fallbacks to brute force, and the training restarts its fit
-    discarded (none in period 1, which fits no network)."""
+    many of them are distinct, the stage rewards it built, the selections it
+    made (one per distinct decision problem, a state and a multiset of
+    transitions; none at the horizon), the selections' totals of iterations,
+    B&B nodes, LP pivots and fallbacks to brute force, and the training
+    restarts its fit discarded (none in period 1, which fits no network)."""
 
     sampled: int
     distinct: int
@@ -166,18 +167,47 @@ def _with_terminal(spec: MdpSpec, nets: dict) -> dict:
     return {**nets, spec.horizon + 1: zero}
 
 
-def _decide(spec: MdpSpec, nets: dict, t: int, x: np.ndarray, noises: np.ndarray,
+class _Batch(NamedTuple):
+    """A noise batch at one state in canonical order (:func:`_canonical`)."""
+
+    noises: np.ndarray
+    transitions: tuple  # (offsets, linears) of the noises, in their order
+    key: bytes          # the sorted transition rows: the key of their multiset
+
+
+def _canonical(spec: MdpSpec, x: np.ndarray, noises: np.ndarray) -> _Batch:
+    """``noises`` at ``x`` in canonical order: the order that sorts each
+    draw's transition row, offsets first, then linears.
+
+    Row ``s`` of the transition depends on draw ``s`` alone (:class:`MdpSpec`),
+    so two batches with one multiset of transition rows have the same sorted
+    rows, and a selection on them is the same bit for bit.  The recourse is
+    a batch average, so the order changes nothing mathematically.
+    """
+    noises = np.asarray(noises)
+    offsets, linears = transition_data(spec, np.asarray(x, dtype=float), noises)
+    rows = np.concatenate([offsets, linears.reshape(len(noises), -1)], axis=1)
+    order = np.lexsort(rows.T[::-1])  # lexsort's last key is the primary one
+    return _Batch(noises[order], (offsets[order], linears[order]),
+                  rows[order].tobytes())
+
+
+def _decide(spec: MdpSpec, nets: dict, t: int, x: np.ndarray, noises,
             reward: StageReward, config: McdConfig) -> SelectionResult:
     """Best action at ``(t, x)``, whose stage reward is ``reward``, against
     the period ``t+1`` network.
 
     ``nets`` holds the zero network at ``T+1`` (:func:`_with_terminal`).
-    The continuation network is averaged over the supplied noise draws,
-    which are shared across candidate actions.
+    The continuation network is averaged over the noise batch ``noises`` in
+    canonical order, whose draws are shared across candidate actions.
+    ``noises`` is a batch of draws, or a :class:`_Batch` that
+    :func:`_canonical` has put in that order already.
     """
     if (t + 1) not in nets:
         raise ValueError(f"no fitted network for period {t + 1}")
-    ctx = RecourseContext(nets[t + 1], spec, x, noises)
+    batch = noises if isinstance(noises, _Batch) else _canonical(spec, x, noises)
+    ctx = RecourseContext(nets[t + 1], spec, x, batch.noises,
+                          transitions=batch.transitions)
     return select_action(ctx, reward, config)
 
 
@@ -197,15 +227,21 @@ def run_nnfvi(spec: MdpSpec, config: FviConfig) -> tuple[FittedValueSet, float]:
 
     Sampled states repeat on a finite state space.  The stage reward depends
     on ``(t, x)`` alone, so it is built once per distinct state, from the
-    state's first sample.  Before the horizon each sample is selected with
-    its own noises.  At the horizon the continuation is zero, so a state's
-    target is its stage reward's maximum over the integer action box
-    (:meth:`StageReward.box_bound` with no gain), which is ``brute``'s
-    objective bit for bit, taken once per distinct state with no selection
-    and no noise drawn.  Each sample's noises come from its own substream,
-    so a draw skipped moves no other draw.  The fit (:func:`fit`) groups equal
-    states itself; the restarts it discards are counted in the period's
-    :class:`PeriodWork`.
+    state's first sample.  Before the horizon each sample draws its own
+    noises, and a selection on them in canonical order (:func:`_canonical`)
+    is a function of the state and the multiset of transition rows alone.
+    So the driver selects once per distinct decision problem, keyed on the
+    distinct state and the sorted rows: the first sample with a key makes
+    the selection and every sample with that key takes its objective, which
+    is what a selection per sample returns.  At the horizon the continuation
+    is zero, so a state's target is its stage reward's maximum over the
+    integer action box (:meth:`StageReward.box_bound` with no gain), which
+    is ``brute``'s objective bit for bit, taken once per distinct state with
+    no selection and no noise drawn.  Each sample's noises come from its own
+    substream, so a draw skipped moves no other draw.  The fit (:func:`fit`)
+    groups equal states itself; the restarts it discards are counted in the
+    period's :class:`PeriodWork`, whose ``selections`` counts distinct
+    decision problems.
     """
     if spec.initial_state is None:
         raise ValueError("the MDP needs an initial_state for the final evaluation")
@@ -216,9 +252,8 @@ def run_nnfvi(spec: MdpSpec, config: FviConfig) -> tuple[FittedValueSet, float]:
     work: dict = {}
     timings: dict = {}
 
-    def decide(t, x, sample, reward):
-        noises = spec.draw_noises(_substream(config.seed, t, sample, _NOISE), s2)
-        return _decide(spec, nets, t, x, noises, reward, config.mcd)
+    def draw(t, sample):
+        return spec.draw_noises(_substream(config.seed, t, sample, _NOISE), s2)
 
     for t in range(T, 1, -1):
         start = time.perf_counter()
@@ -233,8 +268,16 @@ def run_nnfvi(spec: MdpSpec, config: FviConfig) -> tuple[FittedValueSet, float]:
             top = spec.action_box.upper_bounds
             targets = np.array([r.box_bound(top)() for r in rewards])[group]
         else:
-            results = [decide(t, states[s], s + 1, rewards[group[s]]) for s in range(s1)]
-            targets = np.array([r.objective for r in results])
+            chosen: dict = {}  # (distinct state, transition rows) -> selection
+            targets = np.empty(s1)
+            for s, x in enumerate(states):
+                batch = _canonical(spec, x, draw(t, s + 1))
+                key = (group[s], batch.key)
+                if key not in chosen:
+                    chosen[key] = _decide(spec, nets, t, x, batch, rewards[group[s]],
+                                          config.mcd)
+                targets[s] = chosen[key].objective
+            results = list(chosen.values())
         data = RegressionSet(states, targets)
         fit_start = time.perf_counter()
         discarded: list = []
@@ -251,7 +294,8 @@ def run_nnfvi(spec: MdpSpec, config: FviConfig) -> tuple[FittedValueSet, float]:
 
     x1 = spec.initial_state
     start = time.perf_counter()
-    initial = decide(1, x1, 0, spec.stage_reward(1, x1))
+    initial = _decide(spec, nets, 1, x1, draw(1, 0), spec.stage_reward(1, x1),
+                      config.mcd)
     timings[1] = PeriodTime(targets=time.perf_counter() - start, fit=0.0)
     v_hat = initial.objective
     work[1] = PeriodWork.of(1, 1, 1, [initial], 0)

@@ -96,11 +96,14 @@ class MdpSpec:
     batch of ``S`` draws to the next-state data ``(offsets, linears)`` of
     shapes ``(S, state_dim)`` and ``(S, state_dim, action_box.dims)``: under
     draw ``s`` action ``a`` leads to ``offsets[s] + linears[s] @ a``, with no
-    clamping.  ``stage_reward(t, x)`` returns the period-``t`` reward at
-    state ``x`` as a piecewise-linear :class:`nnfvi.mcd.StageReward`, the one
-    representation every action-selection engine reads.  It must depend on
-    ``(t, x)`` alone: the value-iteration driver builds it once per distinct
-    sampled state and makes one terminal selection per distinct state.
+    clamping.  Row ``s`` must depend on ``x`` and draw ``s`` alone, so
+    permuting the draws permutes the rows: the value-iteration driver selects
+    on each batch in the order that sorts its rows, and makes one selection
+    per distinct decision problem, a state and a multiset of rows.
+    ``stage_reward(t, x)`` returns the period-``t`` reward at state ``x`` as
+    a piecewise-linear :class:`nnfvi.mcd.StageReward`, the one representation
+    every action-selection engine reads.  It must depend on ``(t, x)`` alone:
+    the driver builds it once per distinct sampled state.
 
     ``state_sampler(rng, count)`` returns ``count`` states as a ``(count,
     state_dim)`` array: the law :func:`sample_states` draws the

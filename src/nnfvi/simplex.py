@@ -298,7 +298,8 @@ class _Tableau:
         dual feasible, so no reduced cost has the wrong sign, and the tests
         check that a re-price at that point would not pivot.  Returns
         'infeasible' when no column can enter; ``pivots`` holds this call's
-        pivots only.
+        pivots only.  None of them is a bound flip ``(j, j)``: the leaving
+        column lies outside its bounds, so it is never eligible to enter.
         """
         self.pivots = []
         T, m, x, basis = self.T, self.m, self.x, self.basis

@@ -252,6 +252,24 @@ class TestBoundFlips:
             flipped += 0 < sol.bound_flips < sol.lp_pivots
         assert flipped
 
+    def test_node_reoptimizations_never_flip_a_bound(self, monkeypatch):
+        # the dual simplex enters a nonbasic column and removes a basic one,
+        # so every flip solve_milp counts is one of the cold root's pivots
+        recorded = []
+        reoptimize = _Tableau.reoptimize
+
+        def recording_reoptimize(self):
+            status = reoptimize(self)
+            recorded.extend(self.pivots)
+            return status
+
+        monkeypatch.setattr(_Tableau, "reoptimize", recording_reoptimize)
+        rng = np.random.default_rng(74)
+        for _ in range(10):
+            solve_milp(mixed_milp(rng, 8, 4))
+        assert recorded
+        assert all(enter != leave for enter, leave in recorded)
+
 
 class TestChildrenHandOverTheirArrays:
     def test_a_childs_basis_and_values_are_its_tableaus_and_stay_as_solved(

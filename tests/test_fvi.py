@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from nnfvi import fvi, mcd, neural
+from nnfvi import fvi, mcd, mcip, neural
 from nnfvi.bnb import MilpSolution
 from nnfvi.fvi import (
     DpSizeError,
@@ -134,6 +134,30 @@ class TestBellmanTarget:
             McdConfig(engine="mcd", max_iterations=n_actions + 1,
                       gap_tolerance=0.0))
         assert res_mcd == pytest.approx(res_brute, abs=1e-6)
+
+    @pytest.mark.parametrize("engine", ["brute", "mcd"])
+    @pytest.mark.parametrize("spec_of", [
+        lambda: small_spec(seed=5)[0],
+        lambda: criterion_4_spec(),
+    ], ids=["small", "criterion-4"])
+    def test_a_permuted_batch_selects_the_same_bit_for_bit(self, engine, spec_of):
+        # the selection runs on the batch in canonical order, so it depends
+        # on the multiset of transitions, not on the order of the draws
+        spec = spec_of()
+        rng = np.random.default_rng(6)
+        n1 = spec.state_dim
+        nets = fvi._with_terminal(spec, {3: ReluNet(
+            rng.normal(size=(8, n1)), rng.normal(size=8), rng.normal(size=8), 0.5)})
+        config = McdConfig(engine=engine)
+        for x in sample_states(spec, 6, rng):
+            noises = spec.draw_noises(rng, 12)
+            permuted = noises[rng.permutation(12)]
+            reward = spec.stage_reward(2, x)
+            ref = fvi._decide(spec, nets, 2, x, noises, reward, config)
+            res = fvi._decide(spec, nets, 2, x, permuted, reward, config)
+            np.testing.assert_array_equal(res.action, ref.action)
+            assert res.objective == ref.objective
+            assert bellman_target(spec, nets, 2, x, permuted, config) == ref.objective
 
     def test_missing_network_raises(self):
         spec, _ = small_spec(seed=3)
@@ -281,7 +305,9 @@ def recount(results) -> tuple:
 class TestPerStateWork:
     """The driver builds one stage reward per distinct sampled state, takes
     the horizon's targets from the rewards' integer maxima with no
-    selection, and still returns what a selection per sample returns."""
+    selection, selects once per distinct decision problem (state and
+    multiset of transitions) before it, and still returns what a selection
+    per sample returns."""
 
     @pytest.mark.parametrize("config", [
         criterion_4_config(),
@@ -310,14 +336,16 @@ class TestPerStateWork:
         fitted, _ = run_nnfvi(spec, criterion_4_config(restarts=1, max_epochs=20))
         assert len(periods) == 97
         assert collections.Counter(periods) == {3: 48, 2: 48, 1: 1}
-        assert len(selections) == 200 + 1
+        # the 20 stratified draws give every sample of a state the same
+        # multiset of next states, so each state is one decision problem
+        assert len(selections) == 48 + 1
         # brute force: 16 actions, so 16 iterations, per selection
         assert fitted.work == {
             3: PeriodWork(sampled=200, distinct=48, rewards=48, selections=0,
                           iterations=0, milp_nodes=0, lp_pivots=0, fallbacks=0,
                           restarts_discarded=0),
-            2: PeriodWork(sampled=200, distinct=48, rewards=48, selections=200,
-                          iterations=200 * 16, milp_nodes=0, lp_pivots=0, fallbacks=0,
+            2: PeriodWork(sampled=200, distinct=48, rewards=48, selections=48,
+                          iterations=48 * 16, milp_nodes=0, lp_pivots=0, fallbacks=0,
                           restarts_discarded=0),
             1: PeriodWork(sampled=1, distinct=1, rewards=1, selections=1,
                           iterations=16, milp_nodes=0, lp_pivots=0, fallbacks=0,
@@ -332,13 +360,42 @@ class TestPerStateWork:
         fitted, _ = run_nnfvi(criterion_4_spec(), config)
         # the periods select in the order T, ..., 1
         counts = [fitted.work[t].selections for t in (3, 2, 1)]
-        assert counts == [0, 200, 1] and sum(counts) == len(results)
+        assert counts == [0, 48, 1] and sum(counts) == len(results)
         chunks = np.split(np.arange(len(results)), np.cumsum(counts)[:-1])
         for t, chunk in zip((3, 2, 1), chunks):
             work = fitted.work[t]
             assert (work.iterations, work.milp_nodes, work.lp_pivots,
                     work.fallbacks) == recount([results[k] for k in chunk])
         assert fitted.work[2].milp_nodes > 0 and fitted.work[2].lp_pivots > 0
+
+    def test_sweep_samples_of_a_state_select_once_per_transition_multiset(
+            self, monkeypatch):
+        # the criterion-9 sweep cell's config: with 12 draws, two samples of
+        # one state can meet different multisets of next states, and each
+        # multiset is a decision problem of its own
+        inst = mcip.with_parameters(
+            mcip.synthetic_instance(seed=9, customers=2, facilities=2, horizon=3,
+                                    capacity_max=3, demand_points=3),
+            gamma=0.6, salvage_ratio=0.0)
+        spec = mcip.build_mcip_mdp(inst)
+        config = FviConfig(state_samples=96, transition_samples=12, neurons=12,
+                           train=TrainConfig(restarts=2, max_epochs=120),
+                           mcd=McdConfig(engine="brute"), seed=0)
+        selections = record_selections(monkeypatch)
+        fitted, _ = run_nnfvi(spec, config)
+        # brute recount: the sorted transition rows of each period-2 sample
+        problems = collections.defaultdict(set)
+        states = sample_states(spec, 96, fvi._substream(0, 2, 0, fvi._STATES))
+        for s, x in enumerate(states):
+            noises = spec.draw_noises(fvi._substream(0, 2, s + 1, fvi._NOISE), 12)
+            offsets, linears = spec.transition(x, noises)
+            problems[tuple(x)].add(tuple(sorted(
+                (*o, *b.ravel()) for o, b in zip(offsets, linears))))
+        assert fitted.work[2].selections == sum(map(len, problems.values()))
+        assert max(map(len, problems.values())) > 1
+        # period 2 selects before period 1, which makes the last selection
+        assert collections.Counter(selections[:-1]) == {
+            x: len(multisets) for x, multisets in problems.items()}
 
     def test_fallbacks_are_counted(self, monkeypatch):
         monkeypatch.setattr(mcd, "solve_milp",

@@ -856,9 +856,9 @@ def forbid(monkeypatch, *names):
 
 @functools.cache
 def period_2_early_stops(engine):
-    """``(continuation net, state, noises, result)`` of each period-2
-    selection in criterion 4's run with ``engine`` that solves one master
-    fewer than it has iterations; lshaped's run may not call
+    """``(continuation net, state, canonical noise batch, result)`` of each
+    period-2 selection in criterion 4's run with ``engine`` that solves one
+    master fewer than it has iterations; lshaped's run may not call
     ``combined_cut``."""
     spec = criterion_4_spec()
     config = fvi.FviConfig(state_samples=200, transition_samples=20, neurons=20,
@@ -871,11 +871,11 @@ def period_2_early_stops(engine):
         masters[0] += 1
         return solve(*args, **kwargs)
 
-    def recording_decide(spec, nets, t, x, noises, reward, cfg):
+    def recording_decide(spec, nets, t, x, batch, reward, cfg):
         before = masters[0]
-        res = decide(spec, nets, t, x, noises, reward, cfg)
+        res = decide(spec, nets, t, x, batch, reward, cfg)
         if t == 2 and masters[0] - before == res.iterations - 1:
-            stopped.append((nets[3], x, noises, res))
+            stopped.append((nets[3], x, batch, res))
         return res
 
     with pytest.MonkeyPatch.context() as patch:
@@ -914,8 +914,9 @@ class TestCertifiedBeforeSolving:
             np.testing.assert_array_equal(res.action, np.zeros(spec.action_box.dims))
 
     @staticmethod
-    def check_brute_force_action(spec, net, x, noises, res):
-        ctx = RecourseContext(net, spec, x, noises)
+    def check_brute_force_action(spec, net, x, batch, res):
+        # the driver selects on the batch in canonical order
+        ctx = RecourseContext(net, spec, x, batch.noises)
         ref = select_action_bruteforce(ctx, spec.stage_reward(2, x))
         np.testing.assert_array_equal(res.action, ref.action)
         assert res.objective == ref.objective
@@ -924,33 +925,33 @@ class TestCertifiedBeforeSolving:
         # an anchor that raises the lower bound enough stops the selection
         # and leaves the upper bound as it was
         spec = criterion_4_spec()
-        stops = [(net, x, noises, res) for net, x, noises, res in period_2_early_stops("mcd")
+        stops = [(net, x, batch, res) for net, x, batch, res in period_2_early_stops("mcd")
                  if res.trace["upper"][-1] == res.trace["upper"][-2]]
-        assert len(stops) == 21  # of the 200 period-2 selections
-        for net, x, noises, res in stops:
+        assert len(stops) == 5  # of the 48 period-2 selections
+        for net, x, batch, res in stops:
             assert 1 < res.iterations < McdConfig().max_iterations
             assert res.trace["upper"][-1] == res.upper_bound == res.trace["upper"][-2]
             assert McdConfig().gap_closed(res.objective, res.upper_bound)
-            self.check_brute_force_action(spec, net, x, noises, res)
+            self.check_brute_force_action(spec, net, x, batch, res)
 
     def test_period_2_selections_that_stop_at_the_cut_bound(self):
         # the integer-box maximum of reward + discount * combined cut closes
         # the gap before the iteration's master, and becomes the upper bound
         spec = criterion_4_spec()
         gamma = spec.discount
-        stops = [(net, x, noises, res) for net, x, noises, res in period_2_early_stops("mcd")
+        stops = [(net, x, batch, res) for net, x, batch, res in period_2_early_stops("mcd")
                  if res.trace["upper"][-1] < res.trace["upper"][-2]]
-        assert len(stops) == 161  # of the 200 period-2 selections
-        for net, x, noises, res in stops:
+        assert len(stops) == 39  # of the 48 period-2 selections
+        for net, x, batch, res in stops:
             assert 1 < res.iterations < McdConfig().max_iterations
-            ctx = RecourseContext(net, spec, x, noises)
+            ctx = RecourseContext(net, spec, x, batch.noises)
             cut = combined_cut(ctx, res.trace["action"][-1])
             assert res.upper_bound == res.trace["upper"][-1] == (
                 spec.stage_reward(2, x).box_bound(spec.action_box.upper_bounds)(
                     gamma * cut.coef)
                 + gamma * cut.const + gamma * net.output_bias)
             assert McdConfig().gap_closed(res.objective, res.upper_bound)
-            self.check_brute_force_action(spec, net, x, noises, res)
+            self.check_brute_force_action(spec, net, x, batch, res)
 
     def test_lshaped_never_stops_at_the_cut_bound(self):
         # lshaped has no combined cut (period_2_early_stops forbids it), and

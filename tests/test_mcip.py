@@ -336,6 +336,19 @@ class TestMdpConstruction:
         assert us.shape == (8,)
         np.testing.assert_array_equal(np.sort(np.floor(us * 8)), np.arange(8))
 
+    def test_transition_is_permutation_equivariant(self):
+        # row s depends on draw s alone, so permuting the draws permutes the
+        # rows, which the driver's canonical batch order relies on
+        spec = build_mcip_mdp(synthetic_instance(seed=16))
+        rng = np.random.default_rng(5)
+        for x in spec.state_sampler(rng, 6):
+            us = spec.draw_noises(rng, 20)
+            perm = rng.permutation(20)
+            offsets, linears = spec.transition(x, us)
+            permuted_offsets, permuted_linears = spec.transition(x, us[perm])
+            np.testing.assert_array_equal(permuted_offsets, offsets[perm])
+            np.testing.assert_array_equal(permuted_linears, linears[perm])
+
     def test_state_sampler_demand_on_lattice(self):
         inst = synthetic_instance(seed=17)
         spec = build_mcip_mdp(inst)
