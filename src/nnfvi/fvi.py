@@ -7,7 +7,7 @@ randomness is derived from one master seed through named substreams, so a
 run is bit-for-bit reproducible for a fixed BLAS thread count.  Another
 thread count may round numpy's BLAS calls differently and so move the
 result, so ``perfbench/run.py`` pins one thread.  (On a 2-core host,
-perfbench's criterion-4 run returns 27.72191456617234 with one OpenBLAS
+perfbench's criterion-4 run returns 27.721914566172394 with one OpenBLAS
 thread and with two.)
 
 The DP oracle performs exact backward induction for problems whose state
@@ -192,8 +192,9 @@ def _canonical(spec: MdpSpec, x: np.ndarray, noises: np.ndarray) -> _Batch:
                   rows[order].tobytes())
 
 
-def _decide(spec: MdpSpec, nets: dict, t: int, x: np.ndarray, noises,
-            reward: StageReward, config: McdConfig) -> SelectionResult:
+def _decide(spec: MdpSpec, nets: dict, t: int, x: np.ndarray,
+            noises: np.ndarray | _Batch, reward: StageReward,
+            config: McdConfig) -> SelectionResult:
     """Best action at ``(t, x)``, whose stage reward is ``reward``, against
     the period ``t+1`` network.
 
