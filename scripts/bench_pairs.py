@@ -24,8 +24,10 @@ is worse than the parent's by no more than the metric's ``bound`` (a
 fraction of the parent's median).  Each workload and metric also gets one
 summary line on stderr.  The JSON also holds every run's check result, its
 operations attempted and failed, and its untraced pass count with each
-side's median: perfbench keeps every pass's latency spans, so a side that
-runs more passes in the same time ends with a higher ``peak_rss_mb``.
+side's median: perfbench keeps every pass's outputs and latency spans, so a
+side that runs more passes in the same time ends with a higher
+``peak_rss_mb`` (about +0.25 MiB a pass on ``select``).  The
+``peak_rss_mb`` summary line and gate reason name both medians.
 Last come the core count, the Python and numpy versions and both commit
 ids (with a ``dirty`` flag when the working tree differs from the commit).
 
@@ -51,6 +53,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 PASSES = re.compile(r"^# passes: (\d+) untraced", re.MULTILINE)
+GROWS_WITH_PASSES = "peak_rss_mb"  # rises with the passes a run fits in its time
 
 
 def _commit(checkout: Path) -> dict:
@@ -105,6 +108,13 @@ def compare(spec: dict, parent_values: list, change_values: list) -> dict:
     }
 
 
+def _passes_note(passes: dict) -> str:
+    """Each side's median untraced pass count, from a workload's
+    ``passes`` entry."""
+    return (f"median untraced passes {passes['parent']['median']:g} -> "
+            f"{passes['change']['median']:g}")
+
+
 def gate(record: dict) -> list[str]:
     """Why the record fails its gate, one reason per line; empty when it
     passes.  ``record`` is the JSON this script writes."""
@@ -127,7 +137,9 @@ def gate(record: dict) -> list[str]:
                 reasons.append(
                     f"{workload} {name}: change median {verdict['change']['median']:.6g} "
                     f"is beyond bound {verdict['bound']:g} of the parent median "
-                    f"{verdict['parent']['median']:.6g}")
+                    f"{verdict['parent']['median']:.6g}"
+                    + (f" ({_passes_note(w['passes'])})" if name == GROWS_WITH_PASSES
+                       else ""))
     return reasons
 
 
@@ -176,6 +188,9 @@ def main(argv=None) -> int:
                 print(f"{workload} pair {pair + 1}/{count} {side}: "
                       f"pass_s {runs[side][-1]['metrics']['pass_s']['value']:.4f}",
                       file=sys.stderr)
+        passes = {side: {"runs": [r["passes"] for r in runs[side]],
+                         "median": statistics.median(r["passes"] for r in runs[side])}
+                  for side in runs}
         metrics = {}
         for spec in bench["end_to_end"]:
             name = spec["name"]
@@ -187,16 +202,16 @@ def main(argv=None) -> int:
                   f"{verdict['change_won']}/{count}, gain rule "
                   f"{'met' if verdict['gain_rule_met'] else 'not met'}, "
                   f"{'within' if verdict['within_bound'] else 'beyond'} bound "
-                  f"{spec['bound']:g}", file=sys.stderr)
+                  f"{spec['bound']:g}"
+                  + (f", {_passes_note(passes)}" if name == GROWS_WITH_PASSES else ""),
+                  file=sys.stderr)
         out["workloads"][workload] = {
             "pairs": count,
             "first": ["change" if pair % 2 == 0 else "parent" for pair in range(count)],
             "correct": {side: [r["correct"] for r in runs[side]] for side in runs},
             "attempted": {side: [r["attempted"] for r in runs[side]] for side in runs},
             "failed": {side: [r["failed"] for r in runs[side]] for side in runs},
-            "passes": {side: {"runs": [r["passes"] for r in runs[side]],
-                              "median": statistics.median(r["passes"] for r in runs[side])}
-                       for side in runs},
+            "passes": passes,
             "metrics": metrics,
         }
         # written after each workload, so that a later failure keeps the rest

@@ -18,7 +18,8 @@ A search is resumable, the branch-and-cut form of a cutting-plane method
 such as Laporte & Louveaux's (1993) integer L-shaped method.  Every solution
 carries its frontier: the base and every leaf, that is every node left
 open, pruned by bound, found integral, or dropped because it could not beat
-the incumbent (infeasible nodes are gone for good).  Given that solution,
+the incumbent (infeasible nodes, and nodes below the cutoff described
+below, are gone for good).  Given that solution,
 :func:`solve_milp` solves the same problem or one grown from it by
 :meth:`MilpProblem.with_rows`, which refers weakly to the problem it grew
 from: the new rows are appended to the base (``_Tableau.with_rows``), each
@@ -33,6 +34,17 @@ child.  A cold solve is the same loop started from the root as its one
 stale leaf, filed as it stands unless a phase-1 artificial left basic sits
 above its zero bound by more than the feasibility tolerance (phase 1 accepts
 up to about 1e-7); such a root is re-optimized and counted as a node.
+
+A caller may pass an objective cutoff, a value it has proved the optimum
+reaches with room for round-off: a stale leaf, child or frontier leaf whose
+bound lies below the cutoff is dropped wherever it appears, and the status
+is 'infeasible' when no integral solution reaches it, so an optimum below
+the cutoff shows as a failure, not as a wrong optimum.  Dropping such a
+leaf is exact: until the optimum is the incumbent, some open node's bound
+is at least the optimum, and after, a node is expanded only while its bound
+beats the optimum, so best-first order never pops a leaf below the cutoff.
+A dropped leaf is gone for good, so a chain of resumed searches stays
+exact while each one's optimum reaches every cutoff passed before it.
 
 Incumbents come only from integral relaxations: best-first order expands a
 node only while its bound beats the optimum (up to the tolerance), so
@@ -160,9 +172,10 @@ def _flips(pivots: list) -> int:
     return sum(enter == leave for enter, leave in pivots)
 
 
-def _extended(frontier: _Frontier, p: MilpProblem) -> tuple[Optional[_Tableau], list]:
-    """The frontier's base and leaves with the rows ``p`` has beyond the
-    frontier's problem appended."""
+def _extended(frontier: _Frontier, p: MilpProblem,
+              cutoff: float) -> tuple[Optional[_Tableau], list]:
+    """The frontier's base and its leaves whose bound reaches ``cutoff``,
+    with the rows ``p`` has beyond the frontier's problem appended."""
     if frontier.base is None:
         return None, []
     m, n = frontier.problem.lp.n_rows, p.lp.n_vars
@@ -171,7 +184,7 @@ def _extended(frontier: _Frontier, p: MilpProblem) -> tuple[Optional[_Tableau], 
     slacks = np.arange(frontier.base.n, base.n)
     return base, [(bound, np.concatenate([basis, slacks]),
                    np.concatenate([x, b - A @ x[:n]]), fixings)
-                  for bound, basis, x, fixings in frontier.leaves]
+                  for bound, basis, x, fixings in frontier.leaves if bound >= cutoff]
 
 
 def _bounds(base: _Tableau, fixings: tuple) -> tuple[np.ndarray, np.ndarray]:
@@ -182,8 +195,10 @@ def _bounds(base: _Tableau, fixings: tuple) -> tuple[np.ndarray, np.ndarray]:
 
 
 def solve_milp(p: MilpProblem, tol: float = DEFAULT_TOL,
-               resume: Optional[MilpSolution] = None) -> MilpSolution:
-    """Globally maximize the binary MILP within absolute tolerance ``tol``.
+               resume: Optional[MilpSolution] = None,
+               cutoff: float = -np.inf) -> MilpSolution:
+    """Globally maximize the binary MILP within absolute tolerance ``tol``
+    over the solutions whose objective reaches ``cutoff``.
 
     With ``resume``, a solution this function returned, ``p`` must be the
     problem ``resume`` solved or one grown from it by one
@@ -193,6 +208,10 @@ def solve_milp(p: MilpProblem, tol: float = DEFAULT_TOL,
     are the one leaf the search starts from.  Either way one loop files
     them.  The frontier moves on to the new solution, so that the old one's
     memory is freed before the search runs: a solution resumes once.
+
+    A stale leaf, child or frontier leaf whose bound is below ``cutoff`` is
+    dropped, and the status is 'infeasible' when no integral solution
+    reaches it; see the module docstring for when that is exact.
     """
     n = p.lp.n_vars
     binaries = np.array(p.binary_indices, dtype=np.intp)
@@ -206,7 +225,7 @@ def solve_milp(p: MilpProblem, tol: float = DEFAULT_TOL,
         if frontier.problem is not p and frontier.problem is not parent:
             raise ValueError("a resumed problem must be the solved one or grown from "
                              "it by with_rows, which appends trailing '<=' rows")
-        base, stale = _extended(frontier, p)
+        base, stale = _extended(frontier, p, cutoff)
         resume._frontier = None
     pivots = flips = 0
     if base is None:  # nothing to resume: the root, solved cold, is the one leaf
@@ -217,7 +236,8 @@ def solve_milp(p: MilpProblem, tol: float = DEFAULT_TOL,
                                 bound_flips=flips, _frontier=_Frontier(p, None, []))
         # copies: the root's tableau lives on as the base
         tab = root._tableau
-        stale = [(root.objective, tab.basis.copy(), tab.x.copy(), ())]
+        if root.objective >= cutoff:
+            stale = [(root.objective, tab.basis.copy(), tab.x.copy(), ())]
         base = tab.as_base()
 
     incumbent_x: Optional[np.ndarray] = None
@@ -237,11 +257,14 @@ def solve_milp(p: MilpProblem, tol: float = DEFAULT_TOL,
     def settle(basis: np.ndarray, x: np.ndarray, fixings: tuple) -> None:
         """File a node whose LP is optimal at ``basis`` with column values
         ``x``, both kept as given, so the caller hands over arrays nothing
-        else changes: push it to be branched on, or record it as a leaf
-        (integral, and the incumbent if it beats it, or dominated)."""
+        else changes: drop it if its bound is below the cutoff, else push it
+        to be branched on, or record it as a leaf (integral, and the
+        incumbent if it beats it, or dominated)."""
         nonlocal incumbent_x, incumbent_val, counter
         sol_x = x[:n].copy()
         objective = float(p.lp.c @ sol_x)
+        if objective < cutoff:
+            return
         var = _most_fractional(sol_x, binaries)
         beats = objective > incumbent_val
         if beats and var is not None:

@@ -311,25 +311,32 @@ class _Tableau:
             out = (below | above).nonzero()[0]
             if not out.size:
                 return "optimal"
-            row = int(out[basis[out].argmin()])  # smallest basic index leaves
-            leave = int(basis[row])
-            # x_leave falls by T[row, j] per unit rise of x_j; sign the row so
-            # that a column helps by moving against the sign of its entry.
-            # Fixed columns, artificials among them, can move neither way
+            # the smallest basic index leaves
+            row = int(out[0] if out.size == 1 else out[basis[out].argmin()])
+            leave, value = int(basis[row]), xb[row]
+            # x_leave falls by T[row, j] per unit rise of x_j.  Below its
+            # bound it must rise, so a column helps by moving against the
+            # sign of its entry; above, by moving with it.  Fixed columns,
+            # artificials among them, can move neither way
+            alpha = T[row]
+            falls, rises = alpha < -FEASIBILITY_TOL, alpha > FEASIBILITY_TOL
             if below[row]:
-                target, alpha = lower[leave], T[row]
+                target = lower[leave]
+                eligible = (falls & (x < upper)) | (rises & (x > lower))
             else:
-                target, alpha = upper[leave], -T[row]
-            eligible = (((alpha < -FEASIBILITY_TOL) & (x < upper))
-                        | ((alpha > FEASIBILITY_TOL) & (x > lower)))
+                target = upper[leave]
+                eligible = (rises & (x < upper)) | (falls & (x > lower))
             cand = eligible.nonzero()[0]
             if not cand.size:
                 return "infeasible"
-            ratios = np.abs(T[m, cand] / alpha[cand])
-            # smallest dual ratio; ties go to the lowest column index
-            enter = int(cand[(ratios <= ratios.min() + OPTIMALITY_TOL).argmax()])
-            step = (x[leave] - target) / T[row, enter]
-            x[basis] -= step * T[:m, enter]
+            if cand.size == 1:
+                enter = int(cand[0])
+            else:
+                ratios = np.abs(T[m, cand] / alpha[cand])
+                # smallest dual ratio; ties go to the lowest column index
+                enter = int(cand[(ratios <= ratios.min() + OPTIMALITY_TOL).argmax()])
+            step = (value - target) / alpha[enter]
+            x[basis] = xb - step * T[:m, enter]
             x[enter] += step
             x[leave] = target
             self._pivot(row, enter)
@@ -346,11 +353,11 @@ class _Tableau:
                 raise LpNumericalError(
                     f"pivot element {piv:.3e} too small at row {row}, column {col}"
                 )
-        T[row] /= piv
         keep = T[row]
+        keep /= piv
         factors = T[:, col].copy()
         factors[row] = 0.0
-        np.multiply(factors[:, None], keep[None, :], out=self._work)
+        np.multiply.outer(factors, keep, out=self._work)
         np.subtract(T, self._work, out=T)
         T[:, col] = 0.0
         T[row, col] = 1.0

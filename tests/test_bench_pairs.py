@@ -84,3 +84,17 @@ def test_a_clean_record_passes_the_gate(bench_pairs, compare):
 def test_each_fault_fails_the_gate_with_its_reason(bench_pairs, compare, fields, reason):
     (got,) = bench_pairs.gate(record(compare, **fields))
     assert got.startswith(reason)
+
+
+def test_a_memory_reason_names_each_sides_pass_count(bench_pairs, compare):
+    # perfbench keeps every pass's outputs, so peak_rss_mb rises with the
+    # passes a run fits in its time; its reason says how many each side ran
+    rec = record(compare)
+    workload = rec["workloads"]["sweep"]
+    workload["metrics"]["peak_rss_mb"] = compare(
+        {"unit": "MiB", "better": "lower", "bound": 0.05}, [40.0, 40.0], [43.0, 43.0])
+    workload["passes"] = {"parent": {"runs": [2, 2], "median": 2},
+                          "change": {"runs": [14, 16], "median": 15}}
+    assert bench_pairs.gate(rec) == [
+        "sweep peak_rss_mb: change median 43 is beyond bound 0.05 of the parent "
+        "median 40 (median untraced passes 2 -> 15)"]

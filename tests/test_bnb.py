@@ -671,6 +671,69 @@ class TestResumedSearch:
         assert again.status == "infeasible"
 
 
+class TestCutoff:
+    """An objective cutoff drops only leaves best-first search never pops,
+    and reports an optimum below it as infeasible."""
+
+    @staticmethod
+    def _chain(seed, cutoffs):
+        """Solve a random MILP cold with ``cutoffs[0]``, then resume it
+        through rounds of rows cutting off each optimum, round ``r`` with
+        ``cutoffs[r]``, until the cutoffs run out or a round is infeasible;
+        returns (solution, cutoff, carried leaves) per round."""
+        rng = np.random.default_rng(seed)
+        k, m = int(rng.integers(5, 9)), int(rng.integers(1, 4))
+        p = mixed_milp(rng, k, m) if seed % 2 else signed_binary_milp(rng, k, m)
+        rounds, sol = [], None
+        for cutoff in cutoffs:
+            if sol is not None:
+                p = p.with_rows(*TestResumedSearch._cuts(rng, p, sol.x,
+                                                         int(rng.integers(1, 4))))
+            sol = solve_milp(p, tol=1e-9, resume=sol, cutoff=cutoff)
+            rounds.append((sol, cutoff, list(sol._frontier.leaves)))
+            if sol.status != "optimal":
+                break
+        return rounds
+
+    def test_a_cutoff_at_or_below_every_later_optimum_changes_nothing(self):
+        # a resumed round's cutoff must not exceed any later round's optimum,
+        # since the leaves it drops are gone for good; the optima only fall
+        # as rows are appended, so round r's cutoff is the smallest optimum
+        # from r on, the round's own optimum in the last feasible round
+        dropped = 0
+        for seed in range(30):
+            plain = self._chain(seed, [-np.inf] * 6)
+            optima = [sol.objective for sol, _, _ in plain if sol.status == "optimal"]
+            margin = [0.0, 1e-6, 0.5][seed % 3]
+            cutoffs = [min(optima[r:]) - margin for r in range(len(optima))]
+            cut = self._chain(seed, cutoffs)
+            assert len(cut) == len(optima) == len(plain) - (plain[-1][0].status != "optimal")
+            for (a, _, plain_leaves), (b, cutoff, leaves) in zip(plain, cut):
+                assert (a.status, a.objective, a.bound, a.node_count, a.lp_pivots,
+                        a.bound_flips, a.bound_trace) == (
+                    b.status, b.objective, b.bound, b.node_count, b.lp_pivots,
+                    b.bound_flips, b.bound_trace)
+                np.testing.assert_array_equal(a.x, b.x)
+                assert all(bound >= cutoff for bound, *_ in leaves)
+                assert len(leaves) <= len(plain_leaves)
+                dropped += len(plain_leaves) - len(leaves)
+        assert dropped > 0
+
+    def test_a_cutoff_above_the_optimum_is_infeasible_cold_and_resumed(self):
+        checked = 0
+        for seed in range(12):
+            plain = self._chain(seed, [-np.inf] * 2)
+            if len(plain) < 2 or plain[1][0].status != "optimal":
+                continue  # the first round of rows left nothing feasible
+            (cold, _, _), (resumed, _, _) = plain
+            ((above, _, leaves),) = self._chain(seed, [cold.objective + 1e-3])
+            assert above.status == "infeasible" and above.x is None and not leaves
+            _, (again, _, leaves) = self._chain(seed, [-np.inf, resumed.objective + 1e-3])
+            assert again.status == "infeasible" and again.x is None and not leaves
+            checked += 1
+        assert checked >= 8
+
+
 class TestNodesStopAtOptimality:
     """A node's dual simplex stops once its basic values are within their
     bounds; a re-price there must find no column to enter."""

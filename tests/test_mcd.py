@@ -745,9 +745,9 @@ class TestResumedMasters:
         solved, resumed = [], []
         solve = mcd.solve_milp
 
-        def recording(p, tol, resume=None):
+        def recording(p, tol, resume=None, **kwargs):
             resumed.append(resume)
-            solved.append(solve(p, tol, resume))
+            solved.append(solve(p, tol, resume, **kwargs))
             return solved[-1]
 
         monkeypatch.setattr(mcd, "solve_milp", recording)
@@ -766,10 +766,10 @@ class TestResumedMasters:
                                           transition_samples=4, capacity_levels=3)
         solved, solve = [], mcd.solve_milp
 
-        def failing_after_three(p, tol, resume=None):
+        def failing_after_three(p, tol, resume=None, **kwargs):
             if len(solved) == 3:
                 raise LpNumericalError("singular basis")
-            solved.append(solve(p, tol, resume))
+            solved.append(solve(p, tol, resume, **kwargs))
             return solved[-1]
 
         monkeypatch.setattr(mcd, "solve_milp", failing_after_three)
@@ -804,9 +804,9 @@ class TestResumedMasters:
             comb_cuts.append(make_comb(*args))
             return comb_cuts[-1]
 
-        def recording_solve(p, tol, resume=None):
+        def recording_solve(p, tol, resume=None, **kwargs):
             masters.append((p, list(int_cuts), list(comb_cuts)))
-            return solve(p, tol, resume)
+            return solve(p, tol, resume, **kwargs)
 
         monkeypatch.setattr(mcd, "integer_optimality_cut", recording_int)
         monkeypatch.setattr(mcd, "combined_cut", recording_comb)
@@ -832,12 +832,48 @@ class TestResumedMasters:
         cfg = McdConfig(max_iterations=25, gap_tolerance=0.0)
         warm = select_action(ctx, reward, cfg)
         solve = mcd.solve_milp
-        monkeypatch.setattr(mcd, "solve_milp", lambda p, tol, resume=None: solve(p, tol))
+        monkeypatch.setattr(mcd, "solve_milp",
+                            lambda p, tol, resume=None, **kwargs: solve(p, tol, **kwargs))
         cold = select_action(ctx, reward, cfg)
         np.testing.assert_array_equal(warm.trace["action"], cold.trace["action"])
         assert warm.objective == cold.objective
         assert warm.upper_bound == pytest.approx(cold.upper_bound, rel=1e-12)
         assert warm.milp_nodes < cold.milp_nodes
+
+    @pytest.mark.parametrize("engine", ["mcd", "lshaped"])
+    @pytest.mark.parametrize("seed, dims", [(2003, 2), (2022, 2), (3006, 3), (5000, 6)])
+    def test_the_cutoff_moves_no_selection_and_carries_no_more_leaves(
+            self, monkeypatch, engine, seed, dims):
+        # the masters' cutoff drops only leaves best-first search never pops,
+        # so the selection is the one made with the cutoff dropped, bit for
+        # bit, and the last master carries no more leaves; 5000 is the 6x3
+        # probe box, whose masters drop the most
+        ctx, reward = make_bench_instance(seed, facilities=dims, neurons=10,
+                                          transition_samples=4, capacity_levels=3)
+        solve, cutoffs = mcd.solve_milp, []
+
+        def run(keep_cutoff):
+            last = []
+
+            def recording(p, tol, resume=None, cutoff=-np.inf):
+                cutoffs.append(cutoff)
+                last[:] = [solve(p, tol, resume, cutoff if keep_cutoff else -np.inf)]
+                return last[0]
+
+            monkeypatch.setattr(mcd, "solve_milp", recording)
+            res = select_action(ctx, reward, McdConfig(engine=engine))
+            return res, len(last[0]._frontier.leaves)
+
+        (cut, cut_leaves), (plain, plain_leaves) = run(True), run(False)
+        assert np.isfinite(cutoffs).all()
+        assert not cut.fell_back and not plain.fell_back
+        np.testing.assert_array_equal(cut.action, plain.action)
+        assert cut.trace.tobytes() == plain.trace.tobytes()
+        assert (cut.objective.hex(), cut.upper_bound.hex(), cut.iterations,
+                cut.milp_nodes, cut.lp_pivots, cut.bound_flips) == (
+            plain.objective.hex(), plain.upper_bound.hex(), plain.iterations,
+            plain.milp_nodes, plain.lp_pivots, plain.bound_flips)
+        assert cut_leaves <= plain_leaves
 
 
 def criterion_4_spec():
