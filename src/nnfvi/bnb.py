@@ -63,7 +63,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .simplex import FEASIBILITY_TOL, LEQ, LpProblem, _Tableau, solve_lp
+from .simplex import FEASIBILITY_TOL, LEQ, LpProblem, _Tableau, _unchecked, solve_lp
 
 DEFAULT_TOL = 1e-6
 NODE_CAP = 100_000
@@ -112,20 +112,14 @@ class MilpProblem:
         if not (np.isfinite(A).all() and np.isfinite(b).all()):
             raise ValueError("appended rows must be finite")
         # built field by field, not through the constructors, so that c,
-        # the bounds and the binary indices are shared and validated once
-        grown_lp = _unchecked(LpProblem, **(vars(lp) | dict(
-            A=np.vstack([lp.A, A]), b=np.concatenate([lp.b, b]),
-            senses=lp.senses + [LEQ] * b.size)))
+        # the bounds and the binary indices are shared and validated once;
+        # the rows differ, so no with_rhs origin carries over
+        grown_lp = _unchecked(LpProblem, c=lp.c, A=np.vstack([lp.A, A]),
+                              b=np.concatenate([lp.b, b]),
+                              senses=lp.senses + [LEQ] * b.size, lower=lp.lower,
+                              upper=lp.upper, maximize=lp.maximize)
         return _unchecked(MilpProblem, lp=grown_lp, binary_indices=self.binary_indices,
                           _parent=weakref.ref(self))
-
-
-def _unchecked(cls, **fields):
-    """An instance of the dataclass ``cls`` holding ``fields``, made without
-    calling its ``__init__`` and so without its ``__post_init__`` checks."""
-    obj = object.__new__(cls)
-    vars(obj).update(fields)
-    return obj
 
 
 @dataclass

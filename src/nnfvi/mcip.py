@@ -23,7 +23,7 @@ from .bnb import solve_milp  # unused here; kept at this name, which perfbench t
 from .fvi import FviConfig, TabularMdp, greedy_policy, run_nnfvi
 from .mcd import StageReward
 from .mdp import ActionBox, MdpSpec, as_integers, enumerate_actions
-from .simplex import LEQ, LpProblem, solve_lp
+from .simplex import LEQ, LpProblem, LpSolution, solve_lp
 
 
 @dataclass(frozen=True)
@@ -120,12 +120,16 @@ class CapacityState:
 class McipInstance:
     """Problem data; arrays are period-major with period index ``t - 1``.
 
-    ``_profits`` memoises the allocation profit per ``(t, capacity,
-    demand)`` for :func:`_profit`.  It lives as long as the instance; every
-    copy (``with_parameters``, ``dataclasses.replace``, ``from_json_dict``)
-    starts empty, and equality, ``repr`` and the JSON form leave it out.
-    Change the data by making such a copy, never in place, or the memo
-    goes stale.
+    Two private memos live as long as the instance.  ``_profits`` memoises
+    the allocation profit per ``(t, capacity, demand)`` for
+    :func:`_profit`.  ``_allocation_lps`` holds, per period ``t``, the
+    allocation LP at a right-hand side of all ones and its optimal solution,
+    from whose basis :func:`operating_profit` re-optimizes every other
+    capacity and demand; so a profit depends on its key alone, not on what
+    the instance solved before.  Every copy (``with_parameters``,
+    ``dataclasses.replace``, ``from_json_dict``) starts with both empty, and
+    equality, ``repr`` and the JSON form leave them out.  Change the data by
+    making such a copy, never in place, or the memos go stale.
     """
 
     customers: int
@@ -141,6 +145,8 @@ class McipInstance:
     demand: DemandModel
     initial_demand: np.ndarray    # (I,)
     _profits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _allocation_lps: dict = field(default_factory=dict, init=False, repr=False,
+                                  compare=False)
 
     def __post_init__(self):
         for name in ("customers", "facilities", "horizon"):
@@ -255,31 +261,46 @@ def synthetic_instance(customers: int = 2, facilities: int = 2, horizon: int = 3
     )
 
 
+def _allocation_lp(instance: McipInstance, t: int) -> tuple[LpProblem, LpSolution]:
+    """Period ``t``'s allocation LP at a right-hand side of all ones and its
+    optimal solution, built and solved once per instance and period.
+
+    The allocation ``z`` is laid out customer-major: one capacity row per
+    facility, then one demand row per customer.  It admits ``z = 0`` and
+    every ``z`` is bounded by the capacity rows, so the LP is optimal.
+    """
+    reference = instance._allocation_lps.get(t)
+    if reference is None:
+        I, N = instance.customers, instance.facilities
+        margin = (instance.revenues[t - 1] + instance.penalties[t - 1][:, None]).ravel()
+        A = np.vstack([np.tile(np.eye(N), I), np.kron(np.eye(I), np.ones(N))])
+        lp = LpProblem(c=margin, A=A, b=np.ones(I + N), senses=[LEQ] * (I + N),
+                       lower=np.zeros(I * N), upper=np.full(I * N, np.inf),
+                       maximize=True)
+        reference = instance._allocation_lps[t] = (lp, solve_lp(lp))
+    return reference
+
+
 def operating_profit(instance: McipInstance, t: int, capacity: np.ndarray,
                      demand: np.ndarray) -> tuple[float, np.ndarray]:
     """Optimal one-period allocation profit and the allocation itself.
 
     Solves the revenue-minus-penalty LP given installed capacity and realized
-    demand; capacity may be fractional (the extended-value domain).  The LP
-    always admits the zero allocation, so a non-optimal status is a solver
-    defect rather than a model state.
+    demand; capacity may be fractional (the extended-value domain).  Only
+    the right-hand side depends on them, so the LP is period ``t``'s
+    reference LP (:func:`_allocation_lp`) with that right-hand side,
+    re-optimized from the reference's optimal basis by the dual simplex.
+    The result is therefore the same whatever the instance solved before.
+    A non-finite capacity or demand raises ``ValueError``.  The LP admits
+    the zero allocation for any non-negative capacity and demand, so a
+    non-optimal status, as a negative capacity gives, raises
+    ``RuntimeError``.
     """
     I, N = instance.customers, instance.facilities
     capacity = np.asarray(capacity, dtype=float)
     demand = np.asarray(demand, dtype=float)
-    margin = (instance.revenues[t - 1] + instance.penalties[t - 1][:, None]).ravel()
-
-    # z is laid out customer-major: one capacity row per facility, then one
-    # demand row per customer
-    A = np.vstack([np.tile(np.eye(N), I), np.kron(np.eye(I), np.ones(N))])
-
-    lp = LpProblem(
-        c=margin, A=A, b=np.concatenate([capacity, demand]),
-        senses=[LEQ] * (I + N),
-        lower=np.zeros(I * N), upper=np.full(I * N, np.inf),
-        maximize=True,
-    )
-    sol = solve_lp(lp)
+    lp, reference = _allocation_lp(instance, t)
+    sol = solve_lp(lp.with_rhs(np.concatenate([capacity, demand])), start=reference)
     if sol.status != "optimal":
         raise RuntimeError(
             f"allocation LP reported {sol.status}; it must always be feasible"

@@ -38,10 +38,23 @@ simplex stops as soon as every basic value is within its bounds: its ratio
 test keeps every reduced cost of the right sign, so the basis is optimal
 there with no re-price, and the tests check that a re-price would take no
 pivot.
+
+The same dual simplex re-optimizes an LP for a new right-hand side
+(Koberstein 2005, again): ``c``, ``A``, the senses and the bounds are kept,
+so every reduced cost is kept and an optimal basis stays dual feasible.
+:meth:`LpProblem.with_rhs` makes such a problem, and :func:`solve_lp` given
+an optimal solution of the problem it came from copies that solution's
+tableau, keeps the non-basic columns at their bounds, sets the basic values
+to ``B^-1 (b - N x_N)`` with ``B^-1`` read off the tableau's slack columns,
+and runs the dual simplex from there.  No column enters unless a basic value
+breaks its bounds, and a problem without a solution shows as a row that no
+column can repair, so the status is 'optimal' or 'infeasible', never
+'unbounded'.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -95,6 +108,11 @@ class LpProblem:
         if any(not np.all(np.isfinite(arr)) for arr in finite):
             raise ValueError("objective and constraint data must be finite")
 
+    # the problem this one was made from by with_rhs, if any: a class
+    # default, not a field, so that a constructed problem's vars() are its
+    # fields alone
+    _origin = None
+
     @property
     def n_vars(self) -> int:
         return self.c.size
@@ -103,6 +121,26 @@ class LpProblem:
     def n_rows(self) -> int:
         return self.A.shape[0]
 
+    def with_rhs(self, b: np.ndarray) -> "LpProblem":
+        """This LP with the right-hand side ``b``; only ``b`` is validated.
+        Every other field is shared with this problem, and the result refers
+        to it weakly, so it does not keep it alive, and :func:`solve_lp` may
+        start it from this problem's optimal solution."""
+        b = np.asarray(b, dtype=float)
+        if b.shape != (self.n_rows,):
+            raise ValueError(f"right-hand side {b.shape} does not fit {self.n_rows} rows")
+        if not np.isfinite(b).all():
+            raise ValueError("the right-hand side must be finite")
+        return _unchecked(LpProblem, **(vars(self) | dict(b=b, _origin=weakref.ref(self))))
+
+
+def _unchecked(cls, **fields):
+    """An instance of the dataclass ``cls`` holding ``fields``, made without
+    calling its ``__init__`` and so without its ``__post_init__`` checks."""
+    obj = object.__new__(cls)
+    vars(obj).update(fields)
+    return obj
+
 
 @dataclass
 class LpSolution:
@@ -110,8 +148,11 @@ class LpSolution:
     objective: Optional[float] = None
     x: Optional[np.ndarray] = None
     pivots: list = field(default_factory=list)  # (entering, leaving); (j, j) is a bound flip
-    # the optimal tableau, from which branch-and-bound re-optimizes its nodes
+    # the optimal tableau, from which branch-and-bound re-optimizes its nodes,
+    # and the problem it solves, from which solve_lp re-optimizes another
+    # right-hand side
     _tableau: Optional["_Tableau"] = field(default=None, repr=False, compare=False)
+    _problem: Optional[LpProblem] = field(default=None, repr=False, compare=False)
 
 
 class _Tableau:
@@ -367,8 +408,18 @@ class _Tableau:
             self._refactor()
 
 
-def solve_lp(p: LpProblem) -> LpSolution:
-    """Solve ``p``; statuses are 'optimal', 'infeasible', or 'unbounded'."""
+def solve_lp(p: LpProblem, start: Optional[LpSolution] = None) -> LpSolution:
+    """Solve ``p``; statuses are 'optimal', 'infeasible', or 'unbounded'.
+
+    With ``start``, an optimal solution of ``p`` or of the problem ``p`` was
+    made from by :meth:`LpProblem.with_rhs` (checked by that reference
+    alone; anything else raises ValueError), ``p`` is re-optimized from
+    ``start``'s basis by the dual simplex, whose status ('optimal' or
+    'infeasible') and pivots the solution reports.  Without it, ``p`` is
+    solved cold by the two-phase primal simplex.
+    """
+    if start is not None:
+        return _restarted(p, start)
     m, n = p.n_rows, p.n_vars
     senses = np.asarray(p.senses, dtype=object)
     slack_lower = np.where(senses == GEQ, -np.inf, 0.0)
@@ -408,6 +459,32 @@ def solve_lp(p: LpProblem) -> LpSolution:
     costs[:n] = -p.c if p.maximize else p.c
     if tab.solve(costs, n + m) == "unbounded":
         return LpSolution(status="unbounded", pivots=tab.pivots)
-    x_opt = tab.x[:n].copy()
+    return _optimal(p, tab)
+
+
+def _restarted(p: LpProblem, start: LpSolution) -> LpSolution:
+    """``p`` re-optimized by the dual simplex from ``start``'s optimal tableau,
+    with the right-hand side ``p.b``; see :func:`solve_lp`."""
+    if start.status != "optimal":
+        raise ValueError(f"a start must be an optimal solution, not {start.status!r}")
+    origin = p._origin and p._origin()
+    if start._problem is not p and start._problem is not origin:
+        raise ValueError("a started problem must be the start's own or made from it "
+                         "by with_rhs")
+    tab = start._tableau.copy()
+    m, n = p.n_rows, p.n_vars
+    # the slack columns of K are the identity, so the tableau's are B^-1
+    nonbasic = tab.x.copy()
+    nonbasic[tab.basis] = 0.0
+    tab.b = p.b
+    tab.x[tab.basis] = tab.T[:m, n: n + m] @ (p.b - tab.K @ nonbasic)
+    if tab.reoptimize() != "optimal":
+        return LpSolution(status="infeasible", pivots=tab.pivots)
+    return _optimal(p, tab)
+
+
+def _optimal(p: LpProblem, tab: _Tableau) -> LpSolution:
+    """The solution of ``p`` at its optimal tableau ``tab``."""
+    x_opt = tab.x[: p.n_vars].copy()
     return LpSolution(status="optimal", objective=float(p.c @ x_opt), x=x_opt,
-                      pivots=tab.pivots, _tableau=tab)
+                      pivots=tab.pivots, _tableau=tab, _problem=p)

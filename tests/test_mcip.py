@@ -31,6 +31,7 @@ from nnfvi.mcip import (
 )
 from nnfvi.mdp import ActionBox, ActionSpaceTooLargeError, enumerate_actions
 from nnfvi.neural import ReluNet, TrainConfig
+from nnfvi.simplex import LEQ, LpProblem, solve_lp
 
 from test_simplex import enumerate_vertex_optimum
 
@@ -810,6 +811,115 @@ class TestProfitMemo:
         twin = copy.copy(inst)  # shares every field's object, the memo aside
         twin._profits = {}
         assert twin == inst
+
+
+def cold_allocation_profit(instance, t, capacity, demand):
+    """The oracle for ``operating_profit``: period ``t``'s allocation LP built
+    row by row and solved cold, less the penalty on the whole demand."""
+    I, N = instance.customers, instance.facilities
+    rows = []
+    for n in range(N):  # facility n serves at most its capacity
+        row = np.zeros((I, N))
+        row[:, n] = 1.0
+        rows.append(row.ravel())
+    for i in range(I):  # customer i is served at most its demand
+        row = np.zeros((I, N))
+        row[i] = 1.0
+        rows.append(row.ravel())
+    margin = instance.revenues[t - 1] + instance.penalties[t - 1][:, None]
+    sol = solve_lp(LpProblem(c=margin.ravel(), A=np.array(rows),
+                             b=np.concatenate([capacity, demand]),
+                             senses=[LEQ] * (N + I), lower=np.zeros(I * N),
+                             upper=np.full(I * N, np.inf), maximize=True))
+    assert sol.status == "optimal"
+    return sol.objective - float(instance.penalties[t - 1] @ demand)
+
+
+def lattice_keys(instance):
+    """Every (period, lattice capacity, demand row) of the instance."""
+    levels = enumerate_actions(ActionBox(instance.capacity_max)).astype(float)
+    return [(t, K, d) for t in range(1, instance.horizon + 1) for K in levels
+            for d in instance.demand.support]
+
+
+class TestAllocationLps:
+    """Each period's allocation LPs are re-optimized by the dual simplex from
+    one reference LP's optimal basis."""
+
+    def test_profits_do_not_depend_on_the_order_of_solving(self):
+        inst = synthetic_instance(seed=12, customers=3, facilities=3)
+        keys = lattice_keys(inst)
+        first, second = dataclasses.replace(inst), dataclasses.replace(inst)
+
+        def solved(instance, t, K, d):
+            value, z = operating_profit(instance, t, K, d)
+            return value, z.tobytes()
+
+        forward = {k: solved(first, *keys[k]) for k in range(len(keys))}
+        shuffled = {k: solved(second, *keys[k])
+                    for k in np.random.default_rng(0).permutation(len(keys)).tolist()}
+        assert forward == shuffled  # bit for bit, allocations too
+
+    @pytest.mark.parametrize("facilities, capacity_max", [(2, 3), (4, 2)])
+    def test_every_key_equals_a_cold_solve(self, facilities, capacity_max):
+        inst = synthetic_instance(seed=13, customers=3, facilities=facilities,
+                                  capacity_max=capacity_max)
+        rng = np.random.default_rng(14)
+        keys = lattice_keys(inst) + [
+            (t, rng.uniform(0.0, capacity_max, size=facilities), d)
+            for t in range(1, inst.horizon + 1) for d in inst.demand.support
+            for _ in range(5)]
+        for t, K, d in keys:
+            expected = cold_allocation_profit(inst, t, K, d)
+            got, z = operating_profit(inst, t, K, d)
+            assert got == pytest.approx(expected, abs=1e-9 * max(1.0, abs(expected)))
+            assert np.all(z >= -1e-9)
+            assert np.all(z.sum(axis=0) <= K + 1e-9) and np.all(z.sum(axis=1) <= d + 1e-9)
+
+    def test_bad_inputs_keep_their_errors(self):
+        inst = synthetic_instance(seed=3)
+        d = inst.demand.support[0]
+        with pytest.raises(ValueError, match="finite"):
+            operating_profit(inst, 1, np.array([np.nan, 1.0]), d)
+        with pytest.raises(RuntimeError, match="reported infeasible"):
+            operating_profit(inst, 1, np.array([-1.0, 1.0]), d)
+        # the reference survives both
+        K = np.array([1.0, 2.0])
+        assert operating_profit(inst, 1, K, d)[0] == pytest.approx(
+            cold_allocation_profit(inst, 1, K, d), abs=1e-9)
+
+    def test_one_reference_solve_per_period_and_every_profit_from_it(self, monkeypatch):
+        calls, solve = [], mcip.solve_lp
+
+        def recording(p, start=None):
+            calls.append((p, start))
+            return solve(p, start=start)
+
+        monkeypatch.setattr(mcip, "solve_lp", recording)
+        inst = synthetic_instance(seed=5)
+        periods = (1, 2, 3, 2, 1)
+        for t in periods:
+            for d in inst.demand.support:
+                operating_profit(inst, t, np.array([1.0, 2.0]), d)
+        references = {t: lp for t, (lp, _) in inst._allocation_lps.items()}
+        assert sorted(references) == [1, 2, 3]
+        cold = [p for p, start in calls if start is None]
+        assert cold == list(references.values())
+        assert all(p.b.tolist() == [1.0] * 4 for p in cold)
+        warm = [(p, start) for p, start in calls if start is not None]
+        assert len(warm) == len(periods) * inst.demand.size
+        for (p, start), t in zip(warm, np.repeat(periods, inst.demand.size)):
+            assert p._origin() is references[t] and start is inst._allocation_lps[t][1]
+
+    def test_copies_start_without_references(self):
+        inst = synthetic_instance(seed=33)
+        text, shown = inst.dumps(), repr(inst)
+        operating_profit(inst, 2, np.array([1.0, 1.0]), inst.demand.support[0])
+        assert list(inst._allocation_lps) == [2]
+        assert inst.dumps() == text and repr(inst) == shown
+        for other in (with_parameters(inst, gamma=0.8), dataclasses.replace(inst),
+                      McipInstance.loads(text)):
+            assert other._allocation_lps == {}
 
 
 class TestInstanceSerialization:

@@ -1,9 +1,12 @@
+import gc
 import itertools
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from nnfvi import simplex
+from nnfvi.bnb import MilpProblem
 from nnfvi.simplex import LEQ, GEQ, EQ, LpProblem, solve_lp
 
 from conftest import assert_no_entering_column
@@ -498,3 +501,155 @@ class TestAppendedRows:
                 assert np.all(A @ got <= b + 1e-8)
                 assert np.all((got >= lower[:k] - 1e-9) & (got <= upper[:k] + 1e-9))
         assert checked > 100 and infeasible > 0
+
+
+def assert_feasible(p, x):
+    """``x`` satisfies ``p``'s bounds and rows up to round-off."""
+    assert np.all(x >= p.lower - 1e-9) and np.all(x <= p.upper + 1e-9)
+    rows, senses = p.A @ x, np.asarray(p.senses)
+    assert np.all(rows[senses == LEQ] <= p.b[senses == LEQ] + 1e-8)
+    assert np.all(rows[senses == GEQ] >= p.b[senses == GEQ] - 1e-8)
+    np.testing.assert_allclose(rows[senses == EQ], p.b[senses == EQ], atol=1e-8)
+
+
+def assert_matches_a_cold_solve(q, start):
+    """``solve_lp(q, start)`` agrees with a cold ``solve_lp(q)``: the same
+    status, the objective within 1e-9 relative, a feasible ``x`` and an
+    optimal basis; returns the status."""
+    warm, cold = solve_lp(q, start=start), solve_lp(q)
+    assert warm.status == cold.status
+    assert not any(enter == leave for enter, leave in warm.pivots)  # no bound flip
+    if warm.status == "optimal":
+        assert warm.objective == pytest.approx(
+            cold.objective, abs=1e-9 * max(1.0, abs(cold.objective)))
+        assert_feasible(q, warm.x)
+        assert_no_entering_column(warm._tableau)
+    else:
+        assert warm.x is None and warm._tableau is None
+    return warm.status
+
+
+def random_mixed_lp(rng):
+    """A random LP over boxed, lower-only, upper-only, free and fixed columns
+    with '<=', '=' and '>=' rows, and a point ``x0`` within its bounds."""
+    n, m = int(rng.integers(3, 8)), int(rng.integers(2, 6))
+    kinds = rng.integers(0, 5, size=n)  # boxed, lower-only, upper-only, free, fixed
+    lower = rng.uniform(-2.0, 0.0, size=n)
+    upper = lower + rng.uniform(0.5, 3.0, size=n)
+    lower[kinds == 2] = lower[kinds == 3] = -np.inf
+    upper[(kinds == 1) | (kinds == 3)] = np.inf
+    upper[kinds == 4] = lower[kinds == 4]
+    x0 = np.where(np.isfinite(lower), lower, np.where(np.isfinite(upper), upper, 0.0))
+    x0 += np.where(kinds == 4, 0.0, rng.uniform(0.0, 0.5, size=n)
+                   * np.where(kinds == 2, -1.0, 1.0))
+    A = rng.normal(size=(m, n))
+    senses = [(LEQ, EQ, GEQ)[k] for k in rng.integers(0, 3, size=m)]
+    return (LpProblem(c=rng.normal(size=n), A=A, b=A @ x0, senses=senses,
+                      lower=lower, upper=upper, maximize=bool(rng.integers(0, 2))),
+            x0)
+
+
+class TestNewRightHandSides:
+    """``solve_lp(p.with_rhs(b), start)`` re-optimizes ``start``'s optimal
+    basis by the dual simplex and agrees with a cold solve of the same LP."""
+
+    @staticmethod
+    def check_random_problems(seed, count):
+        """Give each of ``count`` random LPs with an optimal reference 15 new
+        right-hand sides; returns how many ended in each status."""
+        rng = np.random.default_rng(seed)
+        statuses = {"optimal": 0, "infeasible": 0}
+        references = 0
+        while references < count:
+            p, x0 = random_mixed_lp(rng)
+            reference = solve_lp(p)
+            if reference.status != "optimal":
+                continue
+            references += 1
+            tableau = reference._tableau.T.copy(), reference._tableau.x.copy()
+            senses = np.asarray(p.senses)
+            for _ in range(15):
+                # half the right-hand sides hold a point near x0 with room on
+                # the inequality rows, the others are drawn blind
+                if rng.integers(0, 2):
+                    x = np.clip(x0 + rng.normal(scale=0.3, size=p.n_vars), p.lower, p.upper)
+                    room = rng.uniform(0.0, 1.0, size=p.n_rows)
+                    b = p.A @ x + np.select([senses == LEQ, senses == GEQ], [room, -room])
+                else:
+                    b = rng.normal(scale=2.0, size=p.n_rows)
+                statuses[assert_matches_a_cold_solve(p.with_rhs(b), reference)] += 1
+            # the reference's own tableau is left as it was
+            np.testing.assert_array_equal(reference._tableau.T, tableau[0])
+            np.testing.assert_array_equal(reference._tableau.x, tableau[1])
+        return statuses
+
+    def test_random_mixed_problems_match_cold_solves(self):
+        statuses = self.check_random_problems(44, 40)
+        assert statuses["optimal"] > 250 and statuses["infeasible"] > 50
+
+    def test_refactoring_at_every_pivot_uses_the_new_right_hand_side(self, monkeypatch):
+        monkeypatch.setattr(simplex, "REFACTOR_EVERY", 1)
+        statuses = self.check_random_problems(45, 10)
+        assert statuses["optimal"] > 50 and statuses["infeasible"] > 10
+
+    def test_redundant_equality_rows_with_an_artificial_basic_at_zero(self):
+        # rows 1 and 2 are one row, so the reference keeps an artificial
+        # basic at zero; a new right-hand side either keeps them consistent
+        # or makes the LP infeasible through that artificial
+        A = [[1.0, 1.0, 0.0], [2.0, 2.0, 0.0], [0.0, 1.0, 1.0]]
+        p = LpProblem(c=[1.0, 2.0, 1.0], A=A, b=[2.0, 4.0, 3.0], senses=[EQ] * 3,
+                      lower=np.zeros(3), upper=np.full(3, np.inf), maximize=True)
+        reference = solve_lp(p)
+        assert np.any(reference._tableau.basis >= p.n_vars + p.n_rows)
+        for b, status in (([3.0, 6.0, 1.0], "optimal"), ([1.0, 2.0, 5.0], "optimal"),
+                          ([3.0, 5.0, 1.0], "infeasible"), ([-1.0, -2.0, 1.0], "infeasible")):
+            assert assert_matches_a_cold_solve(p.with_rhs(b), reference) == status
+
+    def test_a_chain_of_right_hand_sides_and_the_same_problem(self):
+        p = box_lp([3.0, 2.0], [[1.0, 1.0], [1.0, 0.0]], [4.0, 3.0], [np.inf, np.inf])
+        reference = solve_lp(p)
+        again = solve_lp(p, start=reference)  # the start's own problem
+        assert again.pivots == [] and again.objective == reference.objective
+        q = p.with_rhs([2.0, 1.0])
+        first = solve_lp(q, start=reference)
+        assert first.objective == pytest.approx(5.0)
+        r = q.with_rhs([5.0, 5.0])  # started from the solution of q
+        assert solve_lp(r, start=first).objective == pytest.approx(15.0)
+        with pytest.raises(ValueError, match="made from it"):
+            solve_lp(r, start=reference)  # r was made from q, not from p
+
+    def test_with_rhs_shares_the_other_fields_and_refers_weakly(self):
+        p = box_lp([1.0, 1.0], [[1.0, 2.0]], [4.0], [1.0, np.inf])
+        q = p.with_rhs(np.array([5.0]))
+        assert q.b.tolist() == [5.0] and p.b.tolist() == [4.0]
+        for name in ("c", "A", "senses", "lower", "upper", "maximize"):
+            assert getattr(q, name) is getattr(p, name)
+        assert q._origin() is p
+        assert set(vars(p)) == set(vars(replace(q))) == {
+            "c", "A", "b", "senses", "lower", "upper", "maximize"}
+        del p
+        gc.collect()
+        assert q._origin() is None
+
+    def test_refusals(self):
+        p = box_lp([1.0, 1.0], [[1.0, 2.0]], [4.0], [1.0, np.inf])
+        reference = solve_lp(p)
+        for b, match in (([np.nan], "finite"), ([np.inf], "finite"),
+                         ([1.0, 2.0], "does not fit"), ([[1.0]], "does not fit")):
+            with pytest.raises(ValueError, match=match):
+                p.with_rhs(b)
+        infeasible = solve_lp(box_lp([1.0], [[1.0]], [-1.0], [np.inf]))
+        unbounded = solve_lp(LpProblem(c=[1.0], A=np.zeros((0, 1)), b=[], senses=[],
+                                       lower=[0.0], upper=[np.inf]))
+        for start in (infeasible, unbounded):
+            with pytest.raises(ValueError, match="optimal solution"):
+                solve_lp(start._problem or box_lp([1.0], [[1.0]], [1.0], [np.inf]),
+                         start=start)
+        twin = LpProblem(c=p.c, A=p.A, b=p.b, senses=p.senses, lower=p.lower,
+                         upper=p.upper)
+        # the same arrays, but neither the start's problem nor made from it
+        for q in (twin, twin.with_rhs([2.0]), replace(p.with_rhs([2.0])),
+                  MilpProblem(p.with_rhs([2.0]), []).with_rows(np.zeros((1, 2)),
+                                                               [1.0]).lp):
+            with pytest.raises(ValueError, match="made from it"):
+                solve_lp(q, start=reference)
