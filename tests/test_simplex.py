@@ -643,8 +643,7 @@ class TestNewRightHandSides:
                                        lower=[0.0], upper=[np.inf]))
         for start in (infeasible, unbounded):
             with pytest.raises(ValueError, match="optimal solution"):
-                solve_lp(start._problem or box_lp([1.0], [[1.0]], [1.0], [np.inf]),
-                         start=start)
+                solve_lp(box_lp([1.0], [[1.0]], [1.0], [np.inf]), start=start)
         twin = LpProblem(c=p.c, A=p.A, b=p.b, senses=p.senses, lower=p.lower,
                          upper=p.upper)
         # the same arrays, but neither the start's problem nor made from it
