@@ -3,7 +3,9 @@
 The search maximizes only: a minimization is posed by negating ``c``.
 Best-first node order on the relaxation bound, most-fractional branching
 with lowest-index tie-breaks, and a defensive node cap.  Only the root LP
-is solved cold, by :func:`solve_lp`.  A child fixes its parent's fractional,
+is solved by :func:`solve_lp`: cold, or re-optimized from the optimal root
+of an LP that differs from it in the right-hand side alone (the ``start``
+of :func:`solve_milp`).  A child fixes its parent's fractional,
 hence basic, binary to 0 or 1; the parent's optimal basis stays dual
 feasible, so the child re-optimizes from it with the dual simplex
 (``_Tableau.reoptimize``), and a child whose dual simplex finds no entering
@@ -12,7 +14,8 @@ fixings, O(rows + columns) numbers.  A node's tableau is rebuilt from the
 root's optimal tableau (the base) by pivoting in the columns the base basis
 lacks: each expanded node is rebuilt once; its 1-child starts from a copy.
 No working tableau outlives its node, so at most two besides the base hold a
-MILP's memory at about what two cold solves need.
+MILP's memory at about what two cold solves need.  The base shares the
+root's optimal tableau, which the solution keeps, unchanged, as ``root``.
 
 A search is resumable, the branch-and-cut form of a cutting-plane method
 such as Laporte & Louveaux's (1993) integer L-shaped method.  Every solution
@@ -63,7 +66,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .simplex import FEASIBILITY_TOL, LEQ, LpProblem, _Tableau, _unchecked, solve_lp
+from .simplex import FEASIBILITY_TOL, LEQ, LpProblem, LpSolution, _Tableau, _unchecked, \
+    solve_lp
 
 DEFAULT_TOL = 1e-6
 NODE_CAP = 100_000
@@ -144,6 +148,9 @@ class MilpSolution:
     bound_trace: list = field(default_factory=list)
     lp_pivots: int = 0  # root and node simplex pivots, bound flips included
     bound_flips: int = 0  # the root's (j, j) pivots; a node's dual simplex flips none
+    # the root LP's optimal solution when this call solved it, left as
+    # solved, so that it may start another problem's root (solve_milp's start)
+    root: Optional[LpSolution] = field(default=None, repr=False, compare=False)
     # the search's frontier, from which a solve with appended rows resumes
     _frontier: Optional[_Frontier] = field(default=None, repr=False, compare=False)
 
@@ -190,7 +197,8 @@ def _bounds(base: _Tableau, fixings: tuple) -> tuple[np.ndarray, np.ndarray]:
 
 def solve_milp(p: MilpProblem, tol: float = DEFAULT_TOL,
                resume: Optional[MilpSolution] = None,
-               cutoff: float = -np.inf) -> MilpSolution:
+               cutoff: float = -np.inf,
+               start: Optional[LpSolution] = None) -> MilpSolution:
     """Globally maximize the binary MILP within absolute tolerance ``tol``
     over the solutions whose objective reaches ``cutoff``.
 
@@ -206,10 +214,21 @@ def solve_milp(p: MilpProblem, tol: float = DEFAULT_TOL,
     A stale leaf, child or frontier leaf whose bound is below ``cutoff`` is
     dropped, and the status is 'infeasible' when no integral solution
     reaches it; see the module docstring for when that is exact.
+
+    With ``start``, an optimal root LP solution of another problem whose LP
+    ``p.lp`` was made from by :meth:`LpProblem.with_rhs` (else ValueError),
+    such as another solution's ``root``, the root LP is re-optimized from it
+    by the dual simplex (``solve_lp(p.lp, start)``) instead of being solved
+    cold; ``start`` itself is left as it is, so it may start another
+    problem.  A resumed search has its root already, so ``start`` and
+    ``resume`` together raise ValueError.  The solution's ``root`` is the
+    root LP's optimal solution whenever this call solved it.
     """
     n = p.lp.n_vars
     binaries = np.array(p.binary_indices, dtype=np.intp)
     base, stale = None, []
+    if resume is not None and start is not None:
+        raise ValueError("a resumed search has its root; it takes no start")
     if resume is not None:
         frontier = resume._frontier
         if frontier is None:
@@ -222,13 +241,15 @@ def solve_milp(p: MilpProblem, tol: float = DEFAULT_TOL,
         base, stale = _extended(frontier, p, cutoff)
         resume._frontier = None
     pivots = flips = 0
-    if base is None:  # nothing to resume: the root, solved cold, is the one leaf
-        root = solve_lp(p.lp)
+    root = None
+    if base is None:  # nothing to resume: the root, solved cold or from
+                      # start, is the one leaf
+        root = solve_lp(p.lp, start)
         pivots, flips = len(root.pivots), _flips(root.pivots)
         if root.status != "optimal":
             return MilpSolution(status=root.status, lp_pivots=pivots,
                                 bound_flips=flips, _frontier=_Frontier(p, None, []))
-        # copies: the root's tableau lives on as the base
+        # copies: the root's tableau lives on in the base
         tab = root._tableau
         if root.objective >= cutoff:
             stale = [(root.objective, tab.basis.copy(), tab.x.copy(), ())]
@@ -320,7 +341,7 @@ def solve_milp(p: MilpProblem, tol: float = DEFAULT_TOL,
     if incumbent_x is None:
         return MilpSolution(status="infeasible", node_count=node_count,
                             bound_trace=bound_trace, lp_pivots=pivots,
-                            bound_flips=flips, _frontier=frontier)
+                            bound_flips=flips, root=root, _frontier=frontier)
     return MilpSolution(
         status="optimal",
         objective=incumbent_val,
@@ -330,5 +351,6 @@ def solve_milp(p: MilpProblem, tol: float = DEFAULT_TOL,
         bound_trace=bound_trace,
         lp_pivots=pivots,
         bound_flips=flips,
+        root=root,
         _frontier=frontier,
     )

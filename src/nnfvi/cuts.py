@@ -15,9 +15,10 @@ All cut families are built from these cached affine forms, one line per
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -67,11 +68,21 @@ class RecourseContext:
     scenario ``s`` and ``gamma2[s, j]`` the constant part.  ``transitions``,
     if given, is what :func:`transition_data` returns for ``(x, noises)``: a
     caller that has it already does not compute it again.
+
+    The forms, and the cut forms built from them on first use, depend on the
+    state only through the transition rows.  :meth:`sibling` makes a context
+    for another state and batch with the same rows in the same order; it
+    shares them, and ``memo``, which a caller that groups its decision
+    problems by transition rows gives the first context of a group, for
+    what the selection engines compute from the recourse alone (``None``:
+    no memo).  Every attribute, the cut-form cache and the memo included,
+    is made here, so the instances share one dictionary key table.
     """
 
     def __init__(self, net: ReluNet, spec: MdpSpec, x: np.ndarray,
                  noises: np.ndarray,
-                 transitions: Optional[tuple[np.ndarray, np.ndarray]] = None):
+                 transitions: Optional[tuple[np.ndarray, np.ndarray]] = None,
+                 memo: Optional[dict] = None):
         if net.input_dim != spec.state_dim:
             raise ValueError(
                 f"network expects {net.input_dim} inputs, state dimension is "
@@ -90,33 +101,56 @@ class RecourseContext:
         self.gamma2 = self.offsets @ u.T + u0                    # (S2, J)
 
         self.positive_neurons, self.rest_neurons = split_neurons(net)
+        self._cut_forms: dict = {}  # name -> cut form, built on first use
+        self.memo = memo
+
+    def sibling(self, x: np.ndarray, noises: np.ndarray) -> "RecourseContext":
+        """A context at state ``x`` whose noise batch ``noises`` gives this
+        context's transition rows in the same order (not checked): its own
+        ``x`` and ``noises``, and this context's forms, cut forms and memo."""
+        twin = copy.copy(self)
+        twin.x, twin.noises = np.asarray(x, dtype=float), np.asarray(noises)
+        return twin
 
     @property
     def s2(self) -> int:
         return len(self.noises)
 
-    @cached_property
+    def _cut_form(self, name: str, build: Callable[[], object]):
+        """The cut form ``name``, built by ``build()`` on first use and
+        shared with the siblings from then on."""
+        form = self._cut_forms.get(name)
+        if form is None:
+            form = self._cut_forms[name] = build()
+        return form
+
+    @property
     def positive_part_cut(self) -> LinearCut:
         """:func:`positive_cut` of this context, computed on first use only:
         it does not depend on the anchor."""
-        return positive_cut(self)
+        return self._cut_form("positive_part_cut", lambda: positive_cut(self))
 
-    @cached_property
+    @property
     def positive_box_range(self) -> tuple[np.ndarray, np.ndarray]:
         """Box minimum ``lo`` and maximum ``hi`` of each (scenario, positive
         neuron) preactivation, both of shape (S2, Jn), which both
         :func:`positive_cut` and :func:`recourse_upper_bound` read."""
-        a_bar = self.spec.action_box.upper_bounds.astype(float)
-        g1 = self.gamma1[:, self.positive_neurons, :]
-        g2 = self.gamma2[:, self.positive_neurons]
-        return np.minimum(g1, 0.0) @ a_bar + g2, np.maximum(g1, 0.0) @ a_bar + g2
+        def build():
+            a_bar = self.spec.action_box.upper_bounds.astype(float)
+            g1 = self.gamma1[:, self.positive_neurons, :]
+            g2 = self.gamma2[:, self.positive_neurons]
+            return np.minimum(g1, 0.0) @ a_bar + g2, np.maximum(g1, 0.0) @ a_bar + g2
+        return self._cut_form("positive_box_range", build)
 
-    @cached_property
+    @property
     def rest_forms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``gamma1``, ``gamma2`` and output weights of the rest neurons,
         sliced once for every :func:`gradient_cut` of this context."""
-        rest = self.rest_neurons
-        return self.gamma1[:, rest, :], self.gamma2[:, rest], self.net.output_weights[rest]
+        def build():
+            rest = self.rest_neurons
+            return (self.gamma1[:, rest, :], self.gamma2[:, rest],
+                    self.net.output_weights[rest])
+        return self._cut_form("rest_forms", build)
 
 
 def recourse_value(ctx: RecourseContext, a: np.ndarray) -> float:

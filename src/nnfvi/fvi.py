@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -77,14 +77,17 @@ class PeriodWork:
     """What :func:`run_nnfvi` did in one period: the states it sampled, how
     many of them are distinct, the stage rewards it built, the selections it
     made (one per distinct decision problem, a state and a multiset of
-    transitions; none at the horizon), the selections' totals of iterations,
-    B&B nodes, LP pivots and fallbacks to brute force, and the training
-    restarts its fit discarded (none in period 1, which fits no network)."""
+    transitions; none at the horizon), the recourses those problems shared
+    (one per distinct multiset of transitions, :func:`_decide`), the
+    selections' totals of iterations, B&B nodes, LP pivots and fallbacks to
+    brute force, and the training restarts its fit discarded (none in period
+    1, which fits no network)."""
 
     sampled: int
     distinct: int
     rewards: int
     selections: int
+    recourses: int
     iterations: int
     milp_nodes: int
     lp_pivots: int
@@ -93,10 +96,10 @@ class PeriodWork:
 
     @staticmethod
     def of(sampled: int, distinct: int, rewards: int, results: list,
-           restarts_discarded: int) -> "PeriodWork":
+           recourses: int, restarts_discarded: int) -> "PeriodWork":
         """The work of a period whose selections returned ``results``."""
         return PeriodWork(sampled=sampled, distinct=distinct, rewards=rewards,
-                          selections=len(results),
+                          selections=len(results), recourses=recourses,
                           iterations=sum(r.iterations for r in results),
                           milp_nodes=sum(r.milp_nodes for r in results),
                           lp_pivots=sum(r.lp_pivots for r in results),
@@ -194,7 +197,7 @@ def _canonical(spec: MdpSpec, x: np.ndarray, noises: np.ndarray) -> _Batch:
 
 def _decide(spec: MdpSpec, nets: dict, t: int, x: np.ndarray,
             noises: np.ndarray | _Batch, reward: StageReward,
-            config: McdConfig) -> SelectionResult:
+            config: McdConfig, groups: Optional[dict] = None) -> SelectionResult:
     """Best action at ``(t, x)``, whose stage reward is ``reward``, against
     the period ``t+1`` network.
 
@@ -203,12 +206,28 @@ def _decide(spec: MdpSpec, nets: dict, t: int, x: np.ndarray,
     canonical order, whose draws are shared across candidate actions.
     ``noises`` is a batch of draws, or a :class:`_Batch` that
     :func:`_canonical` has put in that order already.
+
+    The recourse depends on ``x`` only through the sorted transition rows.
+    With ``groups``, a dict the caller keeps, the decision problems with one
+    ``t`` and one multiset of transition rows form a group: the first builds
+    a context with a memo, kept in ``groups``, and each later one gets its
+    own sibling of it (:meth:`RecourseContext.sibling`), which shares its
+    forms and memo, so the engines compute what depends on the recourse
+    alone once per group (:mod:`nnfvi.mcd`).  Without ``groups`` the
+    context has no memo.
     """
     if (t + 1) not in nets:
         raise ValueError(f"no fitted network for period {t + 1}")
     batch = noises if isinstance(noises, _Batch) else _canonical(spec, x, noises)
-    ctx = RecourseContext(nets[t + 1], spec, x, batch.noises,
-                          transitions=batch.transitions)
+    first = None if groups is None else groups.get((t, batch.key))
+    if first is not None:
+        ctx = first.sibling(x, batch.noises)
+    else:
+        ctx = RecourseContext(nets[t + 1], spec, x, batch.noises,
+                              transitions=batch.transitions,
+                              memo=None if groups is None else {})
+        if groups is not None:
+            groups[t, batch.key] = ctx
     return select_action(ctx, reward, config)
 
 
@@ -234,7 +253,10 @@ def run_nnfvi(spec: MdpSpec, config: FviConfig) -> tuple[FittedValueSet, float]:
     So the driver selects once per distinct decision problem, keyed on the
     distinct state and the sorted rows: the first sample with a key makes
     the selection and every sample with that key takes its objective, which
-    is what a selection per sample returns.  At the horizon the continuation
+    is what a selection per sample returns.  The problems of a period with
+    one multiset of transition rows share one recourse (:func:`_decide`'s
+    groups), whose count the period's :class:`PeriodWork` holds as
+    ``recourses``.  At the horizon the continuation
     is zero, so a state's target is its stage reward's maximum over the
     integer action box (:meth:`StageReward.box_bound` with no gain), which
     is ``brute``'s objective bit for bit, taken once per distinct state with
@@ -264,6 +286,7 @@ def run_nnfvi(spec: MdpSpec, config: FviConfig) -> tuple[FittedValueSet, float]:
                                     return_inverse=True)
         group = group.reshape(-1)  # numpy 2.0.0 returns the inverse 2-D
         rewards = [spec.stage_reward(t, states[s]) for s in first]
+        groups: dict = {}  # (t, transition rows) -> the group's first context
         if t == T:
             results = []
             top = spec.action_box.upper_bounds
@@ -276,7 +299,7 @@ def run_nnfvi(spec: MdpSpec, config: FviConfig) -> tuple[FittedValueSet, float]:
                 key = (group[s], batch.key)
                 if key not in chosen:
                     chosen[key] = _decide(spec, nets, t, x, batch, rewards[group[s]],
-                                          config.mcd)
+                                          config.mcd, groups)
                 targets[s] = chosen[key].objective
             results = list(chosen.values())
         data = RegressionSet(states, targets)
@@ -287,7 +310,8 @@ def run_nnfvi(spec: MdpSpec, config: FviConfig) -> tuple[FittedValueSet, float]:
                       _substream(config.seed, t, 0, _FIT), discarded=discarded)
         except Exception as err:
             raise RuntimeError(f"network training failed at period {t}") from err
-        work[t] = PeriodWork.of(s1, len(first), len(rewards), results, len(discarded))
+        work[t] = PeriodWork.of(s1, len(first), len(rewards), results, len(groups),
+                                len(discarded))
         timings[t] = PeriodTime(targets=fit_start - start,
                                 fit=time.perf_counter() - fit_start)
         nets[t] = net
@@ -295,11 +319,12 @@ def run_nnfvi(spec: MdpSpec, config: FviConfig) -> tuple[FittedValueSet, float]:
 
     x1 = spec.initial_state
     start = time.perf_counter()
+    groups = {}
     initial = _decide(spec, nets, 1, x1, draw(1, 0), spec.stage_reward(1, x1),
-                      config.mcd)
+                      config.mcd, groups)
     timings[1] = PeriodTime(targets=time.perf_counter() - start, fit=0.0)
     v_hat = initial.objective
-    work[1] = PeriodWork.of(1, 1, 1, [initial], 0)
+    work[1] = PeriodWork.of(1, 1, 1, [initial], len(groups), 0)
     del nets[T + 1]  # the zero network is no fit
 
     fitted = FittedValueSet(
@@ -320,15 +345,18 @@ def greedy_policy(spec: MdpSpec, nets: dict, config: McdConfig,
     The lookahead noise for each period is drawn up front from the policy's
     own seed, so a decision is a function of ``(t, x)`` alone and
     alternatives at the same period share draws.  Decisions are made by the
-    same code as :func:`bellman_target`.
+    same code as :func:`bellman_target`, grouped for the life of the policy
+    on ``t`` and the transition rows (:func:`_decide`), so states whose
+    draws lead to one multiset of next states share one recourse.
     """
     noises = {t: spec.draw_noises(_substream(seed, t, 0, _NOISE), transition_samples)
               for t in range(1, spec.horizon + 1)}
     nets = _with_terminal(spec, nets)
+    groups: dict = {}
 
     def policy(t: int, x: np.ndarray) -> np.ndarray:
         return _decide(spec, nets, t, x, noises[t], spec.stage_reward(t, x),
-                       config).action
+                       config, groups).action
 
     return policy
 

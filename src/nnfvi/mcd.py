@@ -41,6 +41,25 @@ instead of being carried from master to master.  Every selection, node and
 pivot count is the same as without the cutoff; a master that found no
 solution above it would be a solver fault and falls back to brute force.
 
+A context can carry a memo that it shares with its siblings, the contexts
+of other states with the same transition rows
+(:meth:`~nnfvi.cuts.RecourseContext.sibling`); the FVI driver and the
+greedy policy build them, one group per period and multiset of transition
+rows.  Through it the recourse bound, the recourse values at each array of
+candidates (an anchor with its neighbours, or brute force's enumeration)
+and the combined cut at each anchor are computed once per group, and the
+group's first root LP of a first master is kept.  Every first master's
+cuts sit at the zero anchor and depend on the recourse alone, and the
+reward pieces' slopes hold no state, so a sibling's first master differs
+from the group's first one in the reward pieces' right-hand sides alone:
+when ``c``, ``A``, the senses and the bounds are equal, its root LP is that
+one's :meth:`~nnfvi.simplex.LpProblem.with_rhs`, re-optimized from its
+optimal basis by the dual simplex, and otherwise solved cold.  A warm root
+may end at another optimal basis, so a sibling's node and pivot counts and,
+by round-off, its upper bound may differ from a fresh context's.  A context
+without a memo, as every context built any other way, computes everything
+itself.
+
 The stage reward has one representation, :class:`StageReward`: separable
 concave pieces per action dimension.  Brute force and the exact anchor
 evaluations compute it with :meth:`StageReward.values`, and the first-stage
@@ -70,7 +89,7 @@ from .cuts import (
     recourse_values,
 )
 from .mdp import ENUMERATION_CAP, ActionBox, as_integers, enumerate_actions
-from .simplex import LEQ, LpNumericalError, LpProblem
+from .simplex import LEQ, LpNumericalError, LpProblem, LpSolution
 
 ENGINES = ("mcd", "brute", "lshaped")
 MILP_TOLERANCE = 1e-9  # the first stage's pruning and stopping tolerance; its
@@ -320,11 +339,27 @@ def build_first_stage(ctx: RecourseContext, enc: BinaryEncoding,
     return FirstStage(milp=milp, encoding=enc, constant_offset=offset)
 
 
+def _memoized(ctx: RecourseContext, key: tuple, compute: Callable):
+    """``compute()``, which must depend on ``ctx``'s recourse alone: kept
+    in ``ctx.memo`` under ``key`` and read back from it, so that a group of
+    sibling contexts computes it once, or computed on every call when the
+    context has no memo."""
+    memo = ctx.memo
+    if memo is None:
+        return compute()
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = compute()
+    return value
+
+
 def _objectives(ctx: RecourseContext, reward: StageReward,
                 actions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exact objective and recourse value at every row of ``actions``."""
+    """Exact objective and recourse value at every row of the integer array
+    ``actions``; the recourse values are memoized on the rows' bytes."""
     gamma = ctx.spec.discount
-    recourse = recourse_values(ctx, actions)
+    recourse = _memoized(ctx, ("values", actions.tobytes()),
+                         lambda: recourse_values(ctx, actions))
     return reward.values(actions) + gamma * recourse + gamma * ctx.net.output_bias, \
         recourse
 
@@ -376,6 +411,32 @@ def _fall_back(ctx: RecourseContext, reward: StageReward, failure: Exception,
                    milp_nodes=milp_nodes, lp_pivots=lp_pivots, bound_flips=bound_flips)
 
 
+_FIRST_ROOT = ("first root",)  # memo key: a group's first root LP and its solution
+
+
+def _sibling_start(ctx: RecourseContext,
+                   fp: FirstStage) -> tuple[FirstStage, Optional[LpSolution]]:
+    """``fp``, a first master, and the optimal root to start its root LP
+    from: the group's first root, kept in ``ctx.memo``, when its LP differs
+    from ``fp``'s in the right-hand side alone, with ``fp`` rebuilt on that
+    LP by :meth:`LpProblem.with_rhs`; else ``fp`` and None, a cold root.
+
+    A sibling's first master holds the same rows as the group's first one
+    but for the reward pieces' right-hand sides, which hold the state, so
+    the dual simplex re-optimizes it from that root's optimal basis."""
+    first = None if ctx.memo is None else ctx.memo.get(_FIRST_ROOT)
+    if first is None:
+        return fp, None
+    lp, root = first
+    own = fp.milp.lp
+    if not (np.array_equal(lp.A, own.A) and np.array_equal(lp.c, own.c)
+            and lp.senses == own.senses and np.array_equal(lp.lower, own.lower)
+            and np.array_equal(lp.upper, own.upper)):
+        return fp, None
+    milp = MilpProblem(lp=lp.with_rhs(own.b), binary_indices=fp.milp.binary_indices)
+    return replace(fp, milp=milp), root
+
+
 def _decompose(ctx: RecourseContext, reward: StageReward, config: McdConfig,
                use_combined: bool) -> SelectionResult:
     """Multi-cut decomposition (integer optimality plus combined cuts) or,
@@ -389,7 +450,7 @@ def _decompose(ctx: RecourseContext, reward: StageReward, config: McdConfig,
     box = ctx.spec.action_box
     gamma = ctx.spec.discount
     a_m = np.zeros(box.dims, dtype=np.int64)
-    eta_bar = recourse_upper_bound(ctx)
+    eta_bar = _memoized(ctx, ("bound",), lambda: recourse_upper_bound(ctx))
     fp = None  # the first stage, built when the first master is needed
 
     # anchors only: each carries an integer cut, which the revisit rule needs
@@ -419,7 +480,8 @@ def _decompose(ctx: RecourseContext, reward: StageReward, config: McdConfig,
             trace.append((m, lower, upper, a_m))
             break
 
-        cut = combined_cut(ctx, a_m) if use_combined else None
+        cut = _memoized(ctx, ("cut", a_m.tobytes()),
+                        lambda: combined_cut(ctx, a_m)) if use_combined else None
         if cut is not None:
             # reward + gamma * cut is separable, so its integer-box maximum
             # bounds the optimum with no LP; when that closes the gap, so
@@ -436,12 +498,16 @@ def _decompose(ctx: RecourseContext, reward: StageReward, config: McdConfig,
         fp = fp.with_cuts(
             integer_optimality_cut(ctx, fp.encoding, a_m, eta_bar, float(recourse[0])),
             cut)
+        start = None
+        if m == 1:  # the first master: a sibling's starts from its group's first
+            fp, start = _sibling_start(ctx, fp)
         # every master over-estimates the objective, so none has its optimum
         # below the incumbent's exact value: a leaf bounded below that, less
         # the constant offset and a round-off margin, is never expanded again
         cutoff = lower - fp.constant_offset - CUTOFF_MARGIN * max(1.0, abs(lower))
         try:
-            sol = solve_milp(fp.milp, tol=MILP_TOLERANCE, resume=sol, cutoff=cutoff)
+            sol = solve_milp(fp.milp, tol=MILP_TOLERANCE, resume=sol, cutoff=cutoff,
+                             start=start)
         except (LpNumericalError, NodeLimitError) as err:
             return _fall_back(ctx, reward, err, nodes, pivots, flips)
         nodes += sol.node_count
@@ -451,6 +517,8 @@ def _decompose(ctx: RecourseContext, reward: StageReward, config: McdConfig,
             return _fall_back(ctx, reward,
                               RuntimeError(f"first-stage MILP status {sol.status}"),
                               nodes, pivots, flips)
+        if m == 1 and ctx.memo is not None:  # the group's first root is kept
+            ctx.memo.setdefault(_FIRST_ROOT, (fp.milp.lp, sol.root))
 
         a_next = fp.decode_action(sol.x)
         key = tuple(int(v) for v in a_next)

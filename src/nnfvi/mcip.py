@@ -261,14 +261,24 @@ def synthetic_instance(customers: int = 2, facilities: int = 2, horizon: int = 3
     )
 
 
+def _check_period(instance: McipInstance, t: int) -> None:
+    """Refuse a period ``t`` outside ``1..horizon`` with ValueError: the
+    period data is indexed ``t - 1``, where ``t = 0`` would silently read
+    the horizon's."""
+    if not 1 <= t <= instance.horizon:
+        raise ValueError(f"period {t} is outside 1..{instance.horizon}")
+
+
 def _allocation_lp(instance: McipInstance, t: int) -> tuple[LpProblem, LpSolution]:
     """Period ``t``'s allocation LP at a right-hand side of all ones and its
     optimal solution, built and solved once per instance and period.
 
     The allocation ``z`` is laid out customer-major: one capacity row per
     facility, then one demand row per customer.  It admits ``z = 0`` and
-    every ``z`` is bounded by the capacity rows, so the LP is optimal.
+    every ``z`` is bounded by the capacity rows, so the LP is optimal.  A
+    period outside ``1..horizon`` raises ValueError.
     """
+    _check_period(instance, t)
     reference = instance._allocation_lps.get(t)
     if reference is None:
         I, N = instance.customers, instance.facilities
@@ -327,7 +337,9 @@ def _profit(instance: McipInstance, t: int, capacity: np.ndarray,
 def adjustment_cost(instance: McipInstance, t: int, capacity_from: np.ndarray,
                     capacity_to: np.ndarray) -> float | np.ndarray:
     """Cost of moving capacity: expansion paid, contraction recovered.  Leading
-    axes broadcast to one cost per pair; two vectors give a Python float."""
+    axes broadcast to one cost per pair; two vectors give a Python float.  A
+    period outside ``1..horizon`` raises ValueError."""
+    _check_period(instance, t)
     delta = np.asarray(capacity_to, dtype=float) - np.asarray(capacity_from, dtype=float)
     q_minus = instance.salvage_values[t - 1]
     q_plus = instance.expansion_costs[t - 1]

@@ -54,6 +54,7 @@ column can repair, so the status is 'optimal' or 'infeasible', never
 
 from __future__ import annotations
 
+import copy
 import weakref
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -243,19 +244,21 @@ class _Tableau:
         raise LpNumericalError("pivot limit exceeded; possible numerical cycling")
 
     def as_base(self) -> "_Tableau":
-        """This optimal tableau as the base that nodes are rebuilt from.
+        """The base that nodes are rebuilt from, made from this optimal
+        tableau, which is left as it is.
 
-        Its own rows ``B0^-1 K`` and ``B0^-1 b`` stand in for ``K`` and
-        ``b`` from here on (refactoring against them gives the same
-        tableau), so the column matrix can be freed, and so can the pivot
-        work buffer: the base itself must not pivot afterwards.
+        The base shares this tableau's arrays, and neither changes them
+        again.  Its own rows ``B0^-1 K`` and ``B0^-1 b`` stand in for ``K``
+        and ``b`` (refactoring against them gives the same tableau), and it
+        has no pivot work buffer: the base itself must not pivot.
         """
         nonbasic = self.x.copy()
         nonbasic[self.basis] = 0.0
-        self.b = self.x[self.basis] + self.T[: self.m] @ nonbasic
-        self.K = self.T[: self.m]
-        self._work = None
-        return self
+        base = copy.copy(self)
+        base.b = self.x[self.basis] + self.T[: self.m] @ nonbasic
+        base.K = self.T[: self.m]
+        base._work = None
+        return base
 
     def _derived(self, T: np.ndarray, basis: np.ndarray, x: np.ndarray,
                  lower: np.ndarray, upper: np.ndarray) -> "_Tableau":

@@ -1,3 +1,5 @@
+import collections
+import dataclasses
 import itertools
 import weakref
 
@@ -235,8 +237,8 @@ class TestBoundFlips:
             recorded.extend(self.pivots)
             return status
 
-        def recording_solve_lp(p):
-            root = lp(p)
+        def recording_solve_lp(p, start=None):
+            root = lp(p, start)
             recorded.extend(root.pivots)
             return root
 
@@ -732,6 +734,63 @@ class TestCutoff:
             assert again.status == "infeasible" and again.x is None and not leaves
             checked += 1
         assert checked >= 8
+
+
+class TestStartedRoot:
+    """``solve_milp(p, start=root)`` re-optimizes the root LP from the
+    optimal root of the problem ``p.lp`` was made from by ``with_rhs``,
+    agrees with a cold solve, and leaves the start as it was."""
+
+    def test_problems_that_differ_in_b_alone_match_cold_solves(self):
+        statuses = collections.Counter()
+        for seed in range(30):
+            rng = np.random.default_rng(seed + 700)
+            k, m = int(rng.integers(5, 9)), int(rng.integers(1, 4))
+            first = mixed_milp(rng, k, m) if seed % 2 else signed_binary_milp(rng, k, m)
+            root = solve_milp(first, tol=1e-9).root
+            assert root.status == "optimal" and root._problem is first.lp
+            tab = root._tableau
+            kept = [a.copy() for a in (tab.T, tab.K, tab.b, tab.x, tab.basis, tab.lower,
+                                       tab.upper)]
+            for _ in range(8):
+                b = first.lp.b + rng.normal(scale=2.0, size=m)
+                lp = first.lp.with_rhs(b)
+                started = solve_milp(MilpProblem(lp, first.binary_indices), tol=1e-9,
+                                     start=root)
+                cold = solve_milp(MilpProblem(dataclasses.replace(first.lp, b=b),
+                                              first.binary_indices), tol=1e-9)
+                assert started.status == cold.status
+                statuses[cold.status] += 1
+                if cold.status == "optimal":
+                    assert abs(started.objective - cold.objective) <= 1e-9
+                    assert started.root._problem is lp
+                    assert (lp.A @ started.x <= b + 1e-9).all()
+                    x = started.x[first.binary_indices]
+                    assert np.allclose(x, np.round(x), atol=1e-6)
+            # the start's own tableau is left as it was, for the next problem
+            for array, copy in zip((tab.T, tab.K, tab.b, tab.x, tab.basis, tab.lower,
+                                    tab.upper), kept):
+                np.testing.assert_array_equal(array, copy)
+        assert statuses["optimal"] > 200 and statuses["infeasible"] > 5
+
+    def test_a_start_that_is_not_the_problems_origin_is_refused(self):
+        rng = np.random.default_rng(3)
+        p, q = mixed_milp(rng, 6, 3), mixed_milp(rng, 6, 3)
+        root = solve_milp(p).root
+        with pytest.raises(ValueError, match="with_rhs"):
+            solve_milp(q, start=root)
+        # an equal copy of the problem is not made from it either
+        with pytest.raises(ValueError, match="with_rhs"):
+            solve_milp(MilpProblem(dataclasses.replace(p.lp), p.binary_indices),
+                       start=root)
+
+    def test_a_resumed_search_takes_no_start_and_reports_no_root(self):
+        rng = np.random.default_rng(4)
+        p = mixed_milp(rng, 6, 3)
+        sol = solve_milp(p)
+        with pytest.raises(ValueError, match="resumed"):
+            solve_milp(p, resume=sol, start=sol.root)
+        assert solve_milp(p, resume=sol).root is None
 
 
 class TestNodesStopAtOptimality:

@@ -342,14 +342,14 @@ class TestPerStateWork:
         # brute force: 16 actions, so 16 iterations, per selection
         assert fitted.work == {
             3: PeriodWork(sampled=200, distinct=48, rewards=48, selections=0,
-                          iterations=0, milp_nodes=0, lp_pivots=0, fallbacks=0,
-                          restarts_discarded=0),
+                          recourses=0, iterations=0, milp_nodes=0, lp_pivots=0,
+                          fallbacks=0, restarts_discarded=0),
             2: PeriodWork(sampled=200, distinct=48, rewards=48, selections=48,
-                          iterations=48 * 16, milp_nodes=0, lp_pivots=0, fallbacks=0,
-                          restarts_discarded=0),
+                          recourses=3, iterations=48 * 16, milp_nodes=0, lp_pivots=0,
+                          fallbacks=0, restarts_discarded=0),
             1: PeriodWork(sampled=1, distinct=1, rewards=1, selections=1,
-                          iterations=16, milp_nodes=0, lp_pivots=0, fallbacks=0,
-                          restarts_discarded=0),
+                          recourses=1, iterations=16, milp_nodes=0, lp_pivots=0,
+                          fallbacks=0, restarts_discarded=0),
         }
         assert "work" not in fitted.to_json_dict()
 
@@ -414,11 +414,11 @@ class TestPerStateWork:
         fitted, _ = run_nnfvi(spec, quick_config(s1=12, s2=3, neurons=3, epochs=40))
         assert len(selections) == 12 + 1
         assert fitted.work[2] == PeriodWork(
-            sampled=12, distinct=12, rewards=12, selections=12, iterations=12 * 9,
-            milp_nodes=0, lp_pivots=0, fallbacks=0, restarts_discarded=0)
+            sampled=12, distinct=12, rewards=12, selections=12, recourses=12,
+            iterations=12 * 9, milp_nodes=0, lp_pivots=0, fallbacks=0, restarts_discarded=0)
         assert fitted.work[3] == PeriodWork(
-            sampled=12, distinct=12, rewards=12, selections=0, iterations=0,
-            milp_nodes=0, lp_pivots=0, fallbacks=0, restarts_discarded=0)
+            sampled=12, distinct=12, rewards=12, selections=0, recourses=0,
+            iterations=0, milp_nodes=0, lp_pivots=0, fallbacks=0, restarts_discarded=0)
 
 
     def test_discarded_restarts_are_counted_per_period(self, monkeypatch):
@@ -541,6 +541,130 @@ class TestGreedyPolicy:
                            transition_samples=3, seed=9)
         x = np.array([0.4, -0.4])
         np.testing.assert_array_equal(p1(2, x), p2(2, x))
+
+
+def without_sharing(patch):
+    """Give every decision problem of ``run_nnfvi`` and ``greedy_policy`` a
+    fresh context without a memo, as a ``_decide`` call outside a group."""
+    decide = fvi._decide
+
+    def ungrouped(spec, nets, t, x, noises, reward, config, groups=None):
+        return decide(spec, nets, t, x, noises, reward, config)
+
+    patch.setattr(fvi, "_decide", ungrouped)
+
+
+def lattice_states(instance):
+    """Every MCIP state: each capacity level times each demand row."""
+    return [np.concatenate([k, d]) for k in enumerate_actions(ActionBox(instance.capacity_max))
+            for d in instance.demand.support]
+
+
+class TestSharedRecourse:
+    """Decision problems of one period with one multiset of transition rows
+    share one recourse: its forms, the engines' memo and, for mcd, a warm
+    first-master root.  The selections stay those of a fresh context each."""
+
+    @staticmethod
+    def run(spec, config, shared):
+        with pytest.MonkeyPatch.context() as patch:
+            if not shared:
+                without_sharing(patch)
+            results = record_results(patch)
+            fitted, v_hat = run_nnfvi(spec, config)
+        return fitted, v_hat, results
+
+    @pytest.mark.parametrize("engine", ["mcd", "brute"])
+    @pytest.mark.parametrize("case", [
+        *((f"small-{seed}", seed) for seed in range(3)),
+        *((f"criterion-4-{seed}", seed) for seed in range(3)),
+    ], ids=lambda case: case[0])
+    def test_matches_a_run_without_sharing(self, engine, case):
+        name, seed = case
+        if name.startswith("small"):
+            spec, _ = small_spec(seed=seed)
+            config = quick_config(seed=seed, engine=engine, s1=12, s2=3, neurons=3,
+                                  epochs=40)
+        else:
+            spec = criterion_4_spec()
+            config = dataclasses.replace(criterion_4_config(), seed=seed,
+                                         mcd=McdConfig(engine=engine))
+        fitted, v_hat, results = self.run(spec, config, shared=True)
+        ref, ref_v, ref_results = self.run(spec, config, shared=False)
+        assert v_hat.hex() == ref_v.hex()
+        assert fitted.dumps() == ref.dumps()  # nets, losses and v_hat
+        assert len(results) == len(ref_results)
+        for res, want in zip(results, ref_results):
+            assert (res.objective.hex(), res.iterations) == (
+                want.objective.hex(), want.iterations)
+            np.testing.assert_array_equal(res.action, want.action)
+            assert res.trace["lower"].tobytes() == want.trace["lower"].tobytes()
+            # a warm root may end at another optimal basis, a few ulps away
+            assert abs(res.upper_bound - want.upper_bound) <= 1e-12 * abs(want.upper_bound)
+        if name.startswith("criterion-4"):
+            # 48 states but three multisets of next demand rows
+            assert (fitted.work[2].selections, fitted.work[2].recourses) == (48, 3)
+            assert ref.work[2].recourses == 0
+
+    @pytest.mark.parametrize("engine", ["mcd", "brute"])
+    def test_each_group_computes_its_recourse_work_once(self, monkeypatch, engine):
+        calls, memos, starts = collections.Counter(), [], []
+        for name in ("recourse_upper_bound", "combined_cut", "recourse_values"):
+            def counting(ctx, *args, name=name, original=getattr(mcd, name)):
+                memos.append(ctx.memo)  # kept alive, so no two share an id
+                calls[name, id(ctx.memo), tuple(np.asarray(a).tobytes() for a in args)] += 1
+                return original(ctx, *args)
+            monkeypatch.setattr(mcd, name, counting)
+        solve = mcd.solve_milp
+
+        def recording_solve(*args, start=None, **kwargs):
+            starts.append(start is not None)
+            return solve(*args, start=start, **kwargs)
+
+        monkeypatch.setattr(mcd, "solve_milp", recording_solve)
+        config = dataclasses.replace(criterion_4_config(restarts=1, max_epochs=20),
+                                     mcd=McdConfig(engine=engine))
+        fitted, _ = run_nnfvi(criterion_4_spec(), config)
+        assert calls and max(calls.values()) == 1
+        assert all(memo is not None for memo in memos)
+        # one full enumeration per group for brute; the groups' memos
+        groups = sum(work.recourses for work in fitted.work.values())
+        assert len({key[1] for key in calls}) == groups == 4
+        if engine == "brute":
+            assert len(calls) == groups and not starts
+        else:
+            # the first master of every group but its first starts warm
+            assert sum(starts) > 0 and len(starts) - sum(starts) >= groups
+
+    @pytest.mark.parametrize("engine", ["mcd", "brute"])
+    def test_greedy_policy_shares_per_period_and_transition_rows(self, monkeypatch,
+                                                                 engine):
+        instance = mcip.synthetic_instance(seed=9, customers=2, facilities=2, horizon=3,
+                                           capacity_max=3, demand_points=3)
+        spec = mcip.build_mcip_mdp(instance)
+        fitted, _ = run_nnfvi(spec, criterion_4_config(restarts=1, max_epochs=20))
+        config = McdConfig(engine=engine)
+        built, context = [], fvi.RecourseContext
+
+        def counting_context(*args, **kwargs):
+            built.append(kwargs.get("memo") is not None)
+            return context(*args, **kwargs)
+
+        monkeypatch.setattr(fvi, "RecourseContext", counting_context)
+        cases = [(t, x) for t in (1, 2) for x in lattice_states(instance)]
+        policy = greedy_policy(spec, fitted.nets, config, transition_samples=12, seed=2)
+        actions = np.array([policy(t, x) for t, x in cases])
+        # one context per period and multiset of next demand rows, with a memo
+        assert built == [True] * 6
+        # a second pass over the states builds none and decides the same
+        np.testing.assert_array_equal([policy(t, x) for t, x in cases], actions)
+        assert len(built) == 6
+        with pytest.MonkeyPatch.context() as patch:
+            without_sharing(patch)
+            fresh = greedy_policy(spec, fitted.nets, config, transition_samples=12,
+                                  seed=2)
+            np.testing.assert_array_equal([fresh(t, x) for t, x in cases], actions)
+        assert len(built) == 6 + len(cases)
 
 
 def two_level_model(horizon=2, discount=0.9, deterministic=True, seed=0):

@@ -855,9 +855,10 @@ class TestResumedMasters:
         def run(keep_cutoff):
             last = []
 
-            def recording(p, tol, resume=None, cutoff=-np.inf):
+            def recording(p, tol, resume=None, cutoff=-np.inf, start=None):
                 cutoffs.append(cutoff)
-                last[:] = [solve(p, tol, resume, cutoff if keep_cutoff else -np.inf)]
+                last[:] = [solve(p, tol, resume, cutoff if keep_cutoff else -np.inf,
+                                 start)]
                 return last[0]
 
             monkeypatch.setattr(mcd, "solve_milp", recording)
@@ -907,9 +908,9 @@ def period_2_early_stops(engine):
         masters[0] += 1
         return solve(*args, **kwargs)
 
-    def recording_decide(spec, nets, t, x, batch, reward, cfg):
+    def recording_decide(spec, nets, t, x, batch, reward, cfg, groups=None):
         before = masters[0]
-        res = decide(spec, nets, t, x, batch, reward, cfg)
+        res = decide(spec, nets, t, x, batch, reward, cfg, groups)
         if t == 2 and masters[0] - before == res.iterations - 1:
             stopped.append((nets[3], x, batch, res))
         return res
@@ -1008,6 +1009,66 @@ class TestCertifiedBeforeSolving:
             assert res.upper_bound == box_bound < np.inf
             assert res.upper_bound >= select_action_bruteforce(ctx, reward).objective
             assert (res.iterations, res.milp_nodes, res.lp_pivots) == (1, 0, 0)
+
+
+def capacity_reward(capacity, q_minus=(0.5, 0.0, 1.0), q_plus=(3.0, 0.0, 2.5)):
+    """:func:`adjustment_reward`'s shape at another capacity: the pieces'
+    slopes hold the prices alone, their right-hand sides the capacity."""
+    return StageReward(constant=4.25, pieces=[
+        [(-q_minus[n], q_minus[n] * capacity[n]), (-q_plus[n], q_plus[n] * capacity[n])]
+        if n != 1 else [] for n in range(3)])
+
+
+class TestSiblingContexts:
+    """Siblings of a context share its forms, cut forms and memo and keep
+    their own state; a sibling selects as a fresh context does, its first
+    master's root started from the group's first root when the two differ
+    in the right-hand side alone."""
+
+    def test_a_sibling_keeps_its_own_state_and_shares_the_rest(self):
+        base = random_context(5, n2=3, a_bar=[3, 2, 4])
+        first = RecourseContext(base.net, base.spec, base.x, base.noises, memo={})
+        twin = first.sibling(base.x + 1.0, base.noises.copy())
+        np.testing.assert_array_equal(twin.x, base.x + 1.0)
+        np.testing.assert_array_equal(first.x, base.x)
+        assert twin.noises is not first.noises
+        assert twin.memo is first.memo and twin.gamma1 is first.gamma1
+        assert twin.positive_part_cut is first.positive_part_cut  # built once
+        # every attribute is made in __init__, so all contexts share one key
+        # table whatever they cache, and a sibling has the same keys
+        assert list(vars(twin)) == list(vars(base))
+
+    @pytest.mark.parametrize("engine", ["mcd", "lshaped", "brute"])
+    def test_siblings_select_as_fresh_contexts(self, monkeypatch, engine):
+        base = random_context(31, n2=3, a_bar=[3, 2, 4])
+        first = RecourseContext(base.net, base.spec, base.x, base.noises, memo={})
+        rewards = [capacity_reward(c) for c in ([1, 2, 2], [0, 2, 3], [3, 2, 0], [2, 2, 4])]
+        rewards.append(capacity_reward([1, 2, 2], q_plus=(2.0, 0.0, 2.5)))  # other slopes
+        config = McdConfig(engine=engine, gap_tolerance=0.0)
+        roots, solve = [], mcd.solve_milp
+
+        def recording(*args, start=None, resume=None, **kwargs):
+            if resume is None:
+                roots.append(start is not None)
+            return solve(*args, start=start, resume=resume, **kwargs)
+
+        monkeypatch.setattr(mcd, "solve_milp", recording)
+        for k, reward in enumerate(rewards):
+            ctx = first if k == 0 else first.sibling(base.x, base.noises)
+            res = select_action(ctx, reward, config)
+            fresh = select_action(
+                RecourseContext(base.net, base.spec, base.x, base.noises), reward, config)
+            assert (res.objective, res.iterations) == (fresh.objective, fresh.iterations)
+            np.testing.assert_array_equal(res.action, fresh.action)
+            assert res.trace["lower"].tobytes() == fresh.trace["lower"].tobytes()
+            assert abs(res.upper_bound - fresh.upper_bound) <= 1e-12 * abs(fresh.upper_bound)
+        if engine == "brute":
+            assert roots == []
+        else:
+            # one first master per selection, the fresh ones cold; the group's
+            # first cold, its siblings with equal slopes warm, the last cold
+            assert roots == [False, False, True, False, True, False, True, False,
+                             False, False]
 
 
 class TestNeighbours:

@@ -233,6 +233,21 @@ class TestOperatingProfit:
 
 
 class TestReward:
+    @pytest.mark.parametrize("t", [0, 4])
+    def test_a_period_outside_the_horizon_is_refused(self, t):
+        # horizon 3: period 0 would read the horizon's data (index -1) and
+        # period 4 index past it
+        inst = synthetic_instance(seed=0)
+        K, d = np.array([1.0, 2.0]), inst.demand.support[1]
+        calls = [lambda: operating_profit(inst, t, K, d),
+                 lambda: _profit(inst, t, K, d),
+                 lambda: mcip_reward(inst, t, CapacityState(capacity=K, demand=d), K),
+                 lambda: adjustment_cost(inst, t, K, K + 1.0)]
+        for call in calls:
+            with pytest.raises(ValueError, match=rf"period {t} is outside 1\.\.3"):
+                call()
+        assert inst._profits == {} and inst._allocation_lps == {}
+
     def test_no_change_no_adjustment(self):
         inst = synthetic_instance(seed=8)
         K = np.array([2.0, 1.0])
