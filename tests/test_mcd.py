@@ -1042,7 +1042,8 @@ class TestSiblingContexts:
     def test_siblings_select_as_fresh_contexts(self, monkeypatch, engine):
         base = random_context(31, n2=3, a_bar=[3, 2, 4])
         first = RecourseContext(base.net, base.spec, base.x, base.noises, memo={})
-        rewards = [capacity_reward(c) for c in ([1, 2, 2], [0, 2, 3], [3, 2, 0], [2, 2, 4])]
+        capacities = ([1, 2, 2], [0, 2, 3], [3, 2, 0], [2, 2, 4])
+        rewards = [capacity_reward(c) for c in capacities]
         rewards.append(capacity_reward([1, 2, 2], q_plus=(2.0, 0.0, 2.5)))  # other slopes
         config = McdConfig(engine=engine, gap_tolerance=0.0)
         roots, solve = [], mcd.solve_milp
@@ -1061,7 +1062,8 @@ class TestSiblingContexts:
             assert (res.objective, res.iterations) == (fresh.objective, fresh.iterations)
             np.testing.assert_array_equal(res.action, fresh.action)
             assert res.trace["lower"].tobytes() == fresh.trace["lower"].tobytes()
-            assert abs(res.upper_bound - fresh.upper_bound) <= 1e-12 * abs(fresh.upper_bound)
+            assert abs(res.upper_bound - fresh.upper_bound) <= (
+                1e-12 * abs(fresh.upper_bound))
         if engine == "brute":
             assert roots == []
         else:
